@@ -53,10 +53,8 @@ from .staircase import (
     staircase_level,
 )
 from .stats import (
-    KyFanConfig,
     hausdorff,
     ky_fan,
-    ky_fan_grid_oracle,
     levy_mean,
     partial_diameter,
     prohorov,

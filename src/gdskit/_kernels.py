@@ -100,12 +100,14 @@ def kf_single(diffs: np.ndarray, masses: np.ndarray) -> float:
     return float(kf_rows(np.asarray(diffs, dtype=float)[None, :], masses)[0])
 
 
-def window_tradeoff_values(deltas: np.ndarray, masses: np.ndarray) -> np.ndarray:
-    """Row-wise exact translation-orbit Ky Fan distance (values only).
+def window_tradeoff_values(deltas: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise exact translation-orbit Ky Fan distance and optimal shift.
 
     For each row delta, min over shifts c of KF(delta - c) equals the
     minimum over support windows [delta_i, delta_j] of
-    max(width / 2, 1 - window mass).
+    max(width / 2, 1 - window mass), attained at c = the window
+    midpoint. Returns (values, shifts); ties are broken toward the
+    smallest midpoint.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim == 1:
@@ -117,27 +119,18 @@ def window_tradeoff_values(deltas: np.ndarray, masses: np.ndarray) -> np.ndarray
     prefix = np.concatenate([np.zeros((n_rows, 1)), np.cumsum(m, axis=1)], axis=1)
     total = prefix[:, -1:]
     iidx, jidx = np.triu_indices(n)
-    widths = v[:, jidx] - v[:, iidx]
+    left, right = v[:, iidx], v[:, jidx]
     inside = prefix[:, jidx + 1] - prefix[:, iidx]
-    scores = np.maximum(widths / 2.0, total - inside)
-    return scores.min(axis=1)
+    scores = np.maximum((right - left) / 2.0, total - inside)
+    best = scores.min(axis=1)
+    # midpoints of the optimal windows only: most rows have few of them
+    rows, cols = np.divmod(np.flatnonzero(scores == best[:, None]), iidx.size)
+    shifts = np.full(n_rows, np.inf)
+    np.minimum.at(shifts, rows, (left[rows, cols] + right[rows, cols]) / 2.0)
+    return best, shifts
 
 
 def window_tradeoff_min(delta: np.ndarray, masses: np.ndarray) -> tuple[float, float]:
-    """Exact translation-orbit Ky Fan distance with its optimal shift.
-
-    Ties are broken toward the smallest window midpoint.
-    """
-    delta = np.asarray(delta, dtype=float)
-    order = np.argsort(delta, kind="stable")
-    v = delta[order]
-    m = np.asarray(masses, dtype=float)[order]
-    prefix = np.concatenate([[0.0], np.cumsum(m)])
-    total = prefix[-1]
-    iidx, jidx = np.triu_indices(len(v))
-    widths = v[jidx] - v[iidx]
-    inside = prefix[jidx + 1] - prefix[iidx]
-    scores = np.maximum(widths / 2.0, total - inside)
-    best = float(scores.min())
-    centers = (v[iidx] + v[jidx]) / 2.0
-    return best, float(centers[scores == best].min())
+    """window_tradeoff_values of a single row, as (value, shift)."""
+    values, shifts = window_tradeoff_values(np.asarray(delta, dtype=float)[None, :], masses)
+    return float(values[0]), float(shifts[0])

@@ -58,14 +58,17 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+def _tol(args) -> float:
+    """--tol as given, 0 included; the SearchConfig default when absent."""
+    return args.tol if args.tol is not None else SearchConfig.tol
+
+
 def _search_config(args) -> SearchConfig:
-    kwargs = {}
+    kwargs = {"tol": _tol(args)}
     if getattr(args, "kappa_grid", None):
         kwargs["kappa_grid"] = args.kappa_grid
     if getattr(args, "seed", None) is not None:
         kwargs["seed"] = args.seed
-    if getattr(args, "tol", None) is not None:
-        kwargs["tol"] = args.tol
     if getattr(args, "budget", None) is not None:
         kwargs["level_budget"] = args.budget
     return SearchConfig(**kwargs)
@@ -151,7 +154,7 @@ def cmd_covnum(args) -> int:
 
     X = _load(args.file, args)
     family = _family(args.family) if args.family else None
-    res = covering_number(X, args.eps, family, tol=args.tol or 1e-9)
+    res = covering_number(X, args.eps, family, tol=_tol(args))
     print(json.dumps({"value": res.value, "exact": res.exact}))
     return 0
 
@@ -191,9 +194,8 @@ def cmd_rho(args) -> int:
 def cmd_domination(args) -> int:
     X = _load(args.file1, args)
     Y = _load(args.file2, args)
-    tol = args.tol if args.tol is not None else 1e-9
     budget = args.budget if args.budget is not None else 5000
-    verdict = check_domination(X, Y, tol=tol, budget=budget)
+    verdict = check_domination(X, Y, tol=_tol(args), budget=budget)
     print(
         json.dumps(
             {

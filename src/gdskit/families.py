@@ -8,9 +8,17 @@ Three parametric families are supported exactly or near-exactly:
 
 plus a sampled stand-in for all of lip1(R). The central primitive is
 the distance from a feature to the orbit of another feature under a
-family, measured in the Ky Fan metric (or in sup norm for support-
-restricted comparisons). Orbit distances feed covering numbers,
-capacities, domination checks and the coupling objectives.
+family, measured in the Ky Fan metric (dist_to_orbit) or in sup norm
+for support-restricted comparisons (dist_to_orbit_sup). Orbit distances
+feed covering numbers, capacities, domination checks and the coupling
+objectives.
+
+Both metrics share one orbit engine: one family dispatch and one
+shift-then-clip candidate search. A metric supplies three operations:
+a batched row scorer (kf_rows or the row maximum), a batched exact
+translation optimum with its shift (the window formula or the
+midrange), and its own symmetric-clip search. Among candidates of equal
+value the search keeps the smallest (c, lo, hi), in both metrics.
 
 Certification semantics: `certified=True` means the returned value is
 the exact infimum over the family; `False` means it is an upper bound
@@ -28,8 +36,6 @@ import numpy as np
 from ._kernels import (
     MASS_GUARD,
     kf_rows,
-    kf_single,
-    window_tradeoff_min,
     window_tradeoff_values,
 )
 from .core import DiscreteMeasureR, FamilyTag, FiniteGDS, ProbVector, pushforward
@@ -289,13 +295,20 @@ def _candidate_shifts(f, g, extra=()):
     return np.unique(np.concatenate([shifts, np.asarray(extra, dtype=float)]))
 
 
-def _shiftclip_pairs(levels):
+def _level_pairs(levels):
+    """All (lo, hi) with lo <= hi from levels, lo also -inf, hi also +inf."""
     los = np.concatenate([[-math.inf], levels])
     his = np.concatenate([levels, [math.inf]])
-    pairs = [(lo, hi) for lo in los for hi in his if lo <= hi]
-    for r in np.unique(np.abs(levels)):
-        pairs.append((-float(r), float(r)))
-    return pairs
+    lo_grid, hi_grid = np.meshgrid(los, his, indexing="ij")
+    keep = lo_grid <= hi_grid
+    return lo_grid[keep], hi_grid[keep]
+
+
+def _shiftclip_pairs(levels):
+    """Clip bounds in the target frame: level pairs plus symmetric clips."""
+    los, his = _level_pairs(levels)
+    radii = np.unique(np.abs(levels))
+    return np.concatenate([los, -radii]), np.concatenate([his, radii])
 
 
 def _clamp_level_pairs(g):
@@ -304,60 +317,83 @@ def _clamp_level_pairs(g):
     levels = _candidate_levels(g)
     if levels.size > 1:
         levels = np.unique(np.concatenate([levels, (levels[:-1] + levels[1:]) / 2.0]))
-    los = np.concatenate([[-math.inf], levels])
-    his = np.concatenate([levels, [math.inf]])
-    lo_grid, hi_grid = np.meshgrid(los, his, indexing="ij")
-    keep = lo_grid <= hi_grid
-    return lo_grid[keep], hi_grid[keep]
+    return _level_pairs(levels)
 
 
-def _kf_orbit_shiftclip(f, g, w, tol):
+class _KyFan:
+    """Ky Fan scorers under the weights w."""
+
+    def __init__(self, w):
+        self.w = w
+
+    def rows(self, absdiffs):
+        return kf_rows(absdiffs, self.w)
+
+    def translate(self, deltas):
+        return window_tradeoff_values(deltas, self.w)
+
+    def clip(self, f, g, tol):
+        if f.size <= _EXACT_CLIP_CAP:
+            return (*_kf_orbit_clip_exact(f, g, self.w), True)
+        return (*_kf_orbit_clip_heuristic(f, g, self.w, tol), False)
+
+
+class _Sup:
+    """Sup-norm scorers."""
+
+    def rows(self, absdiffs):
+        return absdiffs.max(axis=1)
+
+    def translate(self, deltas):
+        top, bottom = deltas.max(axis=1), deltas.min(axis=1)
+        return (top - bottom) / 2.0, (top + bottom) / 2.0
+
+    def clip(self, f, g, tol):
+        return (*_sup_orbit_clip_exact(f, g), True)
+
+
+def _first_min(vals, cs, los, his):
+    """The smallest (value, c, lo, hi) among candidate rows; the first
+    one on a full tie."""
+    tied = np.nonzero(vals == vals.min())[0]
+    k = tied[np.lexsort((his[tied], los[tied], cs[tied]))[0]]
+    return float(vals[k]), float(cs[k]), float(los[k]), float(his[k])
+
+
+def _orbit_shiftclip(f, g, metric, tol):
     """Candidate search over shift-then-clip maps (upper bound).
 
     Every member factors as a clamp in the source frame followed by a
     translation, so the search clamps g at observed levels (plus
-    midpoints) and optimizes the translation exactly by the window
-    formula, batched over all clamp pairs. A second pass scans
+    midpoints) and optimizes the translation exactly, batched over all
+    clamp pairs. On supports of at most 16 points a second pass scores
     pointwise-difference shifts against clip levels in the target
     frame, and the best shift is refined on a local grid of spacing
-    `tol`. Ties break toward the smallest (c, lo, hi).
+    `tol`. Returns the smallest (value, c, lo, hi) found.
     """
-    t_val, t_shift = window_tradeoff_min(f - g, w)
-    best = (float(t_val), float(t_shift), -math.inf, math.inf)
+    t_vals, t_shifts = metric.translate((f - g)[None, :])
+    best = (float(t_vals[0]), float(t_shifts[0]), -math.inf, math.inf)
     los, his = _clamp_level_pairs(g)
-    clipped = np.clip(g[None, :], los[:, None], his[:, None])
-    vals = window_tradeoff_values(f[None, :] - clipped, w)
-    tied = np.nonzero(vals == vals.min())[0]
-    # among tied clamp pairs pick the smallest (lo, hi) before the
-    # shift: avoids re-deriving shifts for every tie
-    idx = tied[np.lexsort((his[tied], los[tied]))[0]]
-    val, s = window_tradeoff_min(f - clipped[idx], w)
-    cand = (val, s, float(los[idx] + s), float(his[idx] + s))
-    if cand < best:
-        best = cand
+    vals, shifts = metric.translate(f[None, :] - np.clip(g[None, :], los[:, None], his[:, None]))
+    best = min(best, _first_min(vals, shifts, los + shifts, his + shifts))
     if f.size <= 16:
-        # target-frame pass: pointwise shifts against target clip levels
-        shifts = _candidate_shifts(f, g, extra=[t_shift, 0.0])
-        pairs = _shiftclip_pairs(_candidate_levels(f))
-        lo_arr = np.array([p[0] for p in pairs])
-        hi_arr = np.array([p[1] for p in pairs])
+        shifts = _candidate_shifts(f, g, extra=[t_shifts[0], 0.0])
+        lo_arr, hi_arr = _shiftclip_pairs(_candidate_levels(f))
         mapped = np.clip(
             g[None, None, :] + shifts[None, :, None],
             lo_arr[:, None, None],
             hi_arr[:, None, None],
         ).reshape(-1, f.size)
-        kvals = kf_rows(np.abs(f[None, :] - mapped), w)
-        j = int(np.argmin(kvals))
-        p, sidx = divmod(j, shifts.size)
-        cand = (float(kvals[j]), float(shifts[sidx]), float(lo_arr[p]), float(hi_arr[p]))
-        if cand < best:
-            best = cand
+        vals = metric.rows(np.abs(f[None, :] - mapped))
+        tied = np.nonzero(vals == vals.min())[0]
+        pair, k = np.divmod(tied, shifts.size)
+        best = min(best, _first_min(vals[tied], shifts[k], lo_arr[pair], hi_arr[pair]))
     local = best[1] + tol * np.arange(-10, 11)
     mapped = np.clip(g[None, :] + local[:, None], best[2], best[3])
-    kvals = kf_rows(np.abs(f[None, :] - mapped), w)
-    j = int(np.argmin(kvals))
-    if kvals[j] < best[0]:
-        best = (float(kvals[j]), float(local[j]), best[2], best[3])
+    vals = metric.rows(np.abs(f[None, :] - mapped))
+    j = int(np.argmin(vals))
+    if vals[j] < best[0]:
+        best = (float(vals[j]), float(local[j]), best[2], best[3])
     return best
 
 
@@ -375,6 +411,27 @@ def _lip1_samples(g, budget):
     return maps
 
 
+def _orbit_distance(f, g, family: FamilyTag, metric, tol) -> OrbitDistanceResult:
+    """Distance from f to the family orbit of g in the given metric."""
+    if family.kind == "id":
+        return OrbitDistanceResult(float(metric.rows(np.abs(f - g)[None, :])[0]), ClipMap.identity(), True)
+    if family.kind == "T":
+        vals, shifts = metric.translate((f - g)[None, :])
+        return OrbitDistanceResult(float(vals[0]), ClipMap.translation(shifts[0]), True)
+    if family.kind == "B":
+        value, radius, certified = metric.clip(f, g, tol)
+        return OrbitDistanceResult(value, ClipMap.bound(radius), certified)
+    value, c, lo, hi = _orbit_shiftclip(f, g, metric, tol)
+    best_val, best_witness = value, ClipMap(c, lo, hi)
+    if family.kind == "lip1":
+        # sampled piecewise linear maps, each with its optimal translation
+        for pl in _lip1_samples(g, family.sample_budget):
+            vals, shifts = metric.translate((f - pl.apply(g))[None, :])
+            if vals[0] < best_val:
+                best_val, best_witness = float(vals[0]), pl.shifted(float(shifts[0]))
+    return OrbitDistanceResult(best_val, best_witness, False)
+
+
 def dist_to_orbit(f, g, family: FamilyTag, mu: ProbVector, tol: float = 1e-9) -> OrbitDistanceResult:
     """Ky Fan distance from feature f to the family orbit of g.
 
@@ -387,29 +444,7 @@ def dist_to_orbit(f, g, family: FamilyTag, mu: ProbVector, tol: float = 1e-9) ->
     w = mu.weights
     if f.shape != g.shape or f.shape != w.shape:
         raise DimensionMismatch("feature lists and weights must share one length")
-    if family.kind == "id":
-        return OrbitDistanceResult(kf_single(np.abs(f - g), w), ClipMap.identity(), True)
-    if family.kind == "T":
-        value, shift = window_tradeoff_min(f - g, w)
-        return OrbitDistanceResult(value, ClipMap.translation(shift), True)
-    if family.kind == "B":
-        if f.size <= _EXACT_CLIP_CAP:
-            value, radius = _kf_orbit_clip_exact(f, g, w)
-            return OrbitDistanceResult(value, ClipMap.bound(radius), True)
-        value, radius = _kf_orbit_clip_heuristic(f, g, w, tol)
-        return OrbitDistanceResult(value, ClipMap.bound(radius), False)
-    if family.kind == "TB":
-        value, c, lo, hi = _kf_orbit_shiftclip(f, g, w, tol)
-        return OrbitDistanceResult(value, ClipMap(c, lo, hi), False)
-    # lip1: shift-clip candidates plus sampled piecewise linear maps
-    value, c, lo, hi = _kf_orbit_shiftclip(f, g, w, tol)
-    best_val, best_witness = value, ClipMap(c, lo, hi)
-    for pl in _lip1_samples(g, family.sample_budget):
-        delta = f - pl.apply(g)
-        val, shift = window_tradeoff_min(delta, w)
-        if val < best_val:
-            best_val, best_witness = val, pl.shifted(shift)
-    return OrbitDistanceResult(best_val, best_witness, False)
+    return _orbit_distance(f, g, family, _KyFan(w), tol)
 
 
 def _sup_orbit_clip_exact(f, g):
@@ -433,39 +468,6 @@ def _sup_orbit_clip_exact(f, g):
     return float(vals[j]), float(radii[j])
 
 
-def _sup_orbit_shiftclip(f, g, tol):
-    delta = f - g
-    mid = (delta.max() + delta.min()) / 2.0
-    best = (float((delta.max() - delta.min()) / 2.0), float(mid), -math.inf, math.inf)
-    los, his = _clamp_level_pairs(g)
-    clipped = np.clip(g[None, :], los[:, None], his[:, None])
-    d = f[None, :] - clipped
-    dmax, dmin = d.max(axis=1), d.min(axis=1)
-    vals = (dmax - dmin) / 2.0
-    shifts_opt = (dmax + dmin) / 2.0
-    for idx in np.nonzero(vals == vals.min())[0]:
-        s = float(shifts_opt[idx])
-        cand = (float(vals[idx]), s, float(los[idx] + s), float(his[idx] + s))
-        if cand < best:
-            best = cand
-    if f.size <= 16:
-        shifts = _candidate_shifts(f, g, extra=[mid, 0.0])
-        for lo, hi in _shiftclip_pairs(_candidate_levels(f)):
-            mapped = np.clip(g[None, :] + shifts[:, None], lo, hi)
-            svals = np.max(np.abs(f[None, :] - mapped), axis=1)
-            j = int(np.argmin(svals))
-            cand = (float(svals[j]), float(shifts[j]), float(lo), float(hi))
-            if cand < best:
-                best = cand
-    local = best[1] + tol * np.arange(-10, 11)
-    mapped = np.clip(g[None, :] + local[:, None], best[2], best[3])
-    vals = np.max(np.abs(f[None, :] - mapped), axis=1)
-    j = int(np.argmin(vals))
-    if vals[j] < best[0]:
-        best = (float(vals[j]), float(local[j]), best[2], best[3])
-    return best
-
-
 def dist_to_orbit_sup(f, g, family: FamilyTag, tol: float = 1e-9) -> OrbitDistanceResult:
     """Sup-norm distance from f to the family orbit of g.
 
@@ -477,27 +479,7 @@ def dist_to_orbit_sup(f, g, family: FamilyTag, tol: float = 1e-9) -> OrbitDistan
     g = np.asarray(g, dtype=float)
     if f.shape != g.shape:
         raise DimensionMismatch("feature lists must share one length")
-    if family.kind == "id":
-        return OrbitDistanceResult(float(np.max(np.abs(f - g))), ClipMap.identity(), True)
-    if family.kind == "T":
-        delta = f - g
-        mid = (delta.max() + delta.min()) / 2.0
-        return OrbitDistanceResult(
-            float((delta.max() - delta.min()) / 2.0), ClipMap.translation(float(mid)), True
-        )
-    if family.kind == "B":
-        value, radius = _sup_orbit_clip_exact(f, g)
-        return OrbitDistanceResult(value, ClipMap.bound(radius), True)
-    value, c, lo, hi = _sup_orbit_shiftclip(f, g, tol)
-    best_val, best_witness = value, ClipMap(c, lo, hi)
-    if family.kind == "lip1":
-        for pl in _lip1_samples(g, family.sample_budget):
-            delta = f - pl.apply(g)
-            mid = (delta.max() + delta.min()) / 2.0
-            val = float((delta.max() - delta.min()) / 2.0)
-            if val < best_val:
-                best_val, best_witness = val, pl.shifted(float(mid))
-    return OrbitDistanceResult(best_val, best_witness, False)
+    return _orbit_distance(f, g, family, _Sup(), tol)
 
 
 def compose_family(X: FiniteGDS, p: ClipMap) -> FiniteGDS:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import FiniteGDS
-from .distances import Bracket, SearchConfig, box_bracket, dconc_lower_via_od
+from .distances import Bracket, SearchConfig, box_bracket
 from .errors import InvalidSpec, LevelMismatch
 from .transforms import enumerate_measurements
 
@@ -195,9 +195,3 @@ def rho_estimate(
     distinct objects on their natural domains.
     """
     return staircase_distance(X, Y, L, config)
-
-
-def dconc_transfer_gap(X: FiniteGDS, Y: FiniteGDS, kappa_grid) -> float:
-    """Convenience re-export of the certified observable-distance lower
-    bound, for comparing staircase intervals against it."""
-    return dconc_lower_via_od(X, Y, kappa_grid)

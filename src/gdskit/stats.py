@@ -3,30 +3,15 @@
 Partial diameter and Levy mean act on DiscreteMeasureR; the Ky Fan
 metric compares two feature value lists under a common weight vector;
 the Prohorov distance compares two measures on the line. All of them
-are computed exactly over finite candidate sets, no grids involved
-(a grid oracle for the Ky Fan metric is kept for testing only).
+are computed exactly over finite candidate sets, no grids involved.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-import networkx as nx
 import numpy as np
 
 from ._kernels import MASS_GUARD, kf_single
 from .core import DiscreteMeasureR, ProbVector
-from .errors import DimensionMismatch, EmptySet, InvalidAlpha, ValidationError
-
-
-@dataclass(frozen=True)
-class KyFanConfig:
-    """Grid density for the Ky Fan oracle used in tests."""
-
-    candidate_refinement: int = 1000
-
-    def __post_init__(self):
-        if self.candidate_refinement < 1:
-            raise ValidationError("candidate_refinement must be >= 1")
+from .errors import DimensionMismatch, EmptySet, InvalidAlpha
 
 
 def partial_diameter(mu: DiscreteMeasureR, alpha: float) -> float:
@@ -74,34 +59,31 @@ def ky_fan(f, g, mu: ProbVector) -> float:
     return kf_single(np.abs(f - g), mu.weights)
 
 
-def ky_fan_grid_oracle(f, g, mu: ProbVector, config: KyFanConfig) -> float:
-    """Grid approximation of ky_fan, used as a test oracle.
+def _routable_mass(nu: DiscreteMeasureR, mu: DiscreteMeasureR, d: float) -> float:
+    """Maximum nu-mass routable to mu across atom pairs with |x - y| <= d.
 
-    Scans eps over a uniform grid on [0, 1]; the result overshoots the
-    exact value by at most one grid step.
+    The neighbours of each nu-atom form a contiguous run of mu-atoms,
+    and both ends of the run only move right as the nu-atom does (a
+    convex bipartite graph). Sweeping the nu-atoms in order and filling
+    the leftmost mu-atom with capacity left is therefore a maximum
+    flow (Glover 1967).
     """
-    f = np.asarray(f, dtype=float)
-    g = np.asarray(g, dtype=float)
-    d = np.abs(f - g)
-    w = mu.weights
-    for eps in np.linspace(0.0, 1.0, config.candidate_refinement + 1):
-        if float(w[d > eps].sum()) <= eps:
-            return float(eps)
-    return 1.0
-
-
-def _routable_mass(nu_masses, mu_masses, adjacency) -> float:
-    """Maximum nu-mass routable to mu across allowed atom pairs."""
-    G = nx.DiGraph()
-    for j, wj in enumerate(nu_masses):
-        G.add_edge("s", ("a", j), capacity=float(wj))
-    for i, wi in enumerate(mu_masses):
-        G.add_edge(("b", i), "t", capacity=float(wi))
-    for j, i in np.argwhere(adjacency):
-        G.add_edge(("a", int(j)), ("b", int(i)), capacity=2.0)
-    if not G.has_node("s") or not G.has_node("t"):
-        return 0.0
-    return float(nx.maximum_flow_value(G, "s", "t"))
+    x = mu.values
+    room = mu.masses.astype(float)
+    flow = 0.0
+    i = 0
+    for y, need in zip(nu.values, nu.masses):
+        # atoms left of y that are full or out of reach stay so for every later y
+        while i < x.size and (room[i] == 0.0 or (x[i] < y and abs(y - x[i]) > d)):
+            i += 1
+        k = i
+        while need > 0.0 and k < x.size and abs(y - x[k]) <= d:
+            take = min(need, room[k])
+            room[k] -= take
+            need -= take
+            flow += take
+            k += 1
+    return flow
 
 
 def prohorov(mu: DiscreteMeasureR, nu: DiscreteMeasureR) -> float:
@@ -124,7 +106,7 @@ def prohorov(mu: DiscreteMeasureR, nu: DiscreteMeasureR) -> float:
 
     def deficiency(k: int) -> float:
         if k not in cache:
-            flow = _routable_mass(nu.masses, mu.masses, dists <= cands[k])
+            flow = _routable_mass(nu, mu, cands[k])
             cache[k] = max(0.0, float(nu.masses.sum()) - flow)
         return cache[k]
 
@@ -152,11 +134,3 @@ def hausdorff(A, B, dist) -> float:
     dist = np.asarray(dist, dtype=float)
     sub = dist[np.ix_(A, B)]
     return float(max(sub.min(axis=1).max(), sub.min(axis=0).max()))
-
-
-def hausdorff_from_matrix(cross: np.ndarray) -> float:
-    """Hausdorff value of a complete cross-distance matrix."""
-    cross = np.asarray(cross, dtype=float)
-    if cross.size == 0:
-        raise EmptySet("cross-distance matrix must be nonempty")
-    return float(max(cross.min(axis=1).max(), cross.min(axis=0).max()))

@@ -6,12 +6,14 @@ vectorized code paths. Instance generators produce dyadic values and
 masses, for which float arithmetic in both the oracles and the library
 is exact, so equality assertions are meaningful.
 """
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import numpy as np
 
 import gdskit as gk
+from gdskit.errors import ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -155,6 +157,33 @@ def binomial_profile(k):
     vals = np.arange(k + 1) / k
     masses = np.array([comb(k, j) for j in range(k + 1)], dtype=float) / 2.0**k
     return vals, masses
+
+
+@dataclass(frozen=True)
+class KyFanConfig:
+    """Grid density for the Ky Fan grid oracle."""
+
+    candidate_refinement: int = 1000
+
+    def __post_init__(self):
+        if self.candidate_refinement < 1:
+            raise ValidationError("candidate_refinement must be >= 1")
+
+
+def ky_fan_grid_oracle(f, g, mu, config: KyFanConfig) -> float:
+    """Grid approximation of ky_fan.
+
+    Scans eps over a uniform grid on [0, 1]; the result overshoots the
+    exact value by at most one grid step.
+    """
+    f = np.asarray(f, dtype=float)
+    g = np.asarray(g, dtype=float)
+    d = np.abs(f - g)
+    w = mu.weights
+    for eps in np.linspace(0.0, 1.0, config.candidate_refinement + 1):
+        if float(w[d > eps].sum()) <= eps:
+            return float(eps)
+    return 1.0
 
 
 def t_orbit_grid_oracle(f, g, masses, steps=2001, pad=1.0):

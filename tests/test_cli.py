@@ -5,6 +5,7 @@ import json
 import pytest
 
 from gdskit.cli import main, sweep
+from gdskit.families import CoveringResult
 
 
 def run(argv, capsys):
@@ -101,6 +102,18 @@ class TestTransformCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["value"] >= 1 and payload["exact"]
+
+    def test_covnum_passes_tol_zero(self, two_point_files, capsys, monkeypatch):
+        seen = []
+
+        def fake_covering_number(X, eps, family=None, tol=None):
+            seen.append(tol)
+            return CoveringResult(1, True)
+
+        monkeypatch.setattr("gdskit.families.covering_number", fake_covering_number)
+        code, _, _ = run(["covnum", two_point_files[0], "--eps", "0.1", "--tol", "0"], capsys)
+        assert code == 0
+        assert seen == [0.0]
 
 
 class TestDistanceCommands:

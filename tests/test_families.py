@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gdskit as gk
+from gdskit._kernels import window_tradeoff_min, window_tradeoff_values
 from gdskit.errors import EmptySet, InvalidRange
 from gdskit.families import _min_window
 from oracles import (
@@ -162,8 +163,10 @@ class TestDistToOrbit:
 
     def test_witness_reproduces_value(self):
         rng = np.random.default_rng(31)
-        for _ in range(25):
-            n = int(rng.integers(2, 6))
+        # None draws a small support; the fixed sizes pass the exact-clip
+        # cap (12) and the target-frame cap (16)
+        for size in [None] * 25 + [13, 16, 17, 20]:
+            n = size or int(rng.integers(2, 6))
             f, g = dyadic_values(rng, n), dyadic_values(rng, n)
             w = dyadic_masses(rng, n)
             pv = gk.ProbVector(w)
@@ -172,6 +175,25 @@ class TestDistToOrbit:
                 res = gk.dist_to_orbit(f, g, family, pv)
                 achieved = kf_oracle(f, res.witness.apply(g), w)
                 assert achieved <= res.value + 1e-9
+
+    def test_shiftclip_tie_takes_smallest_witness(self):
+        # several candidates map g to the constant 11/16 (c = 11/16 with
+        # hi = 11/16, or lo = hi = 11/16 with any c); of these tied
+        # witnesses the smallest (c, lo, hi) is returned
+        pv = gk.ProbVector.uniform(2)
+        res = gk.dist_to_orbit([0.5, 0.875], [0.5, 0.0], gk.TB_FAMILY, pv)
+        assert res.value == 0.1875
+        assert res.witness == gk.ClipMap(0.1875, 0.6875, 0.6875)
+
+    def test_window_kernel_rows_match_single_row(self):
+        rng = np.random.default_rng(61)
+        for n in range(1, 21):
+            deltas = rng.normal(size=(4, n))
+            deltas[1] = np.round(deltas[1] * 4) / 4  # tied windows
+            w = rng.dirichlet(np.ones(n))
+            values, shifts = window_tradeoff_values(deltas, w)
+            for r in range(4):
+                assert window_tradeoff_min(deltas[r], w) == (values[r], shifts[r])
 
     def test_lip1_no_worse_than_shiftclip(self):
         rng = np.random.default_rng(37)
@@ -201,8 +223,8 @@ class TestSupOrbit:
 
     def test_witness_reproduces_value(self):
         rng = np.random.default_rng(41)
-        for _ in range(25):
-            n = int(rng.integers(2, 6))
+        for size in [None] * 25 + [13, 16, 17, 20]:
+            n = size or int(rng.integers(2, 6))
             f, g = dyadic_values(rng, n), dyadic_values(rng, n)
             for family in (gk.ID_FAMILY, gk.T_FAMILY, gk.B_FAMILY, gk.TB_FAMILY):
                 res = gk.dist_to_orbit_sup(f, g, family)

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,11 +10,13 @@ from hypothesis import given, settings, strategies as st
 import gdskit as gk
 from gdskit.errors import DimensionMismatch, EmptySet, InvalidAlpha
 from oracles import (
+    KyFanConfig,
     binomial_profile,
     dyadic_masses,
     dyadic_measure,
     dyadic_values,
     kf_oracle,
+    ky_fan_grid_oracle,
     pd_oracle,
     prohorov_oracle,
     random_clip,
@@ -142,13 +149,13 @@ class TestKyFan:
 
     def test_grid_oracle_within_resolution(self):
         rng = np.random.default_rng(41)
-        cfg = gk.KyFanConfig(candidate_refinement=2000)
+        cfg = KyFanConfig(candidate_refinement=2000)
         for _ in range(20):
             n = int(rng.integers(1, 6))
             f, g = dyadic_values(rng, n, span=1), dyadic_values(rng, n, span=1)
             pv = gk.ProbVector(dyadic_masses(rng, n))
             exact = gk.ky_fan(f, g, pv)
-            approx = gk.ky_fan_grid_oracle(f, g, pv, cfg)
+            approx = ky_fan_grid_oracle(f, g, pv, cfg)
             assert exact <= approx <= exact + 1.0 / cfg.candidate_refinement + 1e-12
 
     def test_dimension_mismatch(self):
@@ -173,10 +180,15 @@ class TestProhorov:
 
     def test_matches_subset_oracle(self):
         rng = np.random.default_rng(43)
-        for _ in range(60):
-            mu = dyadic_measure(rng, max_atoms=3)
-            nu = dyadic_measure(rng, max_atoms=3)
+        for atoms in [3] * 60 + [6] * 20:
+            mu = dyadic_measure(rng, max_atoms=atoms)
+            nu = dyadic_measure(rng, max_atoms=atoms)
             assert gk.prohorov(mu, nu) == prohorov_oracle(mu, nu)
+
+    def test_import_needs_no_graph_library(self):
+        code = "import sys, gdskit; sys.exit('networkx' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(gk.__file__).parents[1])}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_empirical_symmetry(self):
         rng = np.random.default_rng(47)
