@@ -40,22 +40,20 @@ def pd_rows(values: np.ndarray, masses: np.ndarray, alpha: float) -> np.ndarray:
     prefix = np.concatenate(
         [np.zeros((n_rows, 1)), np.cumsum(sorted_mass, axis=1)], axis=1
     )
-    # One flat searchsorted over all rows: prefix rows live in [0, 1 + eps],
-    # so an offset of 2 per row keeps needles inside their own row.
-    offsets = 2.0 * np.arange(n_rows)[:, None]
-    flat = (prefix + offsets).ravel()
-    needles = (prefix[:, :n] + (alpha - MASS_GUARD) + offsets).ravel()
-    pos = np.searchsorted(flat, needles, side="left")
-    pos -= np.repeat(np.arange(n_rows) * (n + 1), n)
-    right = pos - 1  # window end index; mass of [i..right] >= alpha - guard
-    rows = np.repeat(np.arange(n_rows), n)
-    left = np.tile(np.arange(n), n_rows)
+    # Row-wise searchsorted(prefix, needles, side="left") without shifting
+    # rows into one flat array, which would round the needles. A stable
+    # sort of [needles, prefix] puts each needle ahead of equal prefix
+    # entries, and the needles are nondecreasing, so the k-th needle slot
+    # of a row holds needle k with exactly slot - k prefix entries below it.
+    needles = prefix[:, :n] + (alpha - MASS_GUARD)
+    merged = np.argsort(np.concatenate([needles, prefix], axis=1), axis=1, kind="stable")
+    slots = np.nonzero(merged < n)[1].reshape(n_rows, n)
+    right = slots - np.arange(n) - 1  # window end; mass of [i..right] >= alpha - guard
     valid = right < n
-    widths = np.full(n_rows * n, np.inf)
-    widths[valid] = (
-        sorted_vals[rows[valid], right[valid]] - sorted_vals[rows[valid], left[valid]]
-    )
-    return widths.reshape(n_rows, n).min(axis=1)
+    rows, left = np.nonzero(valid)
+    widths = np.full((n_rows, n), np.inf)
+    widths[rows, left] = sorted_vals[rows, right[valid]] - sorted_vals[rows, left]
+    return widths.min(axis=1)
 
 
 def _run_end_indices(sorted_rows: np.ndarray) -> np.ndarray:

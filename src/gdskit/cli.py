@@ -227,9 +227,9 @@ def sweep(recipes, kappas, out=None, family: FamilyTag | None = None):
             rec, family=family or FamilyTag.parse("TB")
         )
         X = generate_space(recipe)
-        # the induced metric of an embedded space reproduces its distance
-        # matrix exactly, so this matches the fast path on every recipe
-        # kind, including feature-form files
+        # X.metric exists for every recipe kind, including feature-form
+        # files. For an embedded space it equals the distance matrix in
+        # exact arithmetic; in floats it can differ in the last bits.
         D = X.metric
         for kappa in sorted(kappas):
             t0 = time.perf_counter()

@@ -259,10 +259,17 @@ def induced_metric(X: FiniteGDS) -> np.ndarray:
     """Pairwise distance matrix d[i, j] = max_f |f(i) - f(j)|.
 
     A finite maximum of absolute differences, so all metric axioms hold
-    exactly in float arithmetic.
+    exactly in float arithmetic. The maximum is taken one generator at a
+    time, so memory stays O(n^2) (two n-by-n buffers) for any number of
+    generators.
     """
     gens = X.generators
-    return np.max(np.abs(gens[:, :, None] - gens[:, None, :]), axis=0)
+    d = np.abs(gens[0][:, None] - gens[0][None, :])
+    diff = np.empty_like(d)
+    for row in gens[1:]:
+        np.subtract(row[:, None], row[None, :], out=diff)
+        np.maximum(d, np.abs(diff, out=diff), out=d)
+    return d
 
 
 def check_metric(D: np.ndarray, tol: float = METRIC_TOL) -> np.ndarray:
@@ -305,9 +312,12 @@ def embed_mm_space(
     """Embed a metric-measure space as a geometric data set.
 
     The generators are the rows of the distance matrix (one
-    distance-to-point feature per base point), so the induced metric of
-    the result reproduces D: the maximum over rows y of
-    |d(x, y) - d(x', y)| equals d(x, x'), attained at y = x.
+    distance-to-point feature per base point), so in exact arithmetic
+    the induced metric of the result reproduces D: the maximum over
+    rows y of |d(x, y) - d(x', y)| equals d(x, x'), attained at y = x.
+    In floats the rounded differences can differ from D in the last
+    bits (an embedded `path:100:0.01` differs in 8414 entries, by at
+    most 1.1e-16), so `X.metric` is not bit-identical to D.
     """
     D = check_metric(D, tol=tol)
     if point_ids is None:

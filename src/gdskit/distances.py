@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from itertools import permutations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .core import FiniteGDS, ProbVector, pushforward
 from .errors import (
@@ -254,6 +253,10 @@ def _sorted_matching(X, Y):
 def _assignment_matching(X, Y):
     """Permutation candidate from a sum-of-differences assignment on
     row-aligned features. Rows are aligned by sorted-value profiles."""
+    # imported here: this is scipy's only use, and importing it costs more
+    # than the rest of gdskit together
+    from scipy.optimize import linear_sum_assignment
+
     order_x = sorted(range(X.n_generators), key=lambda r: tuple(np.sort(X.generators[r])))
     order_y = sorted(range(Y.n_generators), key=lambda r: tuple(np.sort(Y.generators[r])))
     shared = min(len(order_x), len(order_y))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,6 +70,34 @@ class TestInducedMetric:
             extra = np.vstack([X.generators] + [p.apply(row)[None, :] for row in X.generators])
             Y = gk.FiniteGDS(X.point_ids, extra, X.family, X.mu)
             assert np.array_equal(gk.induced_metric(Y), X.metric)
+
+    def test_matches_broadcast_maximum_bit_for_bit(self):
+        rng = np.random.default_rng(17)
+        shapes = [(1, 1), (1, 5), (6, 1)] + [tuple(rng.integers(1, 25, 2)) for _ in range(60)]
+        for g, n in shapes:
+            gens = rng.normal(size=(g, n))
+            gens[rng.random((g, n)) < 0.2] = -0.0
+            gens[rng.random((g, n)) < 0.2] = 0.0
+            X = gk.FiniteGDS(tuple(range(n)), gens, gk.TB_FAMILY, gk.ProbVector.uniform(n))
+            expected = np.max(np.abs(gens[:, :, None] - gens[:, None, :]), axis=0)
+            d = gk.induced_metric(X)
+            assert d.dtype == expected.dtype
+            assert np.array_equal(d, expected)
+            assert np.array_equal(np.signbit(d), np.signbit(expected))
+
+    def test_memory_is_quadratic(self):
+        # an embedded space has as many generators as points, so a (g, n, n)
+        # intermediate would be cubic in n
+        n = 200
+        gens = np.random.default_rng(19).normal(size=(n, n))
+        X = gk.FiniteGDS(tuple(range(n)), gens, gk.TB_FAMILY, gk.ProbVector.uniform(n))
+        tracemalloc.start()
+        try:
+            gk.induced_metric(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n * n * 8
 
     def test_clipped_generators_alone_only_shrink(self):
         rng = np.random.default_rng(13)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gdskit as gk
+from gdskit._kernels import pd_rows
 from gdskit.errors import DimensionMismatch, EmptySet, InvalidAlpha
 from oracles import (
     KyFanConfig,
@@ -73,6 +74,14 @@ class TestPartialDiameter:
             target = gk.partial_diameter(mu, 1 - kappa)
             seq = [gk.partial_diameter(mu, 1 - (kappa + 1.0 / n)) for n in (4, 16, 4096, 2**20)]
             assert seq[-1] == target
+
+    def test_batched_rows_match_scalar_at_scale(self):
+        # the row search must not lose MASS_GUARD-sized differences to the
+        # row count: row 0 needs its second atom once mass 0.6 - 5e-12 is short
+        masses = np.array([0.6 - 5e-12, 0.4 + 5e-12])
+        assert gk.partial_diameter(measure([0.0, 1.0], masses), 0.6) == 1.0
+        widths = pd_rows(np.tile([0.0, 1.0], (100_000, 1)), masses, 0.6)
+        assert np.all(widths == 1.0)
 
     def test_invalid_alpha(self):
         with pytest.raises(InvalidAlpha):
@@ -186,9 +195,12 @@ class TestProhorov:
             assert gk.prohorov(mu, nu) == prohorov_oracle(mu, nu)
 
     def test_import_needs_no_graph_library(self):
-        code = "import sys, gdskit; sys.exit('networkx' in sys.modules)"
+        # scipy is loaded only when an equal-size bracket solves its
+        # assignment candidate
         env = {**os.environ, "PYTHONPATH": str(pathlib.Path(gk.__file__).parents[1])}
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        for module in ("networkx", "scipy"):
+            code = f"import sys, gdskit, gdskit.cli; sys.exit({module!r} in sys.modules)"
+            assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0, module
 
     def test_empirical_symmetry(self):
         rng = np.random.default_rng(47)
