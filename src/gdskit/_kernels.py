@@ -132,3 +132,74 @@ def window_tradeoff_min(delta: np.ndarray, masses: np.ndarray) -> tuple[float, f
     """window_tradeoff_values of a single row, as (value, shift)."""
     values, shifts = window_tradeoff_values(np.asarray(delta, dtype=float)[None, :], masses)
     return float(values[0]), float(shifts[0])
+
+
+def linear_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost assignment of rows to columns, as (rows, cols).
+
+    Shortest augmenting paths with dual variables (Crouse, "On
+    implementing 2D rectangular assignment algorithms", IEEE TAES 2016),
+    for a finite cost matrix with no more rows than columns. This is the
+    algorithm of scipy.optimize.linear_sum_assignment, ported step for
+    step: the column scan order, the tie rule and the floating-point
+    order of the dual updates are scipy's, so both return the same
+    assignment, tied optima included.
+    """
+    cost = np.asarray(cost, dtype=float)
+    n_rows, n_cols = cost.shape
+    u = np.zeros(n_rows)
+    v = np.zeros(n_cols)
+    path = np.full(n_cols, -1)
+    col4row = np.full(n_rows, -1)
+    row4col = np.full(n_cols, -1)
+    for cur in range(n_rows):
+        sink, min_val, spc, in_rows, in_cols = _augmenting_path(cost, u, v, path, row4col, cur)
+        u[cur] += min_val
+        in_rows[cur] = False
+        rows = np.flatnonzero(in_rows)
+        u[rows] += min_val - spc[col4row[rows]]
+        v[in_cols] -= min_val - spc[in_cols]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return np.arange(n_rows), col4row
+
+
+def _augmenting_path(cost, u, v, path, row4col, i):
+    """One shortest augmenting path from row i to a free column.
+
+    Returns (sink, min_val, path costs, rows visited, columns visited).
+    """
+    n_rows, n_cols = cost.shape
+    # reverse column order, so a constant cost matrix gives the identity
+    remaining = np.arange(n_cols - 1, -1, -1)
+    spc = np.full(n_cols, np.inf)
+    in_rows = np.zeros(n_rows, dtype=bool)
+    in_cols = np.zeros(n_cols, dtype=bool)
+    min_val = 0.0
+    while True:
+        in_rows[i] = True
+        r = min_val + cost[i, remaining] - u[i] - v[remaining]
+        better = r < spc[remaining]
+        path[remaining[better]] = i
+        spc[remaining[better]] = r[better]
+        costs = spc[remaining]
+        # among tied minima, the last free column in scan order, else the
+        # first tied column
+        tied = np.flatnonzero(costs == costs.min())
+        free = tied[row4col[remaining[tied]] == -1]
+        index = free[-1] if free.size else tied[0]
+        min_val = costs[index]
+        if min_val == np.inf:
+            raise ValueError("cost matrix is infeasible")
+        j = remaining[index]
+        in_cols[j] = True
+        remaining[index] = remaining[-1]
+        remaining = remaining[:-1]
+        if row4col[j] == -1:
+            return j, min_val, spc, in_rows, in_cols
+        i = row4col[j]

@@ -121,6 +121,8 @@ class ProbVector:
         w = _readonly(self.weights)
         if w.ndim != 1 or w.size == 0:
             raise DimensionMismatch("weights must be a nonempty 1-d sequence")
+        if not np.all(np.isfinite(w)):
+            raise InvalidWeights("weights must be finite")
         if np.any(w <= 0.0):
             raise ZeroWeight("all weights must be strictly positive (full support)")
         if abs(float(w.sum()) - 1.0) > MASS_TOL:
@@ -151,6 +153,10 @@ class DiscreteMeasureR:
         m = _readonly(self.masses)
         if v.ndim != 1 or v.shape != m.shape or v.size == 0:
             raise DimensionMismatch("values and masses must be matching 1-d arrays")
+        if not np.all(np.isfinite(v)):
+            raise ValidationError("atom values must be finite")
+        if not np.all(np.isfinite(m)):
+            raise InvalidWeights("atom masses must be finite")
         if np.any(np.diff(v) <= 0.0):
             raise ValidationError("atom values must be strictly increasing")
         if np.any(m <= 0.0):
@@ -197,6 +203,8 @@ class FiniteGDS:
         gens = _readonly(self.generators)
         if gens.ndim != 2 or gens.shape[0] == 0:
             raise DimensionMismatch("generators must be a nonempty 2-d matrix")
+        if not np.all(np.isfinite(gens)):
+            raise ValidationError("generator values must be finite")
         object.__setattr__(self, "generators", gens)
         object.__setattr__(self, "point_ids", tuple(self.point_ids))
         if gens.shape[1] != len(self.point_ids):
@@ -277,11 +285,15 @@ def check_metric(D: np.ndarray, tol: float = METRIC_TOL) -> np.ndarray:
 
     Symmetry and the zero diagonal are required within `tol`, positivity
     off the diagonal exactly, and the triangle inequality within `tol`.
-    Raises NotAMetric identifying the violating pair or triple.
+    Raises NotAMetric identifying the violating pair or triple, and
+    ValidationError for a non-finite entry.
     """
     D = np.asarray(D, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise NotAMetric("distance matrix must be square")
+    if not np.all(np.isfinite(D)):
+        i, j = np.argwhere(~np.isfinite(D))[0]
+        raise ValidationError(f"non-finite distance at {(int(i), int(j))}")
     n = D.shape[0]
     if np.any(np.abs(np.diag(D)) > tol):
         i = int(np.argmax(np.abs(np.diag(D)) > tol))

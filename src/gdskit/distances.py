@@ -26,6 +26,7 @@ from itertools import permutations
 
 import numpy as np
 
+from ._kernels import linear_assignment
 from .core import FiniteGDS, ProbVector, pushforward
 from .errors import (
     ComputationError,
@@ -250,21 +251,29 @@ def _sorted_matching(X, Y):
     return pi
 
 
-def _assignment_matching(X, Y):
-    """Permutation candidate from a sum-of-differences assignment on
-    row-aligned features. Rows are aligned by sorted-value profiles."""
-    # imported here: this is scipy's only use, and importing it costs more
-    # than the rest of gdskit together
-    from scipy.optimize import linear_sum_assignment
+def _assignment_cost(X, Y):
+    """Cost matrix of the assignment candidate: the sum of absolute
+    differences over row-aligned generators, rows aligned by sorted-value
+    profiles, plus a 1e6 penalty per unit of mass difference.
 
+    The sum runs one aligned generator pair at a time into one n-by-n
+    buffer, so memory stays O(n^2) for any number of generators.
+    """
     order_x = sorted(range(X.n_generators), key=lambda r: tuple(np.sort(X.generators[r])))
     order_y = sorted(range(Y.n_generators), key=lambda r: tuple(np.sort(Y.generators[r])))
-    shared = min(len(order_x), len(order_y))
-    ax = X.generators[order_x[:shared]]
-    ay = Y.generators[order_y[:shared]]
-    cost = np.abs(ax[:, :, None] - ay[:, None, :]).sum(axis=0)
-    cost = cost + 1e6 * np.abs(X.masses[:, None] - Y.masses[None, :])
-    rr, cc = linear_sum_assignment(cost)
+    cost = np.zeros((X.n_points, Y.n_points))
+    diff = np.empty_like(cost)
+    for rx, ry in zip(order_x, order_y):
+        np.subtract(X.generators[rx][:, None], Y.generators[ry][None, :], out=diff)
+        cost += np.abs(diff, out=diff)
+    return cost + 1e6 * np.abs(X.masses[:, None] - Y.masses[None, :])
+
+
+def _assignment_matching(X, Y):
+    """Permutation candidate from a minimum-cost assignment on
+    `_assignment_cost`. The solver, `_kernels.linear_assignment`, takes
+    the same tied optimum as scipy's linear_sum_assignment."""
+    rr, cc = linear_assignment(_assignment_cost(X, Y))
     if np.max(np.abs(X.masses[rr] - Y.masses[cc])) > MARGINAL_TOL:
         return None
     pi = np.zeros((X.n_points, Y.n_points))

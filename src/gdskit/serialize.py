@@ -17,6 +17,7 @@ so parse(serialize(X)) reproduces X bit for bit for finite doubles.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 import numpy as np
@@ -38,7 +39,14 @@ def _number_list(value, pointer):
     for idx, x in enumerate(value):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise SchemaError(f"{pointer}/{idx}", "expected a number")
-        out.append(float(x))
+        # json reads NaN and Infinity as numbers
+        try:
+            number = float(x)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if not np.isfinite(number):
+            raise SchemaError(f"{pointer}/{idx}", "expected a finite number")
+        out.append(number)
     return out
 
 

@@ -36,6 +36,23 @@ class TestBasicCommands:
         assert code == 2
         assert "/weights" in err
 
+    def test_non_finite_file_exit_2(self, tmp_path, capsys):
+        # a NaN weight with an Infinity feature printed od = -inf, and a NaN
+        # feature printed nan
+        docs = {
+            "nan_weight": '{"points": [0, 1], "weights": [NaN, 1.0], "family": "TB",'
+            ' "features": {"generators": [[0.0, Infinity]]}}',
+            "nan_feature": '{"points": [0, 1], "weights": [0.5, 0.5], "family": "TB",'
+            ' "features": {"generators": [[0.0, NaN]]}}',
+        }
+        for name, text in docs.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            for argv in (["validate", str(path)], ["odiam", str(path), "--kappa", "0.25"]):
+                code, out, err = run(argv, capsys)
+                assert (code, out) == (2, ""), (name, argv, out)
+                assert "expected a finite number" in err
+
     def test_bad_metric_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad_metric.json"
         bad.write_text(

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gdskit as gk
+from gdskit.core import check_metric
 from gdskit.errors import (
     DimensionMismatch,
     IndistinctPoints,
     InvalidWeights,
     NotAMetric,
+    ValidationError,
     ZeroWeight,
 )
 from oracles import binomial_profile, dyadic_gds, dyadic_metric, random_clip
@@ -38,6 +40,24 @@ class TestValidateGds:
     def test_weights_must_sum_to_one(self):
         with pytest.raises(InvalidWeights):
             gk.validate_gds([0, 1], [[0.0, 1.0]], gk.TB_FAMILY, [0.6, 0.6])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        # NaN passes every comparison test and inf minus inf is NaN, so
+        # each kind of value gets its own finiteness check
+        with pytest.raises(InvalidWeights):
+            gk.ProbVector([bad, 0.5, 0.5])
+        with pytest.raises(ValidationError):
+            gk.validate_gds([0, 1, 2], [[0.0, 1.0, 2.0], [0.0, bad, 1.0]], gk.TB_FAMILY, [0.25] * 2 + [0.5])
+        with pytest.raises(ValidationError):
+            gk.DiscreteMeasureR([0.0, bad], [0.5, 0.5])
+        with pytest.raises(InvalidWeights):
+            gk.DiscreteMeasureR([0.0, 1.0, 2.0], [bad, 0.5, 0.5])
+        D = np.array([[0.0, bad], [bad, 0.0]])
+        with pytest.raises(ValidationError, match=r"non-finite distance at \(0, 1\)"):
+            check_metric(D)
+        with pytest.raises(ValidationError):
+            gk.embed_mm_space(D, [0.5, 0.5])
 
 
 class TestInducedMetric:

@@ -1,11 +1,16 @@
+import tracemalloc
+from itertools import permutations
+
 import numpy as np
 import pytest
 
 import gdskit as gk
+from gdskit._kernels import linear_assignment
 from gdskit.distances import (
     Bracket,
     CouplingMatrix,
     SearchConfig,
+    _assignment_cost,
     _candidate_couplings,
     box_bracket,
     box_objective,
@@ -219,3 +224,86 @@ class TestCandidates:
     def test_bracket_inversion_guard(self):
         with pytest.raises(Exception):
             Bracket(lower=0.5, upper=0.1)
+
+
+def tie_heavy_costs(rng, count, max_n):
+    """Square cost matrices with many tied optima: small integers, dyadic
+    values, and small costs under the 1e6 mass penalty of the candidate."""
+    for k in range(count):
+        n = int(rng.integers(1, max_n + 1))
+        kind = k % 4
+        if kind == 0:
+            yield rng.integers(0, 3, (n, n)).astype(float)
+        elif kind == 1:
+            yield rng.integers(0, 9, (n, n)) / 8.0
+        elif kind == 2:
+            yield rng.normal(size=(n, n))
+        else:
+            m = rng.integers(1, 4, n) / 8.0
+            penalty = 1e6 * np.abs(m[:, None] - rng.permutation(m)[None, :])
+            yield rng.integers(0, 5, (n, n)) / 4.0 + penalty
+
+
+class TestAssignment:
+    def test_cost_is_brute_force_minimum(self):
+        rng = np.random.default_rng(59)
+        for cost in tie_heavy_costs(rng, 400, 7):
+            n = cost.shape[0]
+            rows, cols = linear_assignment(cost)
+            assert np.array_equal(rows, np.arange(n))
+            assert np.array_equal(np.sort(cols), np.arange(n))
+            perms = np.array(list(permutations(range(n))))
+            best = cost[np.arange(n), perms].sum(axis=1).min()
+            # the solver compares rounded reduced costs, so on normal costs
+            # it may take a permutation whose sum is an ulp above the best
+            assert cost[rows, cols].sum() == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+    def test_matches_scipy_tie_choice(self):
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(61)
+        for cost in tie_heavy_costs(rng, 2400, 12):
+            rows, cols = linear_assignment(cost)
+            ref_rows, ref_cols = scipy_optimize.linear_sum_assignment(cost)
+            assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols), cost
+
+    def test_cost_matches_broadcast_sum_bit_for_bit(self):
+        def aligned(Z):
+            order = sorted(range(Z.n_generators), key=lambda r: tuple(np.sort(Z.generators[r])))
+            return Z.generators[order]
+
+        rng = np.random.default_rng(67)
+        for _ in range(60):
+            n = int(rng.integers(2, 30))
+            X, Y = (
+                gk.FiniteGDS(
+                    tuple(range(n)),
+                    rng.normal(size=(int(rng.integers(1, 40)), n)),
+                    gk.TB_FAMILY,
+                    gk.ProbVector(np.full(n, 1.0 / n)),
+                )
+                for _ in range(2)
+            )
+            shared = min(X.n_generators, Y.n_generators)
+            ax, ay = aligned(X)[:shared], aligned(Y)[:shared]
+            expected = np.abs(ax[:, :, None] - ay[:, None, :]).sum(axis=0)
+            expected = expected + 1e6 * np.abs(X.masses[:, None] - Y.masses[None, :])
+            assert np.array_equal(_assignment_cost(X, Y), expected)
+
+    def test_cost_memory_is_quadratic(self):
+        # embedded spaces have as many generators as points, so a stacked
+        # (shared, n, n) difference tensor would be cubic in n
+        n = 200
+        rng = np.random.default_rng(71)
+        X, Y = (
+            gk.FiniteGDS(tuple(range(n)), rng.normal(size=(n, n)), gk.TB_FAMILY, gk.ProbVector.uniform(n))
+            for _ in range(2)
+        )
+        tracemalloc.start()
+        try:
+            _assignment_cost(X, Y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 4 n^2 doubles with the sort keys of the row alignment; a
+        # stacked tensor takes 400
+        assert peak <= 8 * n * n * 8

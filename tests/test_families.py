@@ -86,6 +86,8 @@ class TestComposeFamily:
         Y = gk.compose_family(X, gk.ClipMap.bound(1.0))
         assert Y.n_points == 2
         assert Y.generators.tolist() == [[0.0, 1.0]]
+        # infinite bounds stay legal: R = inf clips nothing
+        assert gk.compose_family(X, gk.ClipMap.bound(math.inf)).generators.tolist() == [[0.0, 3.0]]
 
     def test_constant_collapses(self):
         X = gk.validate_gds([0, 1], [[0.0, 3.0]], gk.TB_FAMILY, [0.5, 0.5])

@@ -129,6 +129,27 @@ class TestSerialization:
         with pytest.raises(NotAMetric):
             gds_from_obj(obj)
 
+    @pytest.mark.parametrize(
+        "text", ["NaN", "Infinity", "-Infinity", "1e400", pytest.param("1" + "0" * 400, id="1e400-int")]
+    )
+    def test_non_finite_numbers_rejected(self, tmp_path, text):
+        # json reads the first four as float nan or inf, the last as an int
+        # beyond the float range
+        head = '{"points": [0, 1], "family": "TB", '
+        cases = {
+            "/weights/1": head + '"weights": [0.5, %s], "features": {"generators": [[0, 1]]}}' % text,
+            "/features/generators/1/1": head
+            + '"weights": [0.5, 0.5], "features": {"generators": [[0, 1], [0, %s]]}}' % text,
+            "/distance_matrix/0/1": head
+            + '"weights": [0.5, 0.5], "distance_matrix": [[0, %s], [%s, 0]]}' % (text, text),
+        }
+        for pointer, body in cases.items():
+            path = tmp_path / "bad.json"
+            path.write_text(body)
+            with pytest.raises(SchemaError) as err:
+                parse_gds(str(path))
+            assert err.value.pointer == pointer
+
     def test_missing_file(self):
         with pytest.raises(SchemaError):
             parse_gds("/nonexistent/path.json")

@@ -195,12 +195,18 @@ class TestProhorov:
             assert gk.prohorov(mu, nu) == prohorov_oracle(mu, nu)
 
     def test_import_needs_no_graph_library(self):
-        # scipy is loaded only when an equal-size bracket solves its
-        # assignment candidate
+        # brackets on equal-size data sets also solve the assignment candidate
         env = {**os.environ, "PYTHONPATH": str(pathlib.Path(gk.__file__).parents[1])}
-        for module in ("networkx", "scipy"):
-            code = f"import sys, gdskit, gdskit.cli; sys.exit({module!r} in sys.modules)"
-            assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0, module
+        code = (
+            "import sys, gdskit as gk, gdskit.cli\n"
+            "X = gk.validate_gds([0, 1, 2], [[0.0, 1.0, 3.0]], gk.TB_FAMILY, [0.25, 0.25, 0.5])\n"
+            "Y = gk.validate_gds([0, 1, 2], [[0.0, 2.0, 3.0]], gk.TB_FAMILY, [0.5, 0.25, 0.25])\n"
+            "cfg = gk.SearchConfig(kappa_grid=(0.1, 0.3), coupling_candidates=2)\n"
+            "gk.dconc_bracket(X, Y, cfg), gk.box_bracket(X, Y, cfg)\n"
+            "sys.exit(' '.join(m for m in ('networkx', 'scipy') if m in sys.modules) or None)"
+        )
+        run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
 
     def test_empirical_symmetry(self):
         rng = np.random.default_rng(47)
