@@ -13,6 +13,28 @@ import numpy as np
 # are far above it.
 MASS_GUARD = 1e-12
 
+# Entries per row block. A row kernel's temporaries are a small multiple
+# of one block, so its scratch memory does not grow with the row count.
+BLOCK_ENTRIES = 8192
+
+
+def row_blocks(body, n_rows: int, width: int):
+    """body(rows) over consecutive row slices, concatenated along rows.
+
+    Each slice holds about BLOCK_ENTRIES // width rows of `width`
+    entries (at least one row). `body` takes a slice and returns an
+    array, or a tuple of arrays, with one leading entry per row. Every
+    caller computes each row on its own, so the result is bit for bit
+    body(slice(0, n_rows)); zero rows make one call on an empty slice.
+    """
+    step = max(1, BLOCK_ENTRIES // max(width, 1))
+    parts = [body(slice(i, i + step)) for i in range(0, n_rows or 1, step)]
+    if len(parts) == 1:
+        return parts[0]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
+
 
 def pd_rows(values: np.ndarray, masses: np.ndarray, alpha: float) -> np.ndarray:
     """Row-wise minimal width of a value window carrying mass >= alpha.
@@ -29,14 +51,22 @@ def pd_rows(values: np.ndarray, masses: np.ndarray, alpha: float) -> np.ndarray:
     Returns
     -------
     (R,) array of window widths.
+
+    Rows are searched in blocks of about BLOCK_ENTRIES entries, so the
+    scratch memory is about 12 * max(BLOCK_ENTRIES, n) doubles for any R.
     """
     values = np.asarray(values, dtype=float)
     if values.ndim == 1:
         values = values[None, :]
+    masses = np.asarray(masses, dtype=float)
+    return row_blocks(lambda s: _pd_block(values[s], masses, alpha), *values.shape)
+
+
+def _pd_block(values, masses, alpha):
     n_rows, n = values.shape
     order = np.argsort(values, axis=1, kind="stable")
     sorted_vals = np.take_along_axis(values, order, axis=1)
-    sorted_mass = np.asarray(masses, dtype=float)[order]
+    sorted_mass = masses[order]
     prefix = np.concatenate(
         [np.zeros((n_rows, 1)), np.cumsum(sorted_mass, axis=1)], axis=1
     )
@@ -72,15 +102,22 @@ def kf_rows(diffs: np.ndarray, masses: np.ndarray) -> np.ndarray:
 
     For each row d, returns the smallest eps >= 0 with
     mass({d > eps}) <= eps. Exact over the finite candidate set
-    {0} | {d_i} | {tail masses}; no grid is involved.
+    {0} | {d_i} | {tail masses}; no grid is involved. Rows are scored in
+    blocks of about BLOCK_ENTRIES entries, so for n columns the scratch
+    memory is about 10 * max(BLOCK_ENTRIES, n) doubles for any row count.
     """
     diffs = np.asarray(diffs, dtype=float)
     if diffs.ndim == 1:
         diffs = diffs[None, :]
-    n_rows, n = diffs.shape
+    masses = np.asarray(masses, dtype=float)
+    return row_blocks(lambda s: _kf_block(diffs[s], masses), *diffs.shape)
+
+
+def _kf_block(diffs, masses):
+    n_rows = diffs.shape[0]
     order = np.argsort(diffs, axis=1, kind="stable")
     v = np.take_along_axis(diffs, order, axis=1)
-    m = np.asarray(masses, dtype=float)[order]
+    m = masses[order]
     cum = np.cumsum(m, axis=1)
     total = cum[:, -1]
     run_end = _run_end_indices(v)
@@ -105,15 +142,23 @@ def window_tradeoff_values(deltas: np.ndarray, masses: np.ndarray) -> tuple[np.n
     minimum over support windows [delta_i, delta_j] of
     max(width / 2, 1 - window mass), attained at c = the window
     midpoint. Returns (values, shifts); ties are broken toward the
-    smallest midpoint.
+    smallest midpoint. A row scores n(n+1)/2 windows; rows are scored in
+    blocks of about BLOCK_ENTRIES windows, so the scratch memory is a
+    small multiple of max(BLOCK_ENTRIES, n(n+1)/2) doubles.
     """
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim == 1:
         deltas = deltas[None, :]
+    masses = np.asarray(masses, dtype=float)
+    n_rows, n = deltas.shape
+    return row_blocks(lambda s: _window_block(deltas[s], masses), n_rows, n * (n + 1) // 2)
+
+
+def _window_block(deltas, masses):
     n_rows, n = deltas.shape
     order = np.argsort(deltas, axis=1, kind="stable")
     v = np.take_along_axis(deltas, order, axis=1)
-    m = np.asarray(masses, dtype=float)[order]
+    m = masses[order]
     prefix = np.concatenate([np.zeros((n_rows, 1)), np.cumsum(m, axis=1)], axis=1)
     total = prefix[:, -1:]
     iidx, jidx = np.triu_indices(n)

@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 
@@ -19,7 +20,7 @@ import numpy as np
 from .core import FamilyTag
 from .distances import SearchConfig, box_bracket, dconc_bracket
 from .errors import ComputationError, GdsError, ValidationError
-from .obsdiam import observable_diameter_hss, od_profile
+from .obsdiam import _hss_evaluator, od_profile
 from .serialize import parse_gds, serialize_gds
 from .spaces import SpaceRecipe, generate_space
 from .staircase import rho_estimate, staircase_distance
@@ -32,13 +33,32 @@ def _family(text: str) -> FamilyTag:
     return FamilyTag.parse(text)
 
 
+def _number(text: str) -> float:
+    """A float option: infinities pass, NaN does not.
+
+    Option types raise ArgumentTypeError, so argparse names the option
+    and exits with status 2.
+    """
+    value = float(text)
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite number >= 0, got {text!r}")
+    return value
+
+
 def _kappa_grid(text: str):
     try:
         a, b, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
-        raise ValidationError(f"bad kappa grid {text!r}, expected a:b:step") from exc
+        raise argparse.ArgumentTypeError(f"bad kappa grid {text!r}, expected a:b:step") from exc
     if step <= 0 or not a < b:
-        raise ValidationError("kappa grid needs a < b and positive step")
+        raise argparse.ArgumentTypeError("kappa grid needs a < b and positive step")
     grid = np.arange(a, b + step / 2, step)
     return tuple(float(k) for k in grid if 0.0 < k < 1.0)
 
@@ -215,7 +235,8 @@ def sweep(recipes, kappas, out=None, family: FamilyTag | None = None):
 
     Returns CSV text with columns (recipe, param, kappa, od,
     runtime_ms), sorted by (recipe, param, kappa). Deterministic apart
-    from the runtime column.
+    from the runtime column. Each recipe's matrix is validated once, and
+    runtime_ms times only the row evaluation at one kappa.
     """
     if not recipes:
         raise ValidationError("at least one recipe is required")
@@ -230,10 +251,10 @@ def sweep(recipes, kappas, out=None, family: FamilyTag | None = None):
         # X.metric exists for every recipe kind, including feature-form
         # files. For an embedded space it equals the distance matrix in
         # exact arithmetic; in floats it can differ in the last bits.
-        D = X.metric
+        od_at = _hss_evaluator(X.metric, X.mu)
         for kappa in sorted(kappas):
             t0 = time.perf_counter()
-            od = observable_diameter_hss(D, X.mu, kappa)
+            od = od_at(kappa)
             ms = (time.perf_counter() - t0) * 1e3
             rows.append((recipe.label(), recipe.param, float(kappa), od, ms))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
@@ -270,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("file1")
             p.add_argument("file2")
-        p.add_argument("--tol", type=float, default=None, help="tolerance fed to every comparison (default 1e-9)")
+        p.add_argument("--tol", type=_tolerance, default=None, help="tolerance fed to every comparison (default 1e-9)")
         p.add_argument("--round-values", type=int, default=None, metavar="D", help="pre-round feature values to D decimals")
         p.add_argument("--out", default=None, required=out_required)
 
@@ -286,14 +307,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("odiam", help="observable diameter profile (CSV)")
     common(p)
-    p.add_argument("--kappa", type=float, default=0.1)
+    p.add_argument("--kappa", type=_number, default=0.1)
     p.add_argument("--kappa-grid", type=_kappa_grid, default=None, metavar="A:B:STEP")
     p.set_defaults(func=cmd_odiam)
 
     p = sub.add_parser("pdiam", help="partial diameter of a feature pushforward")
     common(p)
     p.add_argument("--feature", type=int, default=0)
-    p.add_argument("--alpha", type=float, required=True)
+    p.add_argument("--alpha", type=_number, required=True)
     p.set_defaults(func=cmd_pdiam)
 
     p = sub.add_parser("kyfan", help="Ky Fan distance between two features")
@@ -316,12 +337,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", help="bounded feature measurement")
     common(p, out_required=True)
     p.add_argument("--features", required=True)
-    p.add_argument("--R", type=float, required=True)
+    p.add_argument("--R", type=_number, required=True)
     p.set_defaults(func=cmd_measure)
 
     p = sub.add_parser("covnum", help="covering number of the generators")
     common(p)
-    p.add_argument("--eps", type=float, required=True)
+    p.add_argument("--eps", type=_number, required=True)
     p.add_argument("--family", default=None)
     p.set_defaults(func=cmd_covnum)
 
@@ -349,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="observable diameter sweep to CSV")
     p.add_argument("--recipe", action="append", required=True)
-    p.add_argument("--kappa", type=float, default=0.1)
+    p.add_argument("--kappa", type=_number, default=0.1)
     p.add_argument("--kappa-grid", type=_kappa_grid, default=None, metavar="A:B:STEP")
     p.add_argument("--family", default="TB")
     p.add_argument("--out", default=None)

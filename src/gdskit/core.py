@@ -253,10 +253,12 @@ def validate_gds(points, generators, family: FamilyTag, weights) -> FiniteGDS:
     mu = weights if isinstance(weights, ProbVector) else ProbVector(np.asarray(weights))
     X = FiniteGDS(tuple(points), np.asarray(generators, dtype=float), family, mu)
     if X.n_points > 1:
-        d = X.metric
-        off = d[np.triu_indices(X.n_points, k=1)]
-        if np.any(off == 0.0):
-            i, j = np.argwhere(np.triu(d == 0.0, k=1))[0]
+        zero = X.metric == 0.0
+        np.fill_diagonal(zero, False)
+        if zero.any():
+            # the metric is exactly symmetric, so the first zero in row
+            # order lies above the diagonal
+            i, j = np.argwhere(zero)[0]
             raise IndistinctPoints(
                 f"points {X.point_ids[i]!r} and {X.point_ids[j]!r} agree on every generator"
             )
@@ -286,7 +288,9 @@ def check_metric(D: np.ndarray, tol: float = METRIC_TOL) -> np.ndarray:
     Symmetry and the zero diagonal are required within `tol`, positivity
     off the diagonal exactly, and the triangle inequality within `tol`.
     Raises NotAMetric identifying the violating pair or triple, and
-    ValidationError for a non-finite entry.
+    ValidationError for a non-finite entry. The checks share one n-by-n
+    scratch buffer, so the scratch memory is n^2 doubles plus an n^2
+    boolean mask; the triangle check takes O(n^3) time.
     """
     D = np.asarray(D, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
@@ -298,7 +302,8 @@ def check_metric(D: np.ndarray, tol: float = METRIC_TOL) -> np.ndarray:
     if np.any(np.abs(np.diag(D)) > tol):
         i = int(np.argmax(np.abs(np.diag(D)) > tol))
         raise NotAMetric("nonzero diagonal", (i, i))
-    asym = np.abs(D - D.T)
+    buf = np.empty_like(D)
+    asym = np.abs(np.subtract(D, D.T, out=buf), out=buf)
     if np.any(asym > tol):
         i, j = np.argwhere(asym > tol)[0]
         raise NotAMetric("asymmetric entry", (int(i), int(j)))
@@ -306,13 +311,15 @@ def check_metric(D: np.ndarray, tol: float = METRIC_TOL) -> np.ndarray:
         i, j = np.argwhere(D < -tol)[0]
         raise NotAMetric("negative distance", (int(i), int(j)))
     if n > 1:
-        off = D + np.diag(np.full(n, np.inf))
+        off = buf
+        np.copyto(off, D)
+        np.fill_diagonal(off, np.inf)
         if np.any(off <= 0.0):
             i, j = np.argwhere(off <= 0.0)[0]
             raise NotAMetric("zero distance between distinct points", (int(i), int(j)))
     for k in range(n):
-        slack = D - (D[:, k][:, None] + D[k, :][None, :])
-        if np.any(slack > tol):
+        slack = np.subtract(D, np.add(D[:, k, None], D[k, None, :], out=buf), out=buf)
+        if slack.max() > tol:
             i, j = np.argwhere(slack > tol)[0]
             raise NotAMetric("triangle inequality violated", (int(i), int(k), int(j)))
     return D

@@ -36,6 +36,7 @@ import numpy as np
 from ._kernels import (
     MASS_GUARD,
     kf_rows,
+    row_blocks,
     window_tradeoff_values,
 )
 from .core import DiscreteMeasureR, FamilyTag, FiniteGDS, ProbVector, pushforward
@@ -368,8 +369,9 @@ def _orbit_shiftclip(f, g, metric, tol):
     midpoints) and optimizes the translation exactly, batched over all
     clamp pairs. On supports of at most 16 points a second pass scores
     pointwise-difference shifts against clip levels in the target
-    frame, and the best shift is refined on a local grid of spacing
-    `tol`. Returns the smallest (value, c, lo, hi) found.
+    frame, in blocks of level pairs, and the best shift is refined on a
+    local grid of spacing `tol`. Returns the smallest (value, c, lo, hi)
+    found.
     """
     t_vals, t_shifts = metric.translate((f - g)[None, :])
     best = (float(t_vals[0]), float(t_shifts[0]), -math.inf, math.inf)
@@ -379,12 +381,14 @@ def _orbit_shiftclip(f, g, metric, tol):
     if f.size <= 16:
         shifts = _candidate_shifts(f, g, extra=[t_shifts[0], 0.0])
         lo_arr, hi_arr = _shiftclip_pairs(_candidate_levels(f))
-        mapped = np.clip(
-            g[None, None, :] + shifts[None, :, None],
-            lo_arr[:, None, None],
-            hi_arr[:, None, None],
-        ).reshape(-1, f.size)
-        vals = metric.rows(np.abs(f[None, :] - mapped))
+        moved = g[None, None, :] + shifts[None, :, None]
+
+        def score(pairs):
+            # one row per (level pair, shift), pair-major
+            mapped = np.clip(moved, lo_arr[pairs, None, None], hi_arr[pairs, None, None])
+            return metric.rows(np.abs(f[None, :] - mapped.reshape(-1, f.size)))
+
+        vals = row_blocks(score, lo_arr.size, moved.size)
         tied = np.nonzero(vals == vals.min())[0]
         pair, k = np.divmod(tied, shifts.size)
         best = min(best, _first_min(vals[tied], shifts[k], lo_arr[pair], hi_arr[pair]))

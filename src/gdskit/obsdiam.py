@@ -10,7 +10,8 @@ the generator list; family composition is deliberately skipped.
 `observable_diameter_hss` evaluates the same quantity directly on a
 distance matrix whose rows serve as distance-to-point features, without
 materializing the data set. Metric validation is cubic in the point
-count; the per-row window scans cost O(n log n) after sorting.
+count; the per-row window scans cost O(n log n) after sorting. Both run
+in O(n^2) memory.
 
 Row evaluations are independent and may run in parallel; the final max
 is order-independent, so results are deterministic under any schedule.
@@ -67,11 +68,17 @@ def observable_diameter_hss(
     embedding object entirely.
     """
     kappa = _check_kappa(kappa)
+    return _hss_evaluator(D, mu, tol)(kappa)
+
+
+def _hss_evaluator(D, mu, tol: float = METRIC_TOL):
+    """Validate D and mu once; return kappa -> observable diameter on the
+    rows of D, so a kappa grid pays for one O(n^3) metric check."""
     D = check_metric(D, tol=tol)
     masses = mu.weights if hasattr(mu, "weights") else np.asarray(mu, dtype=float)
     if masses.shape != (D.shape[0],):
         raise ValidationError("weight count must match the matrix size")
-    return float(pd_rows(D, masses, 1.0 - kappa).max())
+    return lambda kappa: float(pd_rows(D, masses, 1.0 - _check_kappa(kappa)).max())
 
 
 def od_profile(X: FiniteGDS, kappas) -> OdProfile:

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import row_blocks
 from .core import FamilyTag, FiniteGDS, ProbVector, TB_FAMILY, embed_mm_space
 from .errors import TooLarge, ValidationError
 
@@ -121,16 +122,22 @@ def generate_space(recipe: SpaceRecipe, max_points: int = MAX_POINTS) -> FiniteG
         rng = np.random.default_rng(recipe.seed)
         # dyadic coordinates keep all pairwise distances exact
         pts = rng.integers(0, 1025, size=(recipe.n, recipe.dim)) / 1024.0
-        diff = pts[:, None, :] - pts[None, :, :]
-        if recipe.metric == "linf":
-            D = np.abs(diff).max(axis=2)
-        elif recipe.metric == "l2":
-            D = np.sqrt((diff**2).sum(axis=2))
-        else:
+        if recipe.metric not in ("linf", "l2"):
             raise ValidationError(f"unknown cloud metric {recipe.metric!r}")
-        # re-draw coincident points deterministically is overkill; reject instead
-        off = D + np.eye(recipe.n)
-        if np.any(off == 0.0):
+
+        def distance_rows(rows):
+            # in row blocks: one (n, n, dim) difference tensor would hold
+            # dim times the matrix
+            diff = pts[rows, None, :] - pts[None, :, :]
+            if recipe.metric == "linf":
+                return np.abs(diff).max(axis=2)
+            return np.sqrt((diff**2).sum(axis=2))
+
+        D = row_blocks(distance_rows, recipe.n, pts.size)
+        # re-draw coincident points deterministically is overkill; reject
+        # instead. The diagonal is exactly zero, so any further zero is a
+        # coincident pair.
+        if np.count_nonzero(D == 0.0) > recipe.n:
             raise ValidationError("seed produced coincident points; pick another seed")
     elif recipe.kind == "file":
         from .serialize import parse_gds

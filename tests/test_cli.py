@@ -53,6 +53,40 @@ class TestBasicCommands:
                 assert (code, out) == (2, ""), (name, argv, out)
                 assert "expected a finite number" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["covnum", "A", "--eps", "0.1", "--eps", "nan"],
+            ["covnum", "A", "--eps", "0.1", "--tol", "nan"],
+            ["covnum", "A", "--eps", "0.1", "--tol", "-0.5"],
+            ["covnum", "A", "--eps", "0.1", "--tol", "inf"],
+            ["dconc", "A", "B", "--tol", "nan"],
+            ["odiam", "A", "--kappa", "nan"],
+            ["pdiam", "A", "--alpha", "nan"],
+            ["measure", "A", "--features", "0", "--out", "OUT", "--R", "nan"],
+            ["sweep", "--recipe", "two_point:1", "--kappa", "nan"],
+            ["odiam", "A", "--kappa-grid", "bad"],
+        ],
+    )
+    def test_bad_float_option_exit_2(self, two_point_files, tmp_path, capsys, argv):
+        # the bad option comes last; --eps nan printed {"value": 2,
+        # "exact": true} and exited 0, and a bad --kappa-grid escaped as a
+        # traceback with status 1
+        paths = {"A": two_point_files[0], "B": two_point_files[1], "OUT": str(tmp_path / "m.json")}
+        argv = [paths.get(a, a) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert f"argument {argv[-2]}" in err
+
+    def test_infinite_float_options_allowed(self, two_point_files, tmp_path, capsys):
+        code, out, _ = run(["covnum", two_point_files[0], "--eps", "inf"], capsys)
+        assert code == 0 and json.loads(out)["value"] == 1
+        out_file = str(tmp_path / "m.json")
+        code, _, _ = run(["measure", two_point_files[0], "--features", "0", "--R", "inf", "--out", out_file], capsys)
+        assert code == 0
+
     def test_bad_metric_exit_3(self, tmp_path, capsys):
         bad = tmp_path / "bad_metric.json"
         bad.write_text(
@@ -193,6 +227,27 @@ class TestSweep:
             return [row[:-1] for row in rows]
 
         assert strip_runtime(a) == strip_runtime(b)
+
+    def test_validates_each_recipe_once(self, monkeypatch):
+        import gdskit
+        from gdskit import obsdiam
+
+        calls = []
+        real = obsdiam.check_metric
+
+        def counting_check(D, tol):
+            calls.append(D.shape)
+            return real(D, tol)
+
+        monkeypatch.setattr(obsdiam, "check_metric", counting_check)
+        recipes = ["two_point:1", "hamming_cube:4:by_k"]
+        kappas = [0.1, 0.2, 0.25, 0.4]
+        rows = list(csv.reader(io.StringIO(sweep(recipes, kappas))))[1:]
+        assert calls == [(2, 2), (16, 16)]
+        # every kappa still gives the observable_diameter_hss value
+        for label, _, kappa, od, _ in rows:
+            X = gdskit.generate_space(gdskit.SpaceRecipe.parse(label))
+            assert float(od) == gdskit.observable_diameter_hss(X.metric, X.mu, float(kappa))
 
     def test_sorted_and_complete(self):
         text = sweep(["two_point:2", "two_point:1"], [0.25])

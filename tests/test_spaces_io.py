@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,17 @@ class TestRecipes:
         X = generate_space(SpaceRecipe.parse("random_cloud:6:3:l2:11"))
         assert X.n_points == 6
 
+    def test_random_cloud_scratch_is_bounded(self):
+        # an (n, n, dim) difference tensor held about 11 n^2 doubles
+        n = 320
+        tracemalloc.start()
+        try:
+            generate_space(SpaceRecipe.parse(f"random_cloud:{n}:4:l2:7"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * n * n * 8
+
     def test_too_large(self):
         with pytest.raises(TooLarge):
             generate_space(SpaceRecipe.parse("hamming_cube:13"))
@@ -48,6 +60,9 @@ class TestRecipes:
             SpaceRecipe.parse("two_point")
         with pytest.raises(ValidationError):
             SpaceRecipe.parse("banana:3")
+        # 300 points on 1025 grid values must coincide somewhere
+        with pytest.raises(ValidationError, match="coincident"):
+            generate_space(SpaceRecipe.parse("random_cloud:300:1:linf:1"))
 
     def test_labels_round_trip(self):
         for text in ("two_point:1", "hamming_cube:4:by_k", "path:5:0.25",
