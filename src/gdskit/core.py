@@ -228,6 +228,9 @@ class FiniteGDS:
 
     @cached_property
     def metric(self) -> np.ndarray:
+        """The induced metric, computed on first use; embed_mm_space sets
+        it to the validated distance matrix instead (equal in exact
+        arithmetic)."""
         d = induced_metric(self)
         d.setflags(write=False)
         return d
@@ -235,6 +238,11 @@ class FiniteGDS:
     @property
     def diameter(self) -> float:
         return float(self.metric.max()) if self.n_points > 1 else 0.0
+
+
+def _dataset(points, generators, family: FamilyTag, weights) -> FiniteGDS:
+    mu = weights if isinstance(weights, ProbVector) else ProbVector(np.asarray(weights))
+    return FiniteGDS(tuple(points), np.asarray(generators, dtype=float), family, mu)
 
 
 def validate_gds(points, generators, family: FamilyTag, weights) -> FiniteGDS:
@@ -250,8 +258,7 @@ def validate_gds(points, generators, family: FamilyTag, weights) -> FiniteGDS:
         Two points agree on every generator, so the induced metric
         fails positivity.
     """
-    mu = weights if isinstance(weights, ProbVector) else ProbVector(np.asarray(weights))
-    X = FiniteGDS(tuple(points), np.asarray(generators, dtype=float), family, mu)
+    X = _dataset(points, generators, family, weights)
     if X.n_points > 1:
         zero = X.metric == 0.0
         np.fill_diagonal(zero, False)
@@ -331,14 +338,22 @@ def embed_mm_space(
     """Embed a metric-measure space as a geometric data set.
 
     The generators are the rows of the distance matrix (one
-    distance-to-point feature per base point), so in exact arithmetic
-    the induced metric of the result reproduces D: the maximum over
-    rows y of |d(x, y) - d(x', y)| equals d(x, x'), attained at y = x.
-    In floats the rounded differences can differ from D in the last
-    bits (an embedded `path:100:0.01` differs in 8414 entries, by at
-    most 1.1e-16), so `X.metric` is not bit-identical to D.
+    distance-to-point feature per base point), held in one read-only
+    copy of D. Their induced metric max_y |d(x, y) - d(x', y)| equals
+    d(x, x') in exact arithmetic, attained at y = x. So when D is
+    exactly symmetric with an exactly zero diagonal, as every generated
+    recipe is, `X.metric` is that copy itself: it meets the triangle
+    inequality within `tol` exactly when D does, its off-diagonal
+    entries are positive as check_metric demands, and the embedding
+    makes one O(n^3) pass, check_metric's. A matrix that is symmetric
+    or zero on the diagonal only within `tol` keeps the induced metric
+    of its rows, with the separation check of validate_gds.
     """
     D = check_metric(D, tol=tol)
     if point_ids is None:
         point_ids = tuple(range(D.shape[0]))
-    return validate_gds(point_ids, D, family, weights)
+    if np.any(np.diagonal(D)) or not np.array_equal(D, D.T):
+        return validate_gds(point_ids, D, family, weights)
+    X = _dataset(point_ids, D, family, weights)
+    X.__dict__["metric"] = X.generators  # fills the cached property
+    return X

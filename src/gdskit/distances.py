@@ -134,15 +134,32 @@ def dconc_pi(X: FiniteGDS, Y: FiniteGDS, pi, tol: float = 1e-9) -> float:
     coupling.check_marginals(X.masses, Y.masses)
     rows, cols, w = _coupling_support(coupling.pi)
     mu = ProbVector(w)
-    fx = X.generators[:, rows]
-    gy = Y.generators[:, cols]
-    forward = max(
-        min(dist_to_orbit(f, g, Y.family, mu, tol).value for g in gy) for f in fx
+    return _hausdorff(
+        X.generators[:, rows],
+        Y.generators[:, cols],
+        lambda f, g: dist_to_orbit(f, g, Y.family, mu, tol).value,
+        lambda g, f: dist_to_orbit(g, f, X.family, mu, tol).value,
     )
-    backward = max(
-        min(dist_to_orbit(g, f, X.family, mu, tol).value for f in fx) for g in gy
-    )
-    return max(forward, backward)
+
+
+def _hausdorff(fx, gy, forward, backward) -> float:
+    """max(max_f min_g forward(f, g), max_g min_f backward(g, f)).
+
+    An inner minimum stops as soon as it is at or below the running
+    maximum, since that row can no longer raise it, and the forward
+    maximum carries into the backward pass. Both only skip values that
+    cannot change the result, so it is bit for bit the full scan's.
+    """
+    best = -math.inf
+    for rows, cols, dist in ((fx, gy, forward), (gy, fx, backward)):
+        for a in rows:
+            low = math.inf
+            for b in cols:
+                low = min(low, dist(a, b))
+                if low <= best:
+                    break
+            best = max(best, low)
+    return best
 
 
 def _od_window_breakpoints(X: FiniteGDS) -> np.ndarray:
@@ -397,15 +414,13 @@ def box_objective(X: FiniteGDS, Y: FiniteGDS, pi, S, tol: float = 1e-9) -> float
     rows = np.array([i for i, _ in S])
     cols = np.array([j for _, j in S])
     mass = float(coupling.pi[rows, cols].sum())
-    fx = X.generators[:, rows]
-    gy = Y.generators[:, cols]
-    forward = max(
-        min(dist_to_orbit_sup(f, g, Y.family, tol).value for g in gy) for f in fx
+    gap = _hausdorff(
+        X.generators[:, rows],
+        Y.generators[:, cols],
+        lambda f, g: dist_to_orbit_sup(f, g, Y.family, tol).value,
+        lambda g, f: dist_to_orbit_sup(g, f, X.family, tol).value,
     )
-    backward = max(
-        min(dist_to_orbit_sup(g, f, X.family, tol).value for f in fx) for g in gy
-    )
-    return max(1.0 - mass, 2.0 * max(forward, backward))
+    return max(1.0 - mass, 2.0 * gap)
 
 
 def _support_pairs(pi):

@@ -54,8 +54,12 @@ class OdProfile:
 
 def observable_diameter(X: FiniteGDS, kappa: float) -> float:
     """Largest (1 - kappa)-partial diameter over the generator features."""
-    kappa = _check_kappa(kappa)
-    return float(pd_rows(X.generators, X.masses, 1.0 - kappa).max())
+    return _od_rows(X.generators, X.masses, kappa)
+
+
+def _od_rows(rows, masses, kappa: float) -> float:
+    """Largest (1 - kappa)-partial diameter over the given feature rows."""
+    return float(pd_rows(rows, masses, 1.0 - _check_kappa(kappa)).max())
 
 
 def observable_diameter_hss(
@@ -68,17 +72,11 @@ def observable_diameter_hss(
     embedding object entirely.
     """
     kappa = _check_kappa(kappa)
-    return _hss_evaluator(D, mu, tol)(kappa)
-
-
-def _hss_evaluator(D, mu, tol: float = METRIC_TOL):
-    """Validate D and mu once; return kappa -> observable diameter on the
-    rows of D, so a kappa grid pays for one O(n^3) metric check."""
     D = check_metric(D, tol=tol)
     masses = mu.weights if hasattr(mu, "weights") else np.asarray(mu, dtype=float)
     if masses.shape != (D.shape[0],):
         raise ValidationError("weight count must match the matrix size")
-    return lambda kappa: float(pd_rows(D, masses, 1.0 - _check_kappa(kappa)).max())
+    return _od_rows(D, masses, kappa)
 
 
 def od_profile(X: FiniteGDS, kappas) -> OdProfile:

@@ -269,3 +269,29 @@ def canonical_form(X):
         if best is None or key < best:
             best = key
     return best
+
+
+# ---------------------------------------------------------------------------
+# full-scan coupling objectives
+# ---------------------------------------------------------------------------
+
+def dconc_pi_full_scan(X, Y, pi, tol=1e-9):
+    """dconc_pi without pruning: every generator pair in both directions."""
+    rows, cols = np.nonzero(pi > 0.0)
+    w = pi[rows, cols]
+    mu = gk.ProbVector(w / w.sum())
+    fx, gy = X.generators[:, rows], Y.generators[:, cols]
+    forward = max(min(gk.dist_to_orbit(f, g, Y.family, mu, tol).value for g in gy) for f in fx)
+    backward = max(min(gk.dist_to_orbit(g, f, X.family, mu, tol).value for f in fx) for g in gy)
+    return max(forward, backward)
+
+
+def box_objective_full_scan(X, Y, pi, S, tol=1e-9):
+    """box_objective without pruning: every generator pair in both directions."""
+    rows = np.array([i for i, _ in S])
+    cols = np.array([j for _, j in S])
+    mass = float(pi[rows, cols].sum())
+    fx, gy = X.generators[:, rows], Y.generators[:, cols]
+    forward = max(min(gk.dist_to_orbit_sup(f, g, Y.family, tol).value for g in gy) for f in fx)
+    backward = max(min(gk.dist_to_orbit_sup(g, f, X.family, tol).value for f in fx) for g in gy)
+    return max(1.0 - mass, 2.0 * max(forward, backward))

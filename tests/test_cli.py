@@ -1,4 +1,5 @@
 import csv
+import gc
 import io
 import json
 
@@ -127,6 +128,20 @@ class TestBasicCommands:
         assert code == 0
         assert float(out) == 0.0
 
+    def test_repeated_calls_leave_no_cyclic_garbage(self, two_point_files, capsys):
+        # the parser is built once per process, not once per call
+        argv = ["prohorov", two_point_files[0], "--f", "0", "--g", "1"]
+        assert main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(5):
+                assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        capsys.readouterr()
+
 
 class TestTransformCommands:
     def test_measure_then_validate(self, two_point_files, tmp_path, capsys):
@@ -230,15 +245,17 @@ class TestSweep:
 
     def test_validates_each_recipe_once(self, monkeypatch):
         import gdskit
-        from gdskit import obsdiam
+        from gdskit import core, obsdiam
 
         calls = []
-        real = obsdiam.check_metric
+        real = core.check_metric
 
         def counting_check(D, tol):
             calls.append(D.shape)
             return real(D, tol)
 
+        # every check a sweep makes: in the embedding and in the od path
+        monkeypatch.setattr(core, "check_metric", counting_check)
         monkeypatch.setattr(obsdiam, "check_metric", counting_check)
         recipes = ["two_point:1", "hamming_cube:4:by_k"]
         kappas = [0.1, 0.2, 0.25, 0.4]
@@ -248,6 +265,16 @@ class TestSweep:
         for label, _, kappa, od, _ in rows:
             X = gdskit.generate_space(gdskit.SpaceRecipe.parse(label))
             assert float(od) == gdskit.observable_diameter_hss(X.metric, X.mu, float(kappa))
+
+    def test_equals_od_profile_bit_for_bit(self):
+        # the rows of an embedded space's metric are its generators, so a
+        # sweep and gds odiam agree to the last bit on non-dyadic distances
+        from gdskit import SpaceRecipe, generate_space, od_profile
+
+        kappas = [0.1, 0.2, 0.3, 0.4]
+        rows = list(csv.reader(io.StringIO(sweep(["hamming_cube:5:by_k"], kappas))))[1:]
+        X = generate_space(SpaceRecipe.parse("hamming_cube:5:by_k"))
+        assert [float(row[3]) for row in rows] == od_profile(X, kappas).values
 
     def test_sorted_and_complete(self):
         text = sweep(["two_point:2", "two_point:1"], [0.25])

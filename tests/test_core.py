@@ -156,6 +156,46 @@ class TestEmbedMmSpace:
             X = gk.embed_mm_space(D, gk.ProbVector.uniform(n))
             assert np.array_equal(gk.induced_metric(X), D)
 
+    def test_metric_is_the_generators(self, monkeypatch):
+        from gdskit import core
+
+        def no_induced_metric(X):
+            raise AssertionError("induced_metric called")
+
+        monkeypatch.setattr(core, "induced_metric", no_induced_metric)
+        for text in ("two_point:1", "hamming_cube:4:by_k", "path:30:0.01", "random_cloud:40:3:l2:2"):
+            X = gk.generate_space(gk.SpaceRecipe.parse(text))
+            assert np.shares_memory(X.metric, X.generators), text
+            assert not X.metric.flags.writeable
+
+    def test_keeps_its_own_copy(self):
+        D = np.array([[0.0, 0.5, 1.0], [0.5, 0.0, 0.5], [1.0, 0.5, 0.0]])
+        X = gk.embed_mm_space(D, gk.ProbVector.uniform(3))
+        D[0, 2] = D[2, 0] = 7.0
+        assert X.metric[0, 2] == 1.0
+
+    def test_symmetric_within_tol_gets_induced_metric(self):
+        D = np.array([[0.0, 1.0, 2.0], [1.0 + 1e-12, 0.0, 1.0], [2.0, 1.0, 1e-12]])
+        X = gk.embed_mm_space(D, gk.ProbVector.uniform(3))
+        assert not np.shares_memory(X.metric, X.generators)
+        assert np.array_equal(X.metric, gk.induced_metric(X))
+
+    def test_memory_beyond_input(self):
+        n = 320
+        pts = np.random.default_rng(5).normal(size=(n, 4))
+        D = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        mu = gk.ProbVector.uniform(n)
+        tracemalloc.start()
+        try:
+            X = gk.embed_mm_space(D, mu)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(X.metric, D)
+        # the read-only copy (n^2) plus at most check_metric's scratch;
+        # an induced metric built beside the copy would pass 3 n^2
+        assert peak <= 1.5 * 8 * n * n
+
     def test_asymmetric_rejected(self):
         with pytest.raises(NotAMetric):
             gk.embed_mm_space([[0.0, 1.0], [2.0, 0.0]], [0.5, 0.5])

@@ -20,7 +20,7 @@ from gdskit.distances import (
 )
 from gdskit.errors import EmptySupport, MarginalMismatch
 from gdskit.transforms import MeasurementSpec, measurement
-from oracles import dyadic_gds
+from oracles import box_objective_full_scan, dconc_pi_full_scan, dyadic_gds
 
 GRID = tuple([0.01] + [round(0.05 * i, 2) for i in range(1, 10)])
 CFG = SearchConfig(kappa_grid=GRID, coupling_candidates=4, local_search_steps=15)
@@ -165,6 +165,49 @@ class TestBoxObjective:
         X = two_point(1.0)
         with pytest.raises(EmptySupport):
             box_objective(X, X, np.diag(X.masses), [])
+
+
+FAMILIES = (gk.ID_FAMILY, gk.T_FAMILY, gk.B_FAMILY, gk.TB_FAMILY, gk.FamilyTag("lip1", 8))
+
+
+class TestPrunedObjectives:
+    """dconc_pi and box_objective stop an inner minimum once it cannot
+    raise the running maximum; the values must stay the full scan's."""
+
+    def test_match_full_scan(self):
+        rng = np.random.default_rng(11)
+        for family in FAMILIES:
+            for _ in range(6):
+                X = dyadic_gds(rng, max_points=5, max_gens=4, family=family)
+                Y = dyadic_gds(rng, max_points=5, max_gens=4, family=family)
+                pi = np.outer(X.masses, Y.masses)
+                assert dconc_pi(X, Y, pi) == dconc_pi_full_scan(X, Y, pi)
+                pairs = [(i, j) for i in range(X.n_points) for j in range(Y.n_points)]
+                keep = rng.choice(len(pairs), size=int(rng.integers(1, len(pairs) + 1)), replace=False)
+                S = [pairs[k] for k in sorted(keep)]
+                assert box_objective(X, Y, pi, S) == box_objective_full_scan(X, Y, pi, S)
+
+    def test_fewer_orbit_calls_on_pinned_pair(self, monkeypatch):
+        from gdskit import distances
+
+        X = gk.validate_gds(range(4), [[0, 1, 2, 3], [0, 2, 4, 6], [3, 0, 1, 2]], gk.TB_FAMILY, [0.25] * 4)
+        Y = gk.validate_gds(range(4), [[0, 1, 2, 3], [1, 0, 3, 2], [0, 4, 0, 4]], gk.TB_FAMILY, [0.25] * 4)
+        pi = np.diag(X.masses)
+        full = 2 * X.n_generators * Y.n_generators
+        for name, objective in (
+            ("dist_to_orbit", lambda: dconc_pi(X, Y, pi)),
+            ("dist_to_orbit_sup", lambda: box_objective(X, Y, pi, [(i, i) for i in range(4)])),
+        ):
+            calls = []
+            real = getattr(distances, name)
+
+            def counting(*args, real=real):
+                calls.append(args)
+                return real(*args)
+
+            monkeypatch.setattr(distances, name, counting)
+            objective()
+            assert 0 < len(calls) < full, name
 
 
 class TestBoxBracket:
