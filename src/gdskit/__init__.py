@@ -31,7 +31,6 @@ from .families import (
     OrbitDistanceResult,
     PLMap,
     capacity,
-    clip_apply,
     compose_clips,
     compose_family,
     covering_number,

@@ -36,6 +36,23 @@ def row_blocks(body, n_rows: int, width: int):
     return np.concatenate(parts)
 
 
+def sorted_unique(x) -> np.ndarray:
+    """The distinct values of x, flattened and sorted: np.unique(x)
+    without its numpy.ma check.
+
+    numpy's own algorithm for floats: sort, then keep each entry that
+    differs from its left neighbour. The sort is np.unique's, so among
+    equal entries (0.0 and -0.0) the same one is kept and the result is
+    bit for bit np.unique(x) for NaN-free input; np.unique also folds
+    NaNs into one, which this does not.
+    """
+    aux = np.sort(x, axis=None)
+    mask = np.empty(aux.shape, dtype=bool)
+    mask[:1] = True
+    np.not_equal(aux[1:], aux[:-1], out=mask[1:])
+    return aux[mask]
+
+
 def pd_rows(values: np.ndarray, masses: np.ndarray, alpha: float) -> np.ndarray:
     """Row-wise minimal width of a value window carrying mass >= alpha.
 

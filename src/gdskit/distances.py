@@ -26,7 +26,7 @@ from itertools import permutations
 
 import numpy as np
 
-from ._kernels import linear_assignment
+from ._kernels import BLOCK_ENTRIES, linear_assignment, sorted_unique
 from .core import FiniteGDS, ProbVector, pushforward
 from .errors import (
     ComputationError,
@@ -130,6 +130,12 @@ def dconc_pi(X: FiniteGDS, Y: FiniteGDS, pi, tol: float = 1e-9) -> float:
     bound on the closure value in general, exact for identity and
     translation families.
     """
+    return _dconc_value(X, Y, pi, tol, math.inf)
+
+
+def _dconc_value(X, Y, pi, tol, cutoff) -> float:
+    """dconc_pi(X, Y, pi, tol) when that is below `cutoff`; otherwise
+    some value at or above `cutoff` (see _hausdorff)."""
     coupling = pi if isinstance(pi, CouplingMatrix) else CouplingMatrix(pi)
     coupling.check_marginals(X.masses, Y.masses)
     rows, cols, w = _coupling_support(coupling.pi)
@@ -139,16 +145,20 @@ def dconc_pi(X: FiniteGDS, Y: FiniteGDS, pi, tol: float = 1e-9) -> float:
         Y.generators[:, cols],
         lambda f, g: dist_to_orbit(f, g, Y.family, mu, tol).value,
         lambda g, f: dist_to_orbit(g, f, X.family, mu, tol).value,
+        cutoff,
     )
 
 
-def _hausdorff(fx, gy, forward, backward) -> float:
+def _hausdorff(fx, gy, forward, backward, cutoff=math.inf) -> float:
     """max(max_f min_g forward(f, g), max_g min_f backward(g, f)).
 
     An inner minimum stops as soon as it is at or below the running
     maximum, since that row can no longer raise it, and the forward
     maximum carries into the backward pass. Both only skip values that
     cannot change the result, so it is bit for bit the full scan's.
+    The scan also stops once the running maximum reaches `cutoff` and
+    returns it. So the result is the full scan's whenever that is below
+    `cutoff`, and at least `cutoff` otherwise.
     """
     best = -math.inf
     for rows, cols, dist in ((fx, gy, forward), (gy, fx, backward)):
@@ -159,22 +169,31 @@ def _hausdorff(fx, gy, forward, backward) -> float:
                 if low <= best:
                     break
             best = max(best, low)
+            if best >= cutoff:
+                return best
     return best
 
 
 def _od_window_breakpoints(X: FiniteGDS) -> np.ndarray:
-    """All support-window masses of the generator pushforwards; the
-    observable diameter is a step function of kappa with jumps only at
-    1 - mass for these values."""
-    masses = set()
+    """All support-window masses of the generator pushforwards, sorted
+    and distinct; the observable diameter is a step function of kappa
+    with jumps only at 1 - mass for these values.
+
+    A window [i..j] of a pushforward with mass prefix sums `prefix` has
+    mass prefix[j + 1] - prefix[i]. Windows are taken in blocks of
+    about BLOCK_ENTRIES by their left end i, so the scratch memory is
+    one block plus the distinct masses found so far.
+    """
+    found = np.empty(0)
     for row in X.generators:
-        m = pushforward(row, X.mu).masses
-        prefix = np.concatenate([[0.0], np.cumsum(m)])
-        n = m.size
-        for i in range(n):
-            for j in range(i, n):
-                masses.add(float(prefix[j + 1] - prefix[i]))
-    return np.array(sorted(masses))
+        prefix = np.concatenate([[0.0], np.cumsum(pushforward(row, X.mu).masses)])
+        n = prefix.size - 1
+        step = max(1, BLOCK_ENTRIES // n)
+        for start in range(0, n, step):
+            left = np.arange(start, min(start + step, n))[:, None]
+            windows = prefix[None, 1:] - prefix[left]
+            found = sorted_unique(np.concatenate([found, windows[np.arange(n) >= left]]))
+    return found
 
 
 def _od_ext(X: FiniteGDS, kappa: float) -> float:
@@ -335,7 +354,11 @@ def _pairwise_rebalance(pi, objective, start_value, eval_budget):
 
     `eval_budget` caps the number of trial objective evaluations, which
     dominates the cost; the scan order is canonical, so results are
-    deterministic.
+    deterministic. A trial is accepted only when its value is below the
+    cutoff `best_val - 1e-15`, so `objective(trial, cutoff)` may stop
+    scoring once the value is known to reach the cutoff and return any
+    value at or above it: rejected trials stay rejected, and accepted
+    ones carry their exact value.
     """
     best_pi = pi.copy()
     best_val = start_value
@@ -356,9 +379,10 @@ def _pairwise_rebalance(pi, objective, start_value, eval_budget):
                 trial[k, l] -= t
                 trial[i, l] += t
                 trial[k, j] += t
-                val = objective(trial)
+                cutoff = best_val - 1e-15
+                val = objective(trial, cutoff)
                 evals += 1
-                if val < best_val - 1e-15:
+                if val < cutoff:
                     best_pi, best_val = trial, val
                     improved = True
                     break
@@ -386,7 +410,7 @@ def dconc_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None
     budget = max(1, cfg.local_search_steps // 2)
     for val, name, pi in scored[:2]:
         _, improved = _pairwise_rebalance(
-            pi, lambda p: dconc_pi(X, Y, p, cfg.tol), val, budget
+            pi, lambda p, cutoff: _dconc_value(X, Y, p, cfg.tol, cutoff), val, budget
         )
         if improved < best_val:
             best_val, best_name = improved, name
@@ -406,6 +430,17 @@ def box_objective(X: FiniteGDS, Y: FiniteGDS, pi, S, tol: float = 1e-9) -> float
     Hausdorff term compares the two generator families restricted to S,
     minimizing over family orbit parameters as in dist_to_orbit_sup.
     """
+    return _box_value(X, Y, pi, S, tol, math.inf)
+
+
+def _box_value(X, Y, pi, S, tol, cutoff) -> float:
+    """box_objective(X, Y, pi, S, tol) when that is below `cutoff`;
+    otherwise some value at or above `cutoff`.
+
+    The scan runs on doubled orbit values, so it compares 2 * gap with
+    the cutoff: doubling is exact and order-preserving, while halving
+    the cutoff would round for subnormals.
+    """
     coupling = pi if isinstance(pi, CouplingMatrix) else CouplingMatrix(pi)
     coupling.check_marginals(X.masses, Y.masses)
     S = list(S)
@@ -413,14 +448,17 @@ def box_objective(X: FiniteGDS, Y: FiniteGDS, pi, S, tol: float = 1e-9) -> float
         raise EmptySupport("the support set must be nonempty")
     rows = np.array([i for i, _ in S])
     cols = np.array([j for _, j in S])
-    mass = float(coupling.pi[rows, cols].sum())
-    gap = _hausdorff(
+    missing = 1.0 - float(coupling.pi[rows, cols].sum())
+    if missing >= cutoff:
+        return missing
+    twice_gap = _hausdorff(
         X.generators[:, rows],
         Y.generators[:, cols],
-        lambda f, g: dist_to_orbit_sup(f, g, Y.family, tol).value,
-        lambda g, f: dist_to_orbit_sup(g, f, X.family, tol).value,
+        lambda f, g: 2.0 * dist_to_orbit_sup(f, g, Y.family, tol).value,
+        lambda g, f: 2.0 * dist_to_orbit_sup(g, f, X.family, tol).value,
+        cutoff,
     )
-    return max(1.0 - mass, 2.0 * gap)
+    return max(missing, twice_gap)
 
 
 def _support_pairs(pi):
@@ -479,7 +517,7 @@ def box_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None) 
     for val, name, pi, pairs in scored[:3]:
         if len(pairs) <= 64:
             for p in pairs:
-                v = box_objective(X, Y, pi, [p], cfg.tol)
+                v = _box_value(X, Y, pi, [p], cfg.tol, best_val)
                 if v < best_val:
                     best_val, best_desc = v, f"coupling {name}, singleton {p}"
         # greedy peel: repeatedly drop the worst-aligned pair, re-scoring
@@ -488,7 +526,7 @@ def box_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None) 
         for _ in range(min(len(pairs) - 1, 24)):
             scores = _pair_scores(X, Y, keep, cfg.tol)
             keep.pop(int(np.argmax(scores)))
-            v = box_objective(X, Y, pi, keep, cfg.tol)
+            v = _box_value(X, Y, pi, keep, cfg.tol, best_val)
             if v < best_val:
                 best_val, best_desc = v, f"coupling {name}, {len(keep)} pairs kept"
     lower = dconc_lower_via_od(X, Y, cfg.kappa_grid)

@@ -37,6 +37,7 @@ from ._kernels import (
     MASS_GUARD,
     kf_rows,
     row_blocks,
+    sorted_unique,
     window_tradeoff_values,
 )
 from .core import DiscreteMeasureR, FamilyTag, FiniteGDS, ProbVector, pushforward
@@ -117,11 +118,6 @@ class ClipMap:
             return float(x)
 
         return cls(float(obj["c"]), dec(obj["l"]), dec(obj["u"]))
-
-
-def clip_apply(p: ClipMap, values) -> np.ndarray:
-    """Apply a clip map pointwise. Output spread never exceeds input spread."""
-    return p.apply(values)
 
 
 def compose_clips(outer: ClipMap, inner: ClipMap) -> ClipMap:
@@ -255,7 +251,7 @@ def _kf_orbit_clip_exact(f, g, w):
         cands.add(float(abs(sf[a] - sf[b]) / 2.0))
     sums = np.array([0.0])
     for wi in w:
-        sums = np.unique(np.concatenate([sums, sums + wi]))
+        sums = sorted_unique(np.concatenate([sums, sums + wi]))
     cands.update(float(s) for s in sums)
     for eps in sorted(c for c in cands if c >= 0.0):
         ok, radius = _clip_feasible(f, g, w, eps)
@@ -265,12 +261,12 @@ def _kf_orbit_clip_exact(f, g, w):
 
 
 def _kf_orbit_clip_heuristic(f, g, w, tol):
-    radii = np.unique(np.concatenate([[0.0], np.abs(f), np.abs(g)]))
+    radii = sorted_unique(np.concatenate([[0.0], np.abs(f), np.abs(g)]))
     clipped = np.clip(g[None, :], -radii[:, None], radii[:, None])
     vals = kf_rows(np.abs(f[None, :] - clipped), w)
     best = int(np.argmin(vals))
     local = radii[best] + tol * np.arange(-10, 11)
-    local = np.unique(np.clip(local, 0.0, None))
+    local = sorted_unique(np.clip(local, 0.0, None))
     clipped = np.clip(g[None, :], -local[:, None], local[:, None])
     lv = kf_rows(np.abs(f[None, :] - clipped), w)
     j = int(np.argmin(lv))
@@ -280,11 +276,11 @@ def _kf_orbit_clip_heuristic(f, g, w, tol):
 
 
 def _candidate_levels(f):
-    levels = np.unique(f)
+    levels = sorted_unique(f)
     cap = _LEVEL_CAP if f.size <= 24 else _LEVEL_CAP // 2
     if levels.size > cap:
         take = np.linspace(0, levels.size - 1, cap).round().astype(int)
-        levels = levels[np.unique(take)]
+        levels = levels[sorted_unique(take)]
     return levels
 
 
@@ -293,7 +289,7 @@ def _candidate_shifts(f, g, extra=()):
         shifts = (f[:, None] - g[None, :]).ravel()
     else:
         shifts = f - g
-    return np.unique(np.concatenate([shifts, np.asarray(extra, dtype=float)]))
+    return sorted_unique(np.concatenate([shifts, np.asarray(extra, dtype=float)]))
 
 
 def _level_pairs(levels):
@@ -308,7 +304,7 @@ def _level_pairs(levels):
 def _shiftclip_pairs(levels):
     """Clip bounds in the target frame: level pairs plus symmetric clips."""
     los, his = _level_pairs(levels)
-    radii = np.unique(np.abs(levels))
+    radii = sorted_unique(np.abs(levels))
     return np.concatenate([los, -radii]), np.concatenate([his, radii])
 
 
@@ -317,7 +313,7 @@ def _clamp_level_pairs(g):
     midpoints between consecutive ones."""
     levels = _candidate_levels(g)
     if levels.size > 1:
-        levels = np.unique(np.concatenate([levels, (levels[:-1] + levels[1:]) / 2.0]))
+        levels = sorted_unique(np.concatenate([levels, (levels[:-1] + levels[1:]) / 2.0]))
     return _level_pairs(levels)
 
 
@@ -402,7 +398,7 @@ def _orbit_shiftclip(f, g, metric, tol):
 
 
 def _lip1_samples(g, budget):
-    knots = np.unique(g)
+    knots = sorted_unique(g)
     if knots.size == 1:
         return []  # constant input: translations already cover every image
     rng = np.random.default_rng(_LIP1_SEED + budget)

@@ -120,6 +120,27 @@ def parse_gds(path: str) -> FiniteGDS:
 
 
 def serialize_gds(X: FiniteGDS, path: str) -> None:
+    """Write X to `path` in the feature form.
+
+    The bytes are those of json.dump(gds_to_obj(X), fh, indent=2,
+    sort_keys=True) plus a newline, but the generator matrix is written
+    one row at a time with float.__repr__ (json's float format), so its
+    text is never held whole as nested lists.
+    """
+    points = _nested_json(list(X.point_ids))
+    weights = _nested_json(X.masses.tolist())
     with open(path, "w") as fh:
-        json.dump(gds_to_obj(X), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(f'{{\n  "family": {json.dumps(str(X.family))},\n  "features": {{\n    "generators": [')
+        sep = "\n"
+        for row in X.generators:
+            fh.write(f"{sep}      [\n        ")
+            fh.write(",\n        ".join(map(float.__repr__, row.tolist())))
+            fh.write("\n      ]")
+            sep = ",\n"
+        fh.write(f'\n    ]\n  }},\n  "points": {points},\n  "weights": {weights}\n}}\n')
+
+
+def _nested_json(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for a value one level
+    inside an object."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import MASS_GUARD, kf_single
+from ._kernels import MASS_GUARD, kf_single, sorted_unique
 from .core import DiscreteMeasureR, ProbVector
 from .errors import DimensionMismatch, EmptySet, InvalidAlpha
 
@@ -100,7 +100,7 @@ def prohorov(mu: DiscreteMeasureR, nu: DiscreteMeasureR) -> float:
     crossing is located by binary search.
     """
     dists = np.abs(nu.values[:, None] - mu.values[None, :])
-    cands = np.unique(np.concatenate([[0.0], dists.ravel()]))
+    cands = sorted_unique(np.concatenate([[0.0], dists.ravel()]))
 
     cache: dict[int, float] = {}
 

@@ -295,3 +295,26 @@ def box_objective_full_scan(X, Y, pi, S, tol=1e-9):
     forward = max(min(gk.dist_to_orbit_sup(f, g, Y.family, tol).value for g in gy) for f in fx)
     backward = max(min(gk.dist_to_orbit_sup(g, f, X.family, tol).value for f in fx) for g in gy)
     return max(1.0 - mass, 2.0 * max(forward, backward))
+
+
+# ---------------------------------------------------------------------------
+# reference loops
+# ---------------------------------------------------------------------------
+
+def od_window_breakpoints_loop(X):
+    """Every support-window mass of the generator pushforwards, one
+    window at a time into a set."""
+    masses = set()
+    for row in X.generators:
+        m = gk.pushforward(row, X.mu).masses
+        prefix = np.concatenate([[0.0], np.cumsum(m)])
+        n = m.size
+        for i in range(n):
+            for j in range(i, n):
+                masses.add(float(prefix[j + 1] - prefix[i]))
+    return np.array(sorted(masses))
+
+
+def hausdorff_full_scan(scores_fwd, scores_bwd):
+    """max(max_a min_b fwd[a, b], max_b min_a bwd[b, a]) over whole tables."""
+    return max(float(scores_fwd.min(axis=1).max()), float(scores_bwd.min(axis=1).max()))

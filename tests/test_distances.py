@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from itertools import permutations
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import gdskit as gk
+from gdskit import distances
 from gdskit._kernels import linear_assignment
 from gdskit.distances import (
     Bracket,
@@ -12,6 +14,8 @@ from gdskit.distances import (
     SearchConfig,
     _assignment_cost,
     _candidate_couplings,
+    _hausdorff,
+    _od_window_breakpoints,
     box_bracket,
     box_objective,
     dconc_bracket,
@@ -20,7 +24,13 @@ from gdskit.distances import (
 )
 from gdskit.errors import EmptySupport, MarginalMismatch
 from gdskit.transforms import MeasurementSpec, measurement
-from oracles import box_objective_full_scan, dconc_pi_full_scan, dyadic_gds
+from oracles import (
+    box_objective_full_scan,
+    dconc_pi_full_scan,
+    dyadic_gds,
+    hausdorff_full_scan,
+    od_window_breakpoints_loop,
+)
 
 GRID = tuple([0.01] + [round(0.05 * i, 2) for i in range(1, 10)])
 CFG = SearchConfig(kappa_grid=GRID, coupling_candidates=4, local_search_steps=15)
@@ -96,6 +106,46 @@ class TestDconcLowerViaOd:
         for kappa in GRID:
             assert gk.observable_diameter(A, kappa) == gk.observable_diameter(B, kappa)
         assert dconc_lower_via_od(A, B, GRID) == 0.0
+
+
+class TestWindowBreakpoints:
+    """The vectorized window masses equal the reference loop's bytes."""
+
+    def assert_loop(self, X):
+        fast, loop = _od_window_breakpoints(X), od_window_breakpoints_loop(X)
+        assert fast.dtype == loop.dtype and fast.tobytes() == loop.tobytes()
+
+    def test_non_dyadic_masses(self):
+        rng = np.random.default_rng(61)
+        for trial in range(40):
+            if trial % 2:  # masses k / 11
+                n = int(rng.integers(1, 12))
+                w = (rng.multinomial(11 - n, np.full(n, 1.0 / n)) + 1) / 11
+            else:
+                n = int(rng.integers(1, 40))
+                w = rng.dirichlet(np.ones(n))
+            gens = rng.integers(0, 6, size=(int(rng.integers(1, 4)), n)).astype(float)
+            gens[0] = np.arange(n)  # points stay distinct
+            self.assert_loop(gk.validate_gds(range(n), gens, gk.ID_FAMILY, w))
+
+    def test_benchmark_spaces(self):
+        for text in (
+            "hamming_cube:5:by_k", "hamming_cube:6:by_k", "hamming_cube:7:by_k",
+            "path:64:0.0625", "path:100:0.01", "random_cloud:64:4:linf:5",
+            "random_cloud:80:3:linf:6", "random_cloud:96:3:linf:7", "random_cloud:128:3:l2:8",
+        ):
+            self.assert_loop(gk.generate_space(gk.SpaceRecipe.parse(text)))
+
+    def test_scratch_is_one_block(self):
+        # one 1024-point feature: 525k windows but only 1024 distinct masses
+        n = 1024
+        X = gk.validate_gds(range(n), [np.arange(n, dtype=float)], gk.ID_FAMILY, np.full(n, 1.0 / n))
+        tracemalloc.start()
+        found = _od_window_breakpoints(X)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert found.size == n
+        assert peak < 0.1 * 8 * n * n, peak
 
 
 class TestDconcBracket:
@@ -188,8 +238,6 @@ class TestPrunedObjectives:
                 assert box_objective(X, Y, pi, S) == box_objective_full_scan(X, Y, pi, S)
 
     def test_fewer_orbit_calls_on_pinned_pair(self, monkeypatch):
-        from gdskit import distances
-
         X = gk.validate_gds(range(4), [[0, 1, 2, 3], [0, 2, 4, 6], [3, 0, 1, 2]], gk.TB_FAMILY, [0.25] * 4)
         Y = gk.validate_gds(range(4), [[0, 1, 2, 3], [1, 0, 3, 2], [0, 4, 0, 4]], gk.TB_FAMILY, [0.25] * 4)
         pi = np.diag(X.masses)
@@ -198,16 +246,73 @@ class TestPrunedObjectives:
             ("dist_to_orbit", lambda: dconc_pi(X, Y, pi)),
             ("dist_to_orbit_sup", lambda: box_objective(X, Y, pi, [(i, i) for i in range(4)])),
         ):
-            calls = []
-            real = getattr(distances, name)
-
-            def counting(*args, real=real):
-                calls.append(args)
-                return real(*args)
-
-            monkeypatch.setattr(distances, name, counting)
+            calls = count_calls(monkeypatch, name)
             objective()
             assert 0 < len(calls) < full, name
+
+
+def no_cutoff(monkeypatch):
+    """Score every search trial in full: the cutoffs become infinite."""
+    for name in ("_dconc_value", "_box_value"):
+        real = getattr(distances, name)
+        monkeypatch.setattr(distances, name, lambda *args, real=real: real(*args[:-1], math.inf))
+
+
+def count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(distances, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(distances, name, counting)
+    return calls
+
+
+class TestIncumbentCutoff:
+    """Search trials stop scoring once they cannot beat the incumbent;
+    brackets must stay those of the full scoring."""
+
+    def test_hausdorff_cutoff_contract(self):
+        rng = np.random.default_rng(67)
+        for _ in range(2000):
+            m, k = (int(x) for x in rng.integers(1, 6, size=2))
+            fwd = rng.integers(0, 5, size=(m, k)) / 4
+            bwd = rng.integers(0, 5, size=(k, m)) / 4
+            full = hausdorff_full_scan(fwd, bwd)
+            cutoff = float(rng.choice([rng.integers(0, 6) / 4, rng.random() * 1.25, -math.inf, math.inf]))
+            value = _hausdorff(range(m), range(k), lambda a, b: fwd[a, b], lambda b, a: bwd[b, a], cutoff)
+            if full < cutoff:
+                assert value == full
+            else:
+                assert value >= cutoff
+
+    def test_brackets_match_full_scoring(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        for family in FAMILIES:
+            for _ in range(6):
+                X = dyadic_gds(rng, max_points=4, max_gens=2, family=family)
+                Y = dyadic_gds(rng, max_points=4, max_gens=2, family=family)
+                fast = (dconc_bracket(X, Y, CFG), box_bracket(X, Y, CFG))
+                with monkeypatch.context() as m:
+                    no_cutoff(m)
+                    full = (dconc_bracket(X, Y, CFG), box_bracket(X, Y, CFG))
+                assert repr(fast) == repr(full)
+
+    def test_fewer_orbit_calls_on_pinned_pair(self, monkeypatch):
+        X = gk.validate_gds(range(4), [[0, 1, 2, 3], [0, 2, 4, 6], [3, 0, 1, 2]], gk.TB_FAMILY, [0.25] * 4)
+        Y = gk.validate_gds(range(4), [[0, 1, 2, 3], [1, 0, 3, 2], [0, 4, 0, 4]], gk.TB_FAMILY, [0.25] * 4)
+        for name, bracket in (("dist_to_orbit", dconc_bracket), ("dist_to_orbit_sup", box_bracket)):
+            counts = []
+            for cutoff in (True, False):
+                with monkeypatch.context() as m:
+                    if not cutoff:
+                        no_cutoff(m)
+                    calls = count_calls(m, name)
+                    bracket(X, Y, CFG)
+                counts.append(len(calls))
+            assert 0 < counts[0] < counts[1], (name, counts)
 
 
 class TestBoxBracket:

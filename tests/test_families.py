@@ -25,14 +25,14 @@ from oracles import (
 
 class TestClipMap:
     def test_identity(self):
-        assert gk.clip_apply(gk.ClipMap.identity(), [0.0, 3.0]).tolist() == [0.0, 3.0]
+        assert gk.ClipMap.identity().apply([0.0, 3.0]).tolist() == [0.0, 3.0]
 
     def test_bound(self):
-        assert gk.clip_apply(gk.ClipMap.bound(1.0), [0.0, 3.0]).tolist() == [0.0, 1.0]
+        assert gk.ClipMap.bound(1.0).apply([0.0, 3.0]).tolist() == [0.0, 1.0]
 
     def test_shift_then_floor(self):
         p = gk.ClipMap(c=-2.0, lo=0.0, hi=math.inf)
-        assert gk.clip_apply(p, [0.0, 3.0]).tolist() == [0.0, 1.0]
+        assert p.apply([0.0, 3.0]).tolist() == [0.0, 1.0]
 
     def test_one_lipschitz_exact(self):
         rng = np.random.default_rng(3)

@@ -1,11 +1,11 @@
-"""Row-blocked kernels: bit identity with one block, and bounded scratch."""
+"""Numeric kernels: bit identity with numpy and with one block, and bounded scratch."""
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from gdskit import _kernels
-from gdskit._kernels import kf_rows, pd_rows, window_tradeoff_values
+from gdskit._kernels import kf_rows, pd_rows, sorted_unique, window_tradeoff_values
 from gdskit.spaces import SpaceRecipe, generate_space
 
 
@@ -30,6 +30,27 @@ def masses(rng, n):
 def assert_same(a, b):
     assert a.dtype == b.dtype and a.shape == b.shape
     assert np.array_equal(a, b)
+
+
+class TestSortedUnique:
+    def test_float_arrays_match_np_unique(self):
+        rng = np.random.default_rng(29)
+        pool = np.array([0.0, -0.0, 0.5, -0.5, 1.0, 5e-324, -5e-324])
+        for trial in range(10_000):
+            n = int(rng.integers(0, 2000 if trial % 100 == 0 else 40))
+            x = rng.choice(pool, size=n)
+            if trial % 2:  # ties and signed zeros among normal values
+                x = np.where(rng.random(n) < 0.5, x, rng.normal(size=n).round(int(rng.integers(0, 3))))
+            if n % 3 == 0 and n:
+                x = x.reshape(3, -1)
+            assert_same(sorted_unique(x), np.unique(x))
+            assert sorted_unique(x).tobytes() == np.unique(x).tobytes()
+
+    def test_int_arrays_match_np_unique(self):
+        rng = np.random.default_rng(31)
+        for _ in range(500):
+            x = rng.integers(-6, 6, size=int(rng.integers(0, 50)))
+            assert_same(sorted_unique(x), np.unique(x))
 
 
 class TestBlockedKernels:

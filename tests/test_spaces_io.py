@@ -81,6 +81,27 @@ class TestSerialization:
         assert X.point_ids == Y.point_ids
         assert X.family == Y.family
 
+    @pytest.mark.parametrize("labels", ["int", "str", "escaped", "non-ascii"])
+    def test_bytes_match_json_dump(self, tmp_path, labels):
+        # the streamed writer against the whole-object json.dump it replaces
+        rng = np.random.default_rng(37)
+        for trial in range(8):
+            n, g = (int(x) for x in rng.integers(1, 7, size=2))
+            gens = rng.normal(size=(g, n)) * 10.0 ** rng.integers(-300, 300, size=(g, 1))
+            gens[0] = np.arange(n) * 0.1  # points stay distinct
+            gens[g - 1, 0] = -0.0
+            ids = {
+                "int": list(range(n)),
+                "str": [f"p{i}" for i in range(n)],
+                "escaped": [f'"{i}\\\n\t' for i in range(n)],
+                "non-ascii": [f"\u00e9\u4e2d\U0001F600{i}" for i in range(n)],
+            }[labels]
+            X = gk.validate_gds(ids, gens, gk.FamilyTag.parse(("TB", "lip1:3")[trial % 2]), rng.dirichlet(np.ones(n)))
+            path = tmp_path / "x.json"
+            serialize_gds(X, str(path))
+            expected = json.dumps(gds_to_obj(X), indent=2, sort_keys=True) + "\n"
+            assert path.read_bytes() == expected.encode()
+
     def test_missing_weights_pointer(self):
         obj = {"points": [0, 1], "family": "TB", "features": {"generators": [[0, 1]]}}
         with pytest.raises(SchemaError) as err:

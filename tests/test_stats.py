@@ -195,15 +195,22 @@ class TestProhorov:
             assert gk.prohorov(mu, nu) == prohorov_oracle(mu, nu)
 
     def test_import_needs_no_graph_library(self):
-        # brackets on equal-size data sets also solve the assignment candidate
+        # brackets on equal-size data sets also solve the assignment
+        # candidate; numpy.ma is loaded by np.unique asked for values only
         env = {**os.environ, "PYTHONPATH": str(pathlib.Path(gk.__file__).parents[1])}
         code = (
             "import sys, gdskit as gk, gdskit.cli\n"
-            "X = gk.validate_gds([0, 1, 2], [[0.0, 1.0, 3.0]], gk.TB_FAMILY, [0.25, 0.25, 0.5])\n"
-            "Y = gk.validate_gds([0, 1, 2], [[0.0, 2.0, 3.0]], gk.TB_FAMILY, [0.5, 0.25, 0.25])\n"
             "cfg = gk.SearchConfig(kappa_grid=(0.1, 0.3), coupling_candidates=2)\n"
-            "gk.dconc_bracket(X, Y, cfg), gk.box_bracket(X, Y, cfg)\n"
-            "sys.exit(' '.join(m for m in ('networkx', 'scipy') if m in sys.modules) or None)"
+            "for family in ('B', 'TB', 'lip1:4'):\n"
+            "    tag = gk.FamilyTag.parse(family)\n"
+            "    X = gk.validate_gds([0, 1, 2], [[0.0, 1.0, 3.0]], tag, [0.25, 0.25, 0.5])\n"
+            "    Y = gk.validate_gds([0, 1, 2], [[0.0, 2.0, 3.0]], tag, [0.5, 0.25, 0.25])\n"
+            "    gk.dconc_bracket(X, Y, cfg), gk.box_bracket(X, Y, cfg)\n"
+            "mu = gk.DiscreteMeasureR([0.0, 1.0], [0.5, 0.5])\n"
+            "nu = gk.DiscreteMeasureR([0.0, 0.5, 2.0], [0.25, 0.25, 0.5])\n"
+            "gk.prohorov(mu, nu), gk.od_profile(X, (0.1, 0.3)), gk.dconc_lower_via_od(X, Y, (0.1, 0.3))\n"
+            "loaded = ('networkx', 'scipy', 'numpy.ma')\n"
+            "sys.exit(' '.join(m for m in loaded if m in sys.modules) or None)"
         )
         run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
