@@ -13,17 +13,21 @@ for support-restricted comparisons (dist_to_orbit_sup). Orbit distances
 feed covering numbers, capacities, domination checks and the coupling
 objectives.
 
-Both metrics share one orbit engine: one family dispatch and one
-shift-then-clip candidate search. A metric supplies three operations:
-a batched row scorer (kf_rows or the row maximum), a batched exact
-translation optimum with its shift (the window formula or the
-midrange), and its own symmetric-clip search. Among candidates of equal
-value the search keeps the smallest (c, lo, hi), in both metrics.
+Both metrics share one orbit engine: one family dispatch, one exact
+symmetric-clip search and one shift-then-clip candidate search. A
+metric supplies a batched row scorer (kf_rows or the row maximum), a
+batched exact translation optimum with its shift (the window formula or
+the midrange), and the weights and acceptance rule of the clip search.
+Among candidates of equal value the shift-then-clip search keeps the
+smallest (c, lo, hi), in both metrics.
 
 Certification semantics: `certified=True` means the returned value is
-the exact infimum over the family; `False` means it is an upper bound
-obtained from a documented candidate grid (within `tol` of the best
-candidate-grid value, not of the true infimum).
+the exact infimum over the family, up to float rounding in scoring the
+witness; this holds for the identity, translation and symmetric-clip
+families at every support size. `False` (shift-then-clip and lip1)
+means it is an upper bound obtained from a documented candidate grid
+(within `tol` of the best candidate-grid value, not of the true
+infimum). Every returned value is what its witness achieves.
 """
 from __future__ import annotations
 
@@ -49,7 +53,9 @@ from .errors import (
 )
 from .stats import levy_mean, partial_diameter
 
-_EXACT_CLIP_CAP = 12
+# supports of at most this many points try every pairwise shift f_i - g_j
+# in the shift-then-clip search; larger ones try only f_i - g_i
+_PAIRWISE_SHIFT_CAP = 12
 _LEVEL_CAP = 12
 _LIP1_SEED = 322751
 
@@ -176,103 +182,93 @@ class OrbitDistanceResult:
     certified: bool
 
 
-def _clip_feasible(f, g, w, eps):
-    """Can some radius R make clamp(g, -R, R) differ from f by more than
-    eps only on mass <= eps? Closed-interval stabbing over R.
+def _clip_cover(sf, fixed, absg, w, eps):
+    """The least weight that a clip radius leaves farther than eps.
 
-    Returns (feasible, R) with R the smallest maximizing radius.
+    Takes sf = sign(g) * f, fixed = |f - g| and absg = |g|. For each
+    point i the radii R >= 0 with |f_i - clamp(g_i, -R, R)| <= eps form
+    one closed interval; a sweep over their endpoints finds the radius
+    covering the most weight. Returns (uncovered weight, R) with R the
+    smallest such radius. eps is widened by a few ulps first, so
+    endpoints that meet in exact arithmetic also meet in float.
     """
-    absg = np.abs(g)
-    sign = np.sign(g)
-    sf = sign * f
-    fixed = np.abs(f - g)
-    pieces = []  # (start, end, weight)
-    for i in range(f.size):
-        has_fixed = fixed[i] <= eps
-        if sign[i] == 0.0:
-            if has_fixed:
-                pieces.append((0.0, math.inf, w[i]))
-            continue
-        lo = max(0.0, sf[i] - eps)
-        hi = min(absg[i], sf[i] + eps)
-        has_active = lo <= hi
-        if has_fixed and has_active and hi >= absg[i]:
-            pieces.append((lo, math.inf, w[i]))
-        else:
-            if has_active:
-                pieces.append((lo, hi, w[i]))
-            if has_fixed:
-                pieces.append((absg[i], math.inf, w[i]))
+    eps = eps + 4.0 * np.spacing(eps)
+    near = fixed <= eps
+    lo = np.maximum(0.0, sf - eps)
+    # within eps at R = |g_i| means within eps for every larger R too
+    hi = np.where(near, np.inf, np.minimum(absg, sf + eps))
+    keep = (lo <= hi) & ((absg > 0.0) | near)
+    lo, hi, wk = lo[keep], hi[keep], w[keep]
     total = float(np.sum(w))
-    if not pieces:
-        return total <= eps, 0.0
-    events = []
-    for lo, hi, wt in pieces:
-        events.append((lo, 0, wt))
-        if hi != math.inf:
-            events.append((hi, 1, wt))
-    events.sort(key=lambda e: (e[0], e[1]))
-    cover = 0.0
-    best_cover, best_r = -1.0, 0.0
-    idx = 0
-    while idx < len(events):
-        coord = events[idx][0]
-        while idx < len(events) and events[idx][0] == coord and events[idx][1] == 0:
-            cover += events[idx][2]
-            idx += 1
-        if cover > best_cover:
-            best_cover, best_r = cover, coord
-        while idx < len(events) and events[idx][0] == coord and events[idx][1] == 1:
-            cover -= events[idx][2]
-            idx += 1
-    return total - best_cover <= eps, best_r
+    if lo.size == 0:
+        return total, 0.0
+    # a stable sort keeps starts before ends at one coordinate, so
+    # closed intervals that touch overlap
+    order = np.argsort(np.concatenate([lo, hi]), kind="stable")
+    cover = np.cumsum(np.concatenate([wk, -wk])[order])
+    cover[order >= lo.size] = -np.inf
+    k = int(np.argmax(cover))
+    return total - float(cover[k]), float(lo[order[k]])
 
 
-def _kf_orbit_clip_exact(f, g, w):
-    """Exact Ky Fan distance to the symmetric-clip orbit of g.
+def _orbit_clip(f, g, metric):
+    """Exact distance from f to the symmetric-clip orbit of g, as (value, R).
 
-    The feasibility region in (R, eps) is bounded by finitely many
-    lines, so the optimal eps lies in the set of geometric candidates
-    (difference and crossing values) plus the subset sums of the
-    masses; each candidate is checked by interval stabbing over R.
+    The least weight m(eps) that any radius leaves farther than eps
+    (_clip_cover) does not increase with eps. With sf = sign(g) * f,
+    the good radii of point i are [max(0, sf_i - eps), inf) once eps >=
+    |f_i - g_i|, and before that [max(0, sf_i - eps), sf_i + eps] when
+    g_i != 0 and that lies below |g_i|. So m changes only at the
+    breakpoints e_k where an interval appears or becomes unbounded
+    (|sf_i|, |f_i - g_i|) or where a left end meets a right end
+    (|sf_a - sf_b| / 2). The first e_k that the metric accepts is found
+    by bisection. The sup norm accepts only
+    m(e_k) = 0 under unit weights, and its optimum is e_k. Ky Fan
+    accepts m(e_k) <= e_k, and its optimum is min(e_k, m(e_{k-1})),
+    which the sweep radius at e_{k-1} reaches. Candidate radii around
+    both breakpoints are then scored directly, so the value returned is
+    the one its witness achieves.
     """
-    absg = np.abs(g)
-    sign = np.sign(g)
-    sf = sign * f
+    sf = np.sign(g) * f
     fixed = np.abs(f - g)
-    cands = {0.0, 1.0}
-    cands.update(float(x) for x in fixed)
-    levels = np.concatenate([[0.0], absg])
-    active = np.nonzero(sign)[0]
-    for i in active:
-        cands.update(float(abs(sf[i] - lv)) for lv in levels)
-        cands.update(float(abs(sf[i] - x)) for x in fixed)
-    for a, b in combinations(active.tolist(), 2):
-        cands.add(float(abs(sf[a] - sf[b]) / 2.0))
-    sums = np.array([0.0])
-    for wi in w:
-        sums = sorted_unique(np.concatenate([sums, sums + wi]))
-    cands.update(float(s) for s in sums)
-    for eps in sorted(c for c in cands if c >= 0.0):
-        ok, radius = _clip_feasible(f, g, w, eps)
-        if ok:
-            return float(eps), float(radius)
-    return 1.0, float(np.max(absg))  # unreachable: eps = 1 is always feasible
+    absg = np.abs(g)
+    half_gaps = np.abs(sf[:, None] - sf[None, :]) / 2.0
+    breaks = sorted_unique(np.concatenate([[0.0], fixed, np.abs(sf), half_gaps.ravel()]))
+    sweeps = {}
 
+    def sweep(k):
+        if k not in sweeps:
+            sweeps[k] = _clip_cover(sf, fixed, absg, metric.w, breaks[k])
+        return sweeps[k]
 
-def _kf_orbit_clip_heuristic(f, g, w, tol):
-    radii = sorted_unique(np.concatenate([[0.0], np.abs(f), np.abs(g)]))
-    clipped = np.clip(g[None, :], -radii[:, None], radii[:, None])
-    vals = kf_rows(np.abs(f[None, :] - clipped), w)
-    best = int(np.argmin(vals))
-    local = radii[best] + tol * np.arange(-10, 11)
-    local = sorted_unique(np.clip(local, 0.0, None))
-    clipped = np.clip(g[None, :], -local[:, None], local[:, None])
-    lv = kf_rows(np.abs(f[None, :] - clipped), w)
-    j = int(np.argmin(lv))
-    if lv[j] < vals[best]:
-        return float(lv[j]), float(local[j])
-    return float(vals[best]), float(radii[best])
+    # the largest breakpoint is at least max |f - g|, where R = max |g|
+    # leaves nothing out
+    lo, hi = 0, breaks.size - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if metric.accepts(sweep(mid)[0], breaks[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    ks = [k for k in (lo - 1, lo) if k >= 0]
+    tops = breaks[ks]
+    a, b = np.nonzero(np.isin(half_gaps, tops))
+    radii = np.concatenate([
+        [0.0],
+        absg,
+        [sweep(k)[1] for k in ks],
+        (sf[None, :] + np.concatenate([tops, -tops])[:, None]).ravel(),
+        (sf[a] + sf[b]) / 2.0,
+    ])
+    radii = sorted_unique(np.maximum(radii, 0.0))
+
+    def score(s):
+        r = radii[s, None]
+        return metric.rows(np.abs(f[None, :] - np.clip(g[None, :], -r, r)))
+
+    vals = row_blocks(score, radii.size, f.size)
+    j = int(np.argmin(vals))
+    return float(vals[j]), float(radii[j])
 
 
 def _candidate_levels(f):
@@ -285,7 +281,7 @@ def _candidate_levels(f):
 
 
 def _candidate_shifts(f, g, extra=()):
-    if f.size <= _EXACT_CLIP_CAP:
+    if f.size <= _PAIRWISE_SHIFT_CAP:
         shifts = (f[:, None] - g[None, :]).ravel()
     else:
         shifts = f - g
@@ -318,7 +314,8 @@ def _clamp_level_pairs(g):
 
 
 class _KyFan:
-    """Ky Fan scorers under the weights w."""
+    """Ky Fan scorers under the weights w. A clip radius is accepted at
+    eps when it leaves weight at most eps farther than eps."""
 
     def __init__(self, w):
         self.w = w
@@ -329,14 +326,17 @@ class _KyFan:
     def translate(self, deltas):
         return window_tradeoff_values(deltas, self.w)
 
-    def clip(self, f, g, tol):
-        if f.size <= _EXACT_CLIP_CAP:
-            return (*_kf_orbit_clip_exact(f, g, self.w), True)
-        return (*_kf_orbit_clip_heuristic(f, g, self.w, tol), False)
+    def accepts(self, uncovered, eps):
+        return uncovered <= eps
 
 
 class _Sup:
-    """Sup-norm scorers."""
+    """Sup-norm scorers over n points. Every point weighs 1 in the clip
+    sweep, and a radius is accepted at eps only when it leaves no point
+    farther than eps."""
+
+    def __init__(self, n):
+        self.w = np.ones(n)
 
     def rows(self, absdiffs):
         return absdiffs.max(axis=1)
@@ -345,8 +345,8 @@ class _Sup:
         top, bottom = deltas.max(axis=1), deltas.min(axis=1)
         return (top - bottom) / 2.0, (top + bottom) / 2.0
 
-    def clip(self, f, g, tol):
-        return (*_sup_orbit_clip_exact(f, g), True)
+    def accepts(self, uncovered, eps):
+        return uncovered == 0.0
 
 
 def _first_min(vals, cs, los, his):
@@ -419,8 +419,8 @@ def _orbit_distance(f, g, family: FamilyTag, metric, tol) -> OrbitDistanceResult
         vals, shifts = metric.translate((f - g)[None, :])
         return OrbitDistanceResult(float(vals[0]), ClipMap.translation(shifts[0]), True)
     if family.kind == "B":
-        value, radius, certified = metric.clip(f, g, tol)
-        return OrbitDistanceResult(value, ClipMap.bound(radius), certified)
+        value, radius = _orbit_clip(f, g, metric)
+        return OrbitDistanceResult(value, ClipMap.bound(radius), True)
     value, c, lo, hi = _orbit_shiftclip(f, g, metric, tol)
     best_val, best_witness = value, ClipMap(c, lo, hi)
     if family.kind == "lip1":
@@ -435,9 +435,9 @@ def _orbit_distance(f, g, family: FamilyTag, metric, tol) -> OrbitDistanceResult
 def dist_to_orbit(f, g, family: FamilyTag, mu: ProbVector, tol: float = 1e-9) -> OrbitDistanceResult:
     """Ky Fan distance from feature f to the family orbit of g.
 
-    Exact for the identity, translation, and (on supports of at most
-    12 points) symmetric-clip families; a certified-upper-bound
-    candidate search otherwise.
+    Exact for the identity, translation and symmetric-clip families at
+    every support size; an upper-bound candidate search otherwise, with
+    a witness that achieves the value.
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -445,27 +445,6 @@ def dist_to_orbit(f, g, family: FamilyTag, mu: ProbVector, tol: float = 1e-9) ->
     if f.shape != g.shape or f.shape != w.shape:
         raise DimensionMismatch("feature lists and weights must share one length")
     return _orbit_distance(f, g, family, _KyFan(w), tol)
-
-
-def _sup_orbit_clip_exact(f, g):
-    """Exact sup-norm distance to the symmetric-clip orbit of g."""
-    absg = np.abs(g)
-    sign = np.sign(g)
-    sf = sign * f
-    fixed = np.abs(f - g)
-    active = np.nonzero(sign)[0]
-    cands = {0.0}
-    cands.update(float(x) for x in absg)
-    cands.update(float(max(0.0, sf[i])) for i in active)
-    for a, b in combinations(active.tolist(), 2):
-        cands.add(float(max(0.0, (sf[a] + sf[b]) / 2.0)))
-    for i in active:
-        cands.update(float(max(0.0, sf[i] + s * d)) for d in fixed for s in (-1.0, 1.0))
-    radii = np.array(sorted(cands))
-    mapped = np.clip(g[None, :], -radii[:, None], radii[:, None])
-    vals = np.max(np.abs(f[None, :] - mapped), axis=1)
-    j = int(np.argmin(vals))
-    return float(vals[j]), float(radii[j])
 
 
 def dist_to_orbit_sup(f, g, family: FamilyTag, tol: float = 1e-9) -> OrbitDistanceResult:
@@ -479,7 +458,7 @@ def dist_to_orbit_sup(f, g, family: FamilyTag, tol: float = 1e-9) -> OrbitDistan
     g = np.asarray(g, dtype=float)
     if f.shape != g.shape:
         raise DimensionMismatch("feature lists must share one length")
-    return _orbit_distance(f, g, family, _Sup(), tol)
+    return _orbit_distance(f, g, family, _Sup(f.size), tol)
 
 
 def compose_family(X: FiniteGDS, p: ClipMap) -> FiniteGDS:
@@ -527,6 +506,8 @@ def covering_number(
 
     Exhaustive subset search gives the exact value for at most 12
     generators; otherwise a greedy set cover provides an upper bound.
+    lip1 orbit distances are sampled upper bounds, so a lip1 result is
+    never marked exact.
     """
     if eps <= 0:
         raise InvalidRange("eps must be positive")
@@ -535,11 +516,12 @@ def covering_number(
     m = d.shape[0]
     covers = d < eps  # covers[t, r]: generator r covers target t
     if m <= 12:
+        exact = family.kind != "lip1"
         for size in range(1, m + 1):
             for combo in combinations(range(m), size):
                 if np.all(covers[:, combo].any(axis=1)):
-                    return CoveringResult(size, True)
-        return CoveringResult(m, True)
+                    return CoveringResult(size, exact)
+        return CoveringResult(m, exact)
     uncovered = np.ones(m, dtype=bool)
     count = 0
     while uncovered.any():
@@ -564,7 +546,8 @@ def capacity(
     Discreteness uses the symmetrized orbit Hausdorff estimate (the
     larger of the two directed orbit distances) with strict > eps.
     Greedy scan gives a lower bound; for at most 12 representatives an
-    exhaustive bitmask search returns the exact maximum.
+    exhaustive bitmask search returns the exact maximum, except under
+    lip1, whose orbit distances are sampled upper bounds.
     """
     reps = np.asarray(orbit_reps, dtype=float)
     if reps.ndim != 2 or reps.shape[0] == 0:
@@ -580,7 +563,7 @@ def capacity(
             members = [i for i in range(m) if mask >> i & 1]
             if all(mask & ~allowed[i] & ~(1 << i) == 0 for i in members):
                 best = max(best, len(members))
-        return CapacityResult(best, True)
+        return CapacityResult(best, family.kind != "lip1")
     kept: list[int] = []
     for i in range(m):
         if all(s[i, k] > eps for k in kept):

@@ -243,7 +243,9 @@ def check_domination(
             f"best candidate {best_map} pulls some feature {best_score:.6g} "
             f"away from the source orbits (tol {tol:.3g})"
         )
-    return DominationVerdict("NotDominated", certificate=cert, note=note)
+    # sampled lip1 orbit distances are upper bounds: a miss proves nothing
+    status = "Unknown" if X.family.kind == "lip1" else "NotDominated"
+    return DominationVerdict(status, certificate=cert, note=note)
 
 
 def rounded(X: FiniteGDS, decimals: int) -> tuple[FiniteGDS, np.ndarray]:

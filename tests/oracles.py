@@ -205,6 +205,68 @@ def clip_orbit_grid_oracle(f, g, masses, steps=2001):
     return best
 
 
+def clip_orbit_oracle(f, g, masses):
+    """Exact Ky Fan distance to the symmetric-clip orbit of g, as a
+    Fraction: min over eps of max(eps, m(eps)), with m(eps) the least
+    mass any radius leaves farther than eps.
+
+    m is a step function of eps, so eps ranges over a superset of its
+    jump points: 0, |f_i - g_i|, |sf_i - l| for l in {0, |g_j|, |f_j -
+    g_j|}, and |sf_a -+ sf_b| / 2, with sf = sign(g) f. For each eps
+    the set of good radii of a point is an interval, so m(eps) is taken
+    over the left ends 0, |g_i| and sf_i - eps, scored point by point.
+    """
+    fs = [Fraction(float(v)) for v in f]
+    gs = [Fraction(float(v)) for v in g]
+    ms = [Fraction(float(m)) for m in masses]
+    total = sum(ms)
+    sf = [a if b > 0 else -a if b < 0 else Fraction(0) for a, b in zip(fs, gs)]
+    absg = [abs(b) for b in gs]
+    fixed = [abs(a - b) for a, b in zip(fs, gs)]
+    levels = [Fraction(0)] + absg + fixed
+    cands = {Fraction(0)} | set(fixed) | {abs(s - l) for s in sf for l in levels}
+    cands |= {abs(s + t * u) / 2 for s in sf for u in sf for t in (-1, 1)}
+
+    def dist(i, r):
+        return abs(fs[i] - min(max(gs[i], -r), r))
+
+    best = None
+    for eps in sorted(cands):
+        if best is not None and eps >= best:
+            break
+        radii = {Fraction(0)} | set(absg) | {max(Fraction(0), s - eps) for s in sf}
+        covered = max(sum(m for i, m in enumerate(ms) if dist(i, r) <= eps) for r in radii)
+        val = max(eps, total - covered)
+        if best is None or val < best:
+            best = val
+    return best
+
+
+def sup_clip_orbit_enumeration(f, g):
+    """Sup-norm distance to the symmetric-clip orbit of g by scoring
+    every candidate radius: |g_i|, sf_i, (sf_a + sf_b) / 2 and
+    sf_i -+ |f_j - g_j|, all floored at 0. Returns (value, radius)."""
+    f = np.asarray(f, dtype=float)
+    g = np.asarray(g, dtype=float)
+    absg = np.abs(g)
+    sign = np.sign(g)
+    sf = sign * f
+    fixed = np.abs(f - g)
+    active = np.nonzero(sign)[0]
+    cands = {0.0}
+    cands.update(float(x) for x in absg)
+    cands.update(float(max(0.0, sf[i])) for i in active)
+    for a, b in combinations(active.tolist(), 2):
+        cands.add(float(max(0.0, (sf[a] + sf[b]) / 2.0)))
+    for i in active:
+        cands.update(float(max(0.0, sf[i] + s * d)) for d in fixed for s in (-1.0, 1.0))
+    radii = np.array(sorted(cands))
+    mapped = np.clip(g[None, :], -radii[:, None], radii[:, None])
+    vals = np.max(np.abs(f[None, :] - mapped), axis=1)
+    j = int(np.argmin(vals))
+    return float(vals[j]), float(radii[j])
+
+
 def shiftclip_grid_oracle(f, g, masses, shift_steps=201, level_steps=41):
     """(c, lo, hi) grid scan for the shift-clip orbit distance.
 

@@ -10,6 +10,7 @@ from gdskit.errors import EmptySet, InvalidRange
 from gdskit.families import _min_window
 from oracles import (
     clip_orbit_grid_oracle,
+    clip_orbit_oracle,
     dyadic_gds,
     dyadic_masses,
     dyadic_measure,
@@ -19,6 +20,7 @@ from oracles import (
     kf_oracle,
     random_clip,
     shiftclip_grid_oracle,
+    sup_clip_orbit_enumeration,
     t_orbit_grid_oracle,
 )
 
@@ -165,8 +167,8 @@ class TestDistToOrbit:
 
     def test_witness_reproduces_value(self):
         rng = np.random.default_rng(31)
-        # None draws a small support; the fixed sizes pass the exact-clip
-        # cap (12) and the target-frame cap (16)
+        # None draws a small support; the fixed sizes pass the pairwise
+        # shift cap (12) and the target-frame cap (16)
         for size in [None] * 25 + [13, 16, 17, 20]:
             n = size or int(rng.integers(2, 6))
             f, g = dyadic_values(rng, n), dyadic_values(rng, n)
@@ -177,6 +179,13 @@ class TestDistToOrbit:
                 res = gk.dist_to_orbit(f, g, family, pv)
                 achieved = kf_oracle(f, res.witness.apply(g), w)
                 assert achieved <= res.value + 1e-9
+        # the symmetric-clip search is exact and certified at any size
+        for n in (13, 32, 64, 256):
+            f, g = rng.normal(size=n), rng.normal(size=n)
+            w = rng.dirichlet(np.ones(n))
+            res = gk.dist_to_orbit(f, g, gk.B_FAMILY, gk.ProbVector(w))
+            assert res.certified
+            assert kf_oracle(f, res.witness.apply(g), w) <= res.value + 1e-15
 
     def test_shiftclip_tie_takes_smallest_witness(self):
         # several candidates map g to the constant 11/16 (c = 11/16 with
@@ -232,6 +241,78 @@ class TestSupOrbit:
                 res = gk.dist_to_orbit_sup(f, g, family)
                 achieved = float(np.max(np.abs(f - res.witness.apply(g))))
                 assert achieved <= res.value + 1e-9
+        for n in (13, 32, 64, 256):
+            f, g = rng.normal(size=n), rng.normal(size=n)
+            res = gk.dist_to_orbit_sup(f, g, gk.B_FAMILY)
+            assert res.certified
+            assert float(np.max(np.abs(f - res.witness.apply(g)))) == res.value
+
+
+def _clip_case(rng, i, n):
+    """A feature pair and masses for the clip-orbit tests: features
+    dyadic, Gaussian or multiples of 1/11, masses Dirichlet, uniform or
+    multiples of 1/11 (1/22 above 11 points); every other f is an exact
+    or perturbed member of the orbit of g."""
+    kind = i % 3
+
+    def feature():
+        if kind == 0:
+            return rng.integers(-64, 65, size=n) / 16
+        if kind == 1:
+            return rng.normal(size=n)
+        return rng.integers(-22, 23, size=n) / 11
+
+    g = feature()
+    if i % 2:
+        R = float(np.abs(g)[rng.integers(n)])
+        f = np.clip(g, -R, R) + feature() * (rng.random(n) < 0.3) * (i % 4 == 1)
+    else:
+        f = feature()
+    mass_kind = (i // 3) % 3
+    if mass_kind == 0:
+        w = rng.dirichlet(np.ones(n))
+    elif mass_kind == 1:
+        w = np.full(n, 1.0 / n)
+    else:
+        denom = 11 * -(-n // 11)
+        cuts = np.sort(rng.choice(np.arange(1, denom), size=n - 1, replace=False))
+        w = np.diff(np.concatenate([[0], cuts, [denom]])) / denom
+    return f, g, w
+
+
+class TestClipOrbit:
+    def test_minimal_case(self):
+        # uncovered weight 1 - 1/3 rounds above the sum 1/3 + 1/3 here;
+        # R = 0 reaches 2/3
+        res = gk.dist_to_orbit([-1.0, -0.75, -0.5], [-0.75, 0.75, 0.75], gk.B_FAMILY,
+                               gk.ProbVector.uniform(3))
+        assert abs(res.value - 2.0 / 3.0) <= 1e-15
+        assert res.certified
+
+    def test_matches_exact_oracle(self):
+        # float rounding in the scored tail masses can put the value an
+        # ulp or two below the rational optimum, never more
+        rng = np.random.default_rng(67)
+        for i in range(240):
+            n = int(rng.integers(2, 13 if i % 8 == 0 else 8))
+            f, g, w = _clip_case(rng, i, n)
+            res = gk.dist_to_orbit(f, g, gk.B_FAMILY, gk.ProbVector(w))
+            exact = float(clip_orbit_oracle(f, g, w))
+            assert exact - 1e-15 <= res.value <= exact + 1e-12
+            assert res.certified
+
+    def test_sup_matches_enumeration(self):
+        rng = np.random.default_rng(71)
+        for i in range(150):
+            n = int(rng.integers(2, 41))
+            f, g, _ = _clip_case(rng, i, n)
+            res = gk.dist_to_orbit_sup(f, g, gk.B_FAMILY)
+            value, _ = sup_clip_orbit_enumeration(f, g)
+            if i % 3 == 0:
+                assert res.value == value  # dyadic: exact arithmetic on both sides
+            else:
+                assert abs(res.value - value) <= 1e-15
+            assert res.certified
 
 
 class TestCovering:
@@ -274,6 +355,15 @@ class TestCovering:
             res = gk.covering_number(X, eps)
             assert res.exact
             assert res.value == exact_cover_oracle(d < eps)
+
+    def test_lip1_is_not_exact(self):
+        # |g - 2| is 1-Lipschitz in g, so one orbit covers both rows, but
+        # the sampled lip1 orbit misses it: the count is only an upper bound
+        g = np.arange(5.0)
+        X = gk.validate_gds(range(5), [g, np.abs(g - 2.0)], gk.FamilyTag("lip1", 32), [0.2] * 5)
+        res = gk.covering_number(X, 0.1)
+        assert not res.exact
+        assert not gk.capacity(X.generators, 0.1, X.family, X.mu).exact
 
     def test_covering_transfer_under_small_dconc(self):
         # cov(X, eps) <= cov(Y, eps - 2 delta) when dconc(X, Y) < delta

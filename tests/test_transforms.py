@@ -184,6 +184,28 @@ class TestCheckDomination:
         verdict = check_domination(X, Y)
         assert verdict.note is not None
 
+    def test_lip1_miss_is_unknown(self):
+        # |x - 2| is 1-Lipschitz, so X dominates its quotient Y; the
+        # sampled lip1 orbit misses it, which proves nothing
+        g = np.arange(5.0)
+        X = gk.validate_gds(range(5), [g], gk.FamilyTag("lip1", 32), [0.2] * 5)
+        Y, _ = quotient(X, np.abs(g - 2.0)[None, :])
+        verdict = check_domination(X, Y)
+        assert verdict.status == "Unknown"
+        assert verdict.note is not None and verdict.certificate is not None
+
+    def test_clip_quotients_are_never_rejected(self):
+        # the quotient map by clipped generators is a domination, so a
+        # certified B orbit search must never report NotDominated
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            n = int(rng.integers(3, 8))
+            gens = rng.normal(size=(int(rng.integers(1, 3)), n))
+            X = gk.validate_gds(range(n), gens, gk.B_FAMILY, rng.dirichlet(np.ones(n)))
+            R = float(rng.uniform(0.0, np.abs(gens).max()))
+            Y, _ = quotient(X, gk.ClipMap.bound(R).apply(gens))
+            assert check_domination(X, Y).status != "NotDominated"
+
 
 class TestRounded:
     def test_rounding_merges(self):
