@@ -18,17 +18,24 @@ MASS_GUARD = 1e-12
 BLOCK_ENTRIES = 8192
 
 
-def row_blocks(body, n_rows: int, width: int):
-    """body(rows) over consecutive row slices, concatenated along rows.
-
-    Each slice holds about BLOCK_ENTRIES // width rows of `width`
-    entries (at least one row). `body` takes a slice and returns an
-    array, or a tuple of arrays, with one leading entry per row. Every
-    caller computes each row on its own, so the result is bit for bit
-    body(slice(0, n_rows)); zero rows make one call on an empty slice.
-    """
+def block_slices(n_rows: int, width: int) -> list[slice]:
+    """Consecutive row slices of about BLOCK_ENTRIES // width rows of
+    `width` entries each (at least one row); zero rows give one empty
+    slice."""
     step = max(1, BLOCK_ENTRIES // max(width, 1))
-    parts = [body(slice(i, i + step)) for i in range(0, n_rows or 1, step)]
+    return [slice(i, i + step) for i in range(0, n_rows or 1, step)]
+
+
+def row_blocks(body, n_rows: int, width: int):
+    """body(rows) over block_slices(n_rows, width), concatenated along
+    rows.
+
+    `body` takes a slice and returns an array, or a tuple of arrays,
+    with one leading entry per row. Every caller computes each row on
+    its own, so the result is bit for bit body(slice(0, n_rows)); zero
+    rows make one call on an empty slice.
+    """
+    parts = [body(rows) for rows in block_slices(n_rows, width)]
     if len(parts) == 1:
         return parts[0]
     if isinstance(parts[0], tuple):

@@ -19,11 +19,13 @@ pure function, so values can be shared freely across threads.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
+from ._kernels import BLOCK_ENTRIES, block_slices
 from .errors import (
     DimensionMismatch,
     IndistinctPoints,
@@ -101,7 +103,22 @@ B_FAMILY = FamilyTag("B")
 TB_FAMILY = FamilyTag("TB")
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
+def _readonly(arr) -> np.ndarray:
+    """A read-only float64 array.
+
+    A float64 ndarray that owns its memory and is already read-only is
+    returned as is, with no O(n^2) copy: it is taken as final, as
+    generate_space and the JSON reader build it, keeping no writable
+    view. Every other input is copied, read-only views included, since
+    their base may still be written.
+    """
+    if (
+        type(arr) is np.ndarray
+        and arr.dtype == np.float64
+        and arr.flags.owndata
+        and not arr.flags.writeable
+    ):
+        return arr
     arr = np.array(arr, dtype=float)
     arr.setflags(write=False)
     return arr
@@ -248,6 +265,11 @@ def _dataset(points, generators, family: FamilyTag, weights) -> FiniteGDS:
 def validate_gds(points, generators, family: FamilyTag, weights) -> FiniteGDS:
     """Build a FiniteGDS, checking dimensions, support, and separation.
 
+    A square generator matrix with an exactly zero diagonal and no other
+    zero (the rows of a distance matrix) separates its points without
+    the induced metric: point i is the only zero of generator i. Then
+    `X.metric` stays lazy; otherwise it is built here.
+
     Raises
     ------
     DimensionMismatch
@@ -259,13 +281,17 @@ def validate_gds(points, generators, family: FamilyTag, weights) -> FiniteGDS:
         fails positivity.
     """
     X = _dataset(points, generators, family, weights)
-    if X.n_points > 1:
-        zero = X.metric == 0.0
-        np.fill_diagonal(zero, False)
-        if zero.any():
-            # the metric is exactly symmetric, so the first zero in row
-            # order lies above the diagonal
-            i, j = np.argwhere(zero)[0]
+    gens, n = X.generators, X.n_points
+    if n > 1 and not (
+        gens.shape[0] == n
+        and not np.any(np.diagonal(gens))
+        and np.count_nonzero(gens) == n * n - n
+    ):
+        # the metric is exactly symmetric, so the first zero in row
+        # order lies above the diagonal
+        hit = _first_zero_off_diagonal(X.metric)
+        if hit:
+            i, j = hit
             raise IndistinctPoints(
                 f"points {X.point_ids[i]!r} and {X.point_ids[j]!r} agree on every generator"
             )
@@ -289,46 +315,117 @@ def induced_metric(X: FiniteGDS) -> np.ndarray:
     return d
 
 
+def _first_hit(n: int, mask):
+    """The first (i, j) in row order with mask(rows)[i - rows.start, j],
+    or None. `mask` maps a slice of rows of an n-by-n matrix to a
+    boolean block, so the scratch memory is one block."""
+    for rows in block_slices(n, n):
+        hit = mask(rows)
+        if hit.any():
+            i, j = np.argwhere(hit)[0]
+            return rows.start + int(i), int(j)
+    return None
+
+
+def _first_zero_off_diagonal(D: np.ndarray):
+    """The first (i, j), i != j, in row order with D[i, j] <= 0, or None."""
+
+    def mask(rows):
+        hit = D[rows] <= 0.0
+        diag = np.arange(D.shape[0])[rows]
+        hit[np.arange(diag.size), diag] = False
+        return hit
+
+    return _first_hit(D.shape[0], mask)
+
+
+def _exactly_symmetric(D: np.ndarray) -> bool:
+    return _first_hit(D.shape[0], lambda rows: D[rows] != D[:, rows].T) is None
+
+
+def _triangle_violation(D: np.ndarray, tol: float):
+    """Some (i, k, j) with D[i, j] - (D[i, k] + D[k, j]) > tol, or None.
+
+    A min-plus product over strips of rows times blocks of k. Rounding
+    is monotone, so fl(d - s) cannot grow with s, and the largest slack
+    of a pair (i, j) is fl(D[i, j] - min_k s_k) with s_k = fl(D[i, k] +
+    D[k, j]), the sum a loop over k would form: a violation exists
+    exactly when one strip entry's slack exceeds `tol`. A strip checks
+    only the columns j >= its first row: for D alone when D is exactly
+    symmetric (the pair (j, i) then has the same sums), otherwise for D
+    and D.T (whose pair (i, j) is D's pair (j, i)). The strip-by-block
+    sums hold about max(2 * BLOCK_ENTRIES, n^2 / 64) entries, at most
+    n^3.
+    """
+    n = D.shape[0]
+    cap = min(n**3, max(2 * BLOCK_ENTRIES, n * n // 64))
+    height = max(1, math.isqrt(cap // n))
+    pairs = ((False, D),) if _exactly_symmetric(D) else ((False, D), (True, D.T))
+    for transposed, M in pairs:
+        for a in range(0, n, height):
+            strip = M[a : a + height, a:]
+            r, m = strip.shape
+            depth = max(1, cap // (r * m))
+            sums = np.empty((r, depth, m))
+            part = np.empty((r, m))
+            least = np.full((r, m), np.inf)
+            for c in range(0, n, depth):
+                left = M[a : a + r, c : c + depth]
+                block = sums[:, : left.shape[1]]
+                np.add(left[:, :, None], M[c : c + depth, a:][None, :, :], out=block)
+                np.minimum(least, np.min(block, axis=1, out=part), out=least)
+            bad = np.subtract(strip, least, out=least) > tol
+            if bad.any():
+                i, j = np.argwhere(bad)[0] + a
+                k = int(np.argmax(M[i, j] - (M[i, :] + M[:, j]) > tol))
+                return (int(j), k, int(i)) if transposed else (int(i), k, int(j))
+    return None
+
+
 def check_metric(D: np.ndarray, tol: float = METRIC_TOL) -> np.ndarray:
     """Validate a distance matrix; returns it as a float array.
 
     Symmetry and the zero diagonal are required within `tol`, positivity
     off the diagonal exactly, and the triangle inequality within `tol`.
-    Raises NotAMetric identifying the violating pair or triple, and
-    ValidationError for a non-finite entry. The checks share one n-by-n
-    scratch buffer, so the scratch memory is n^2 doubles plus an n^2
-    boolean mask; the triangle check takes O(n^3) time.
+    Raises NotAMetric identifying a violating pair or triple, and
+    ValidationError for a non-finite entry. The checks run in that order
+    and by row blocks, so a matrix breaking several axioms reports the
+    same axiom as a whole-matrix check would, and each pair check
+    reports the first violating pair in row order. The triangle check
+    is a min-plus product in O(n^3) time (about half that for an exactly
+    symmetric matrix); it reports some violating triple, not
+    necessarily the first. The scratch memory is a few blocks, at most
+    about max(2 * BLOCK_ENTRIES, n^2 / 64) doubles, never a copy of D.
     """
     D = np.asarray(D, dtype=float)
     if D.ndim != 2 or D.shape[0] != D.shape[1]:
         raise NotAMetric("distance matrix must be square")
-    if not np.all(np.isfinite(D)):
-        i, j = np.argwhere(~np.isfinite(D))[0]
-        raise ValidationError(f"non-finite distance at {(int(i), int(j))}")
     n = D.shape[0]
+    hit = _first_hit(n, lambda rows: ~np.isfinite(D[rows]))
+    if hit:
+        raise ValidationError(f"non-finite distance at {hit}")
     if np.any(np.abs(np.diag(D)) > tol):
         i = int(np.argmax(np.abs(np.diag(D)) > tol))
         raise NotAMetric("nonzero diagonal", (i, i))
-    buf = np.empty_like(D)
-    asym = np.abs(np.subtract(D, D.T, out=buf), out=buf)
-    if np.any(asym > tol):
-        i, j = np.argwhere(asym > tol)[0]
-        raise NotAMetric("asymmetric entry", (int(i), int(j)))
-    if np.any(D < -tol):
-        i, j = np.argwhere(D < -tol)[0]
-        raise NotAMetric("negative distance", (int(i), int(j)))
-    if n > 1:
-        off = buf
-        np.copyto(off, D)
-        np.fill_diagonal(off, np.inf)
-        if np.any(off <= 0.0):
-            i, j = np.argwhere(off <= 0.0)[0]
-            raise NotAMetric("zero distance between distinct points", (int(i), int(j)))
-    for k in range(n):
-        slack = np.subtract(D, np.add(D[:, k, None], D[k, None, :], out=buf), out=buf)
-        if slack.max() > tol:
-            i, j = np.argwhere(slack > tol)[0]
-            raise NotAMetric("triangle inequality violated", (int(i), int(k), int(j)))
+
+    def asymmetric(rows):
+        gap = D[rows] - D[:, rows].T
+        return np.abs(gap, out=gap) > tol
+
+    hit = _first_hit(n, asymmetric)
+    if hit:
+        raise NotAMetric("asymmetric entry", hit)
+    hit = _first_hit(n, lambda rows: D[rows] < -tol)
+    if hit:
+        raise NotAMetric("negative distance", hit)
+    hit = _first_zero_off_diagonal(D)
+    if hit:
+        raise NotAMetric("zero distance between distinct points", hit)
+    # with the checks above passed, no pair (i, i) breaks the triangle
+    # inequality, so one point needs no triangle check
+    hit = _triangle_violation(D, tol) if n > 1 else None
+    if hit:
+        raise NotAMetric("triangle inequality violated", hit)
     return D
 
 
@@ -338,21 +435,24 @@ def embed_mm_space(
     """Embed a metric-measure space as a geometric data set.
 
     The generators are the rows of the distance matrix (one
-    distance-to-point feature per base point), held in one read-only
-    copy of D. Their induced metric max_y |d(x, y) - d(x', y)| equals
-    d(x, x') in exact arithmetic, attained at y = x. So when D is
-    exactly symmetric with an exactly zero diagonal, as every generated
-    recipe is, `X.metric` is that copy itself: it meets the triangle
+    distance-to-point feature per base point), held as one read-only
+    float64 array: D itself when it is an owned read-only float64 array
+    (as generate_space and the metric-form reader build it), otherwise a
+    copy. Their induced metric max_y |d(x, y) - d(x', y)| equals d(x, x')
+    in exact arithmetic, attained at y = x. So when D is exactly
+    symmetric with an exactly zero diagonal, as every generated recipe
+    is, `X.metric` is that array itself: it meets the triangle
     inequality within `tol` exactly when D does, its off-diagonal
     entries are positive as check_metric demands, and the embedding
-    makes one O(n^3) pass, check_metric's. A matrix that is symmetric
-    or zero on the diagonal only within `tol` keeps the induced metric
-    of its rows, with the separation check of validate_gds.
+    makes one O(n^3) pass, check_metric's, in block-sized scratch. A
+    matrix that is symmetric or zero on the diagonal only within `tol`
+    keeps the induced metric of its rows, with the separation check of
+    validate_gds.
     """
     D = check_metric(D, tol=tol)
     if point_ids is None:
         point_ids = tuple(range(D.shape[0]))
-    if np.any(np.diagonal(D)) or not np.array_equal(D, D.T):
+    if np.any(np.diagonal(D)) or not _exactly_symmetric(D):
         return validate_gds(point_ids, D, family, weights)
     X = _dataset(point_ids, D, family, weights)
     X.__dict__["metric"] = X.generators  # fills the cached property

@@ -26,7 +26,7 @@ from itertools import permutations
 
 import numpy as np
 
-from ._kernels import BLOCK_ENTRIES, linear_assignment, sorted_unique
+from ._kernels import block_slices, linear_assignment, sorted_unique
 from .core import FiniteGDS, ProbVector, pushforward
 from .errors import (
     ComputationError,
@@ -181,19 +181,25 @@ def _od_window_breakpoints(X: FiniteGDS) -> np.ndarray:
 
     A window [i..j] of a pushforward with mass prefix sums `prefix` has
     mass prefix[j + 1] - prefix[i]. Windows are taken in blocks of
-    about BLOCK_ENTRIES by their left end i, so the scratch memory is
-    one block plus the distinct masses found so far.
+    about BLOCK_ENTRIES by their left end i. Each block's distinct
+    masses wait until they are at least as many as the distinct masses
+    found so far; then one sort folds them all in. So every re-sort of
+    the found set is paid for by at least as many new values, and the
+    sorting work stays within a constant factor of sorting the blocks
+    alone. The scratch memory is one block plus a few times the set.
     """
-    found = np.empty(0)
+    found, waiting, count = np.empty(0), [], 0
     for row in X.generators:
         prefix = np.concatenate([[0.0], np.cumsum(pushforward(row, X.mu).masses)])
         n = prefix.size - 1
-        step = max(1, BLOCK_ENTRIES // n)
-        for start in range(0, n, step):
-            left = np.arange(start, min(start + step, n))[:, None]
+        for rows in block_slices(n, n):
+            left = np.arange(n)[rows, None]
             windows = prefix[None, 1:] - prefix[left]
-            found = sorted_unique(np.concatenate([found, windows[np.arange(n) >= left]]))
-    return found
+            waiting.append(sorted_unique(windows[np.arange(n) >= left]))
+            count += waiting[-1].size
+            if count >= found.size:
+                found, waiting, count = sorted_unique(np.concatenate([found, *waiting])), [], 0
+    return sorted_unique(np.concatenate([found, *waiting]))
 
 
 def _od_ext(X: FiniteGDS, kappa: float) -> float:

@@ -58,7 +58,10 @@ def _matrix(value, pointer):
     for i, row in enumerate(rows):
         if len(row) != width:
             raise SchemaError(f"{pointer}/{i}", "ragged matrix")
-    return np.array(rows, dtype=float)
+    # read-only and owned, so the data set keeps this array, not a copy
+    matrix = np.array(rows, dtype=float)
+    matrix.setflags(write=False)
+    return matrix
 
 
 def gds_from_obj(obj: dict) -> FiniteGDS:

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import row_blocks
+from ._kernels import block_slices
 from .core import FamilyTag, FiniteGDS, ProbVector, TB_FAMILY, embed_mm_space
 from .errors import TooLarge, ValidationError
 
@@ -88,9 +88,16 @@ class SpaceRecipe:
 
 
 def hamming_cube_matrix(k: int, normalize_by_k: bool) -> np.ndarray:
-    verts = np.arange(1 << k, dtype=np.uint64)
-    D = np.bitwise_count(verts[:, None] ^ verts[None, :]).astype(float)
-    return D / k if normalize_by_k else D
+    """Hamming distances of the 2^k cube vertices, filled by row blocks
+    so that the only n-by-n array is the result."""
+    n = 1 << k
+    verts = np.arange(n, dtype=np.uint64)
+    D = np.empty((n, n))
+    for rows in block_slices(n, n):
+        D[rows] = np.bitwise_count(verts[rows, None] ^ verts[None, :])
+    if normalize_by_k:
+        D /= k
+    return D
 
 
 def generate_space(recipe: SpaceRecipe, max_points: int = MAX_POINTS) -> FiniteGDS:
@@ -111,7 +118,9 @@ def generate_space(recipe: SpaceRecipe, max_points: int = MAX_POINTS) -> FiniteG
         if recipe.n > max_points:
             raise TooLarge(f"{recipe.n} points exceed the cap of {max_points}")
         idx = np.arange(recipe.n, dtype=float)
-        D = np.abs(idx[:, None] - idx[None, :]) * recipe.step
+        D = np.subtract.outer(idx, idx)
+        np.abs(D, out=D)
+        D *= recipe.step
     elif recipe.kind == "random_cloud":
         if recipe.seed is None:
             raise ValidationError("random_cloud requires a seed")
@@ -125,19 +134,21 @@ def generate_space(recipe: SpaceRecipe, max_points: int = MAX_POINTS) -> FiniteG
         if recipe.metric not in ("linf", "l2"):
             raise ValidationError(f"unknown cloud metric {recipe.metric!r}")
 
-        def distance_rows(rows):
-            # in row blocks: one (n, n, dim) difference tensor would hold
-            # dim times the matrix
+        # in row blocks: one (n, n, dim) difference tensor would hold dim
+        # times the matrix
+        D = np.empty((recipe.n, recipe.n))
+        zeros = 0
+        for rows in block_slices(recipe.n, pts.size):
             diff = pts[rows, None, :] - pts[None, :, :]
             if recipe.metric == "linf":
-                return np.abs(diff).max(axis=2)
-            return np.sqrt((diff**2).sum(axis=2))
-
-        D = row_blocks(distance_rows, recipe.n, pts.size)
+                np.abs(diff).max(axis=2, out=D[rows])
+            else:
+                np.sqrt((diff**2).sum(axis=2), out=D[rows])
+            zeros += np.count_nonzero(D[rows] == 0.0)
         # re-draw coincident points deterministically is overkill; reject
         # instead. The diagonal is exactly zero, so any further zero is a
         # coincident pair.
-        if np.count_nonzero(D == 0.0) > recipe.n:
+        if zeros > recipe.n:
             raise ValidationError("seed produced coincident points; pick another seed")
     elif recipe.kind == "file":
         from .serialize import parse_gds
@@ -150,4 +161,6 @@ def generate_space(recipe: SpaceRecipe, max_points: int = MAX_POINTS) -> FiniteG
         if recipe.weights is None
         else ProbVector(np.asarray(recipe.weights))
     )
+    # read-only and owned, so the data set keeps this array, not a copy
+    D.setflags(write=False)
     return embed_mm_space(D, weights, recipe.family)

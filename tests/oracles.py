@@ -13,7 +13,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 import gdskit as gk
-from gdskit.errors import ValidationError
+from gdskit.errors import NotAMetric, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -380,3 +380,41 @@ def od_window_breakpoints_loop(X):
 def hausdorff_full_scan(scores_fwd, scores_bwd):
     """max(max_a min_b fwd[a, b], max_b min_a bwd[b, a]) over whole tables."""
     return max(float(scores_fwd.min(axis=1).max()), float(scores_bwd.min(axis=1).max()))
+
+
+def check_metric_reference(D, tol=1e-9):
+    """gdskit.core.check_metric as a whole-matrix check: the same axioms
+    in the same order, with one n-by-n scratch buffer and one triangle
+    pass per k, reporting the first violating triple in (k, i, j)
+    order."""
+    D = np.asarray(D, dtype=float)
+    if D.ndim != 2 or D.shape[0] != D.shape[1]:
+        raise NotAMetric("distance matrix must be square")
+    if not np.all(np.isfinite(D)):
+        i, j = np.argwhere(~np.isfinite(D))[0]
+        raise ValidationError(f"non-finite distance at {(int(i), int(j))}")
+    n = D.shape[0]
+    if np.any(np.abs(np.diag(D)) > tol):
+        i = int(np.argmax(np.abs(np.diag(D)) > tol))
+        raise NotAMetric("nonzero diagonal", (i, i))
+    buf = np.empty_like(D)
+    asym = np.abs(np.subtract(D, D.T, out=buf), out=buf)
+    if np.any(asym > tol):
+        i, j = np.argwhere(asym > tol)[0]
+        raise NotAMetric("asymmetric entry", (int(i), int(j)))
+    if np.any(D < -tol):
+        i, j = np.argwhere(D < -tol)[0]
+        raise NotAMetric("negative distance", (int(i), int(j)))
+    if n > 1:
+        off = buf
+        np.copyto(off, D)
+        np.fill_diagonal(off, np.inf)
+        if np.any(off <= 0.0):
+            i, j = np.argwhere(off <= 0.0)[0]
+            raise NotAMetric("zero distance between distinct points", (int(i), int(j)))
+    for k in range(n):
+        slack = np.subtract(D, np.add(D[:, k, None], D[k, None, :], out=buf), out=buf)
+        if slack.max() > tol:
+            i, j = np.argwhere(slack > tol)[0]
+            raise NotAMetric("triangle inequality violated", (int(i), int(k), int(j)))
+    return D

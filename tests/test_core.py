@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gdskit as gk
-from gdskit.core import check_metric
+from gdskit.core import METRIC_TOL, check_metric
 from gdskit.errors import (
     DimensionMismatch,
     IndistinctPoints,
@@ -14,7 +14,13 @@ from gdskit.errors import (
     ValidationError,
     ZeroWeight,
 )
-from oracles import binomial_profile, dyadic_gds, dyadic_metric, random_clip
+from oracles import (
+    binomial_profile,
+    check_metric_reference,
+    dyadic_gds,
+    dyadic_metric,
+    random_clip,
+)
 
 
 class TestValidateGds:
@@ -173,6 +179,27 @@ class TestEmbedMmSpace:
         X = gk.embed_mm_space(D, gk.ProbVector.uniform(3))
         D[0, 2] = D[2, 0] = 7.0
         assert X.metric[0, 2] == 1.0
+        assert X.generators[0, 2] == 1.0
+
+    def test_shares_an_owned_read_only_matrix(self):
+        D = np.array([[0.0, 0.5, 1.0], [0.5, 0.0, 0.5], [1.0, 0.5, 0.0]])
+        D.setflags(write=False)
+        X = gk.embed_mm_space(D, gk.ProbVector.uniform(3))
+        assert X.generators is D and X.metric is D
+
+    def test_copies_read_only_views_and_other_dtypes(self):
+        # a read-only view can still change through its writable base
+        base = np.array([[0.0, 0.5, 1.0], [0.5, 0.0, 0.5], [1.0, 0.5, 0.0]])
+        view = base[:]
+        view.setflags(write=False)
+        single = base.astype(np.float32)
+        single.setflags(write=False)
+        for D in (view, single):
+            X = gk.embed_mm_space(D, gk.ProbVector.uniform(3))
+            assert not np.shares_memory(X.generators, base)
+            assert not np.shares_memory(X.generators, single)
+        base[0, 2] = base[2, 0] = 7.0
+        assert X.metric[0, 2] == 1.0
 
     def test_symmetric_within_tol_gets_induced_metric(self):
         D = np.array([[0.0, 1.0, 2.0], [1.0 + 1e-12, 0.0, 1.0], [2.0, 1.0, 1e-12]])
@@ -192,9 +219,9 @@ class TestEmbedMmSpace:
         finally:
             tracemalloc.stop()
         assert np.array_equal(X.metric, D)
-        # the read-only copy (n^2) plus at most check_metric's scratch;
-        # an induced metric built beside the copy would pass 3 n^2
-        assert peak <= 1.5 * 8 * n * n
+        # the read-only copy (n^2) plus check_metric's block scratch; an
+        # induced metric built beside the copy would pass 2 n^2
+        assert peak <= 1.25 * 8 * n * n
 
     def test_asymmetric_rejected(self):
         with pytest.raises(NotAMetric):
@@ -203,6 +230,138 @@ class TestEmbedMmSpace:
     def test_zero_off_diagonal_rejected(self):
         with pytest.raises(NotAMetric):
             gk.embed_mm_space([[0.0, 0.0], [0.0, 0.0]], [0.5, 0.5])
+
+
+def _metric_cases(rng, n):
+    """Valid metrics and matrices that break one axiom, or several."""
+    tol = METRIC_TOL
+    pts = rng.normal(size=(n, 3))
+    # exactly symmetric, with rounding-level slack in the triangles
+    valid = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+    noise = rng.uniform(-tol / 4, tol / 4, size=(n, n))
+    np.fill_diagonal(noise, 0.0)
+    cases = {"valid": valid, "dyadic": dyadic_metric(rng, n), "tol-asymmetric": valid + noise}
+    i = int(rng.integers(n))
+    cases["diagonal"] = valid.copy()
+    cases["diagonal"][i, i] = 2 * tol
+    for bad in (np.nan, np.inf, -np.inf):
+        cases[f"non-finite {bad}"] = valid.copy()
+        cases[f"non-finite {bad}"][i, int(rng.integers(n))] = bad
+    if n > 1:
+        i, j = rng.choice(n, size=2, replace=False)
+        shortest = np.min(valid[i, :] + valid[:, j])
+        for name, value in (
+            ("zero", 0.0),
+            ("negative", -2 * tol),
+            ("negative within tol", -tol / 2),
+            ("long", 3 * valid[i, j] + 1),
+            # slack at tol and one ulp either side, rounded as the
+            # reference rounds it
+            ("tight-", np.nextafter(shortest + tol, 0.0)),
+            ("tight", shortest + tol),
+            ("tight+", np.nextafter(shortest + tol, np.inf)),
+        ):
+            for base, label in ((valid, name), (cases["tol-asymmetric"], f"{name}, tol-asymmetric")):
+                cases[label] = base.copy()
+                cases[label][i, j] = cases[label][j, i] = value
+        cases["asymmetric"] = valid.copy()
+        cases["asymmetric"][i, j] += 2 * tol
+        # several faults at once: the first axiom in check order wins
+        cases["zero and long"] = cases["long"].copy()
+        cases["zero and long"][j, i] = cases["zero and long"][i, j] = 0.0
+        cases["zero and long"][i, i] = 2 * tol
+    if n > 2:
+        # a path metric, tight everywhere, broken only below the diagonal
+        # and within tol of symmetric: only the transposed strips see it
+        path = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+        lo, mid, hi = np.sort(rng.choice(n, size=3, replace=False))
+        path[hi, lo] += 0.9 * tol
+        path[hi, mid] -= 0.9 * tol
+        cases["lower triangle"] = path
+    return cases
+
+
+def _violates(D, reason, idx, tol=METRIC_TOL):
+    if reason == "triangle inequality violated":
+        i, k, j = idx
+        return D[i, j] - (D[i, k] + D[k, j]) > tol
+    i, j = idx
+    return {
+        "nonzero diagonal": i == j and abs(D[i, i]) > tol,
+        "asymmetric entry": abs(D[i, j] - D[j, i]) > tol,
+        "negative distance": D[i, j] < -tol,
+        "zero distance between distinct points": i != j and D[i, j] <= 0.0,
+    }[reason]
+
+
+def _outcome(check, D):
+    try:
+        return check(D)
+    except (ValidationError, NotAMetric) as exc:
+        return exc
+
+
+class TestCheckMetric:
+    """check_metric against the whole-matrix reference it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 64, 200])
+    def test_matches_reference(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(3):
+            for label, D in _metric_cases(rng, n).items():
+                expected = _outcome(check_metric_reference, D)
+                got = _outcome(check_metric, D)
+                assert type(got) is type(expected), label
+                if isinstance(expected, np.ndarray):
+                    assert got is D, label
+                elif isinstance(expected, NotAMetric):
+                    assert got.reason == expected.reason, label
+                    assert _violates(D, got.reason, got.indices), label
+                    if got.reason != "triangle inequality violated":
+                        # pair checks report the first pair in row order
+                        assert got.indices == expected.indices, label
+                else:
+                    assert str(got) == str(expected), label
+
+    def test_lower_triangle_violation_is_found(self):
+        # the broken pair (60, 1) lies left of the columns that row 60's
+        # strip of D checks, so only a strip of D.T reaches it
+        n = 64
+        D = np.abs(np.subtract.outer(np.arange(n), np.arange(n))).astype(float)
+        D[60, 1] += 0.9 * METRIC_TOL
+        D[60, 30] -= 0.9 * METRIC_TOL
+        with pytest.raises(NotAMetric) as err:
+            check_metric(D)
+        assert err.value.reason == "triangle inequality violated"
+        i, k, j = err.value.indices
+        assert i > j and _violates(D, err.value.reason, (i, k, j))
+
+    def test_slack_of_exactly_tol_passes(self):
+        # fl(2 tol - (tol / 2 + tol / 2)) is tol exactly; one ulp more fails
+        t = METRIC_TOL
+        for far, ok in ((2 * t, True), (np.nextafter(2 * t, 1.0), False)):
+            D = np.array([[0.0, t / 2, far], [t / 2, 0.0, t / 2], [far, t / 2, 0.0]])
+            assert isinstance(_outcome(check_metric_reference, D), np.ndarray) == ok
+            assert isinstance(_outcome(check_metric, D), np.ndarray) == ok
+
+    def test_not_square(self):
+        for D in (np.zeros((2, 3)), np.zeros(3)):
+            with pytest.raises(NotAMetric, match="square"):
+                check_metric(D)
+
+    def test_scratch_is_a_fraction_of_the_matrix(self):
+        n = 512
+        pts = np.random.default_rng(23).normal(size=(n, 3))
+        D = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        check_metric(D[:8, :8])
+        tracemalloc.start()
+        try:
+            check_metric(D)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole-matrix check held an n^2 buffer and an n^2 mask
+        assert peak <= 0.25 * 8 * n * n
 
 
 class TestPushforward:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gdskit as gk
-from gdskit import distances
+from gdskit import _kernels, distances
 from gdskit._kernels import linear_assignment
 from gdskit.distances import (
     Bracket,
@@ -127,6 +127,12 @@ class TestWindowBreakpoints:
             gens = rng.integers(0, 6, size=(int(rng.integers(1, 4)), n)).astype(float)
             gens[0] = np.arange(n)  # points stay distinct
             self.assert_loop(gk.validate_gds(range(n), gens, gk.ID_FAMILY, w))
+
+    def test_merges_across_blocks(self, monkeypatch):
+        # small blocks merge many partial sets into the sorted one
+        for block in (1, 7, 64):
+            monkeypatch.setattr(_kernels, "BLOCK_ENTRIES", block)
+            self.test_non_dyadic_masses()
 
     def test_benchmark_spaces(self):
         for text in (

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import gdskit as gk
-from gdskit.errors import SchemaError, TooLarge, ValidationError
+from gdskit.errors import IndistinctPoints, SchemaError, TooLarge, ValidationError
 from gdskit.serialize import gds_from_obj, gds_to_obj, parse_gds, serialize_gds
 from gdskit.spaces import SpaceRecipe, generate_space, hamming_cube_matrix
 
@@ -50,6 +50,23 @@ class TestRecipes:
         finally:
             tracemalloc.stop()
         assert peak <= 6 * n * n * 8
+
+    @pytest.mark.parametrize(
+        "text", ["random_cloud:512:4:l2:7", "random_cloud:512:4:linf:7", "path:512:0.5", "hamming_cube:9"]
+    )
+    def test_holds_one_matrix(self, text):
+        # the data set keeps the matrix that the recipe filled; building
+        # it in parts, copying it or an n^2 check buffer would pass 2 n^2
+        generate_space(SpaceRecipe.parse(text.replace("512", "8").replace(":9", ":3")))
+        tracemalloc.start()
+        try:
+            X = generate_space(SpaceRecipe.parse(text))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n = X.n_points
+        assert n == 512
+        assert peak <= 1.25 * 8 * n * n
 
     def test_too_large(self):
         with pytest.raises(TooLarge):
@@ -107,6 +124,28 @@ class TestSerialization:
         with pytest.raises(SchemaError) as err:
             gds_from_obj(obj)
         assert err.value.pointer == "/weights"
+
+    def test_generated_file_parses_without_induced_metric(self, tmp_path, monkeypatch):
+        from gdskit import core
+
+        X = generate_space(SpaceRecipe.parse("hamming_cube:5"))
+        path = str(tmp_path / "cube.json")
+        serialize_gds(X, path)
+
+        def no_induced_metric(X):
+            raise AssertionError("induced_metric called")
+
+        # a square generator matrix, zero only on its diagonal, separates
+        # its points without the metric
+        with monkeypatch.context() as m:
+            m.setattr(core, "induced_metric", no_induced_metric)
+            Y = parse_gds(path)
+        assert np.array_equal(Y.metric, X.metric)
+
+    def test_square_generators_with_other_zeros_are_checked(self):
+        gens = [[0.0, 0.0, 5.0], [0.0, 0.0, 5.0], [1.0, 1.0, 0.0]]
+        with pytest.raises(IndistinctPoints):
+            gk.validate_gds(range(3), gens, gk.TB_FAMILY, [0.25, 0.25, 0.5])
 
     def test_distance_matrix_form_matches_embed(self):
         D = hamming_cube_matrix(2, True)
