@@ -86,8 +86,6 @@ def _tol(args) -> float:
 
 def _search_config(args) -> SearchConfig:
     kwargs = {"tol": _tol(args)}
-    if getattr(args, "kappa_grid", None):
-        kwargs["kappa_grid"] = args.kappa_grid
     if getattr(args, "seed", None) is not None:
         kwargs["seed"] = args.seed
     if getattr(args, "budget", None) is not None:
@@ -351,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("dconc", cmd_dconc), ("box", cmd_box)):
         p = sub.add_parser(name, help=f"{name} bracket between two data sets")
         common(p, files=2)
-        p.add_argument("--kappa-grid", type=_kappa_grid, default=None, metavar="A:B:STEP")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--budget", type=int, default=None)
         p.set_defaults(func=fn)
@@ -360,7 +357,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} series bracket")
         common(p, files=2)
         p.add_argument("--levels", type=int, default=2)
-        p.add_argument("--kappa-grid", type=_kappa_grid, default=None, metavar="A:B:STEP")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--budget", type=int, default=None)
         p.set_defaults(func=fn)

@@ -202,9 +202,15 @@ def pushforward(values, mu: ProbVector) -> DiscreteMeasureR:
     vals = np.asarray(values, dtype=float) + 0.0
     if vals.ndim != 1 or vals.size != len(mu):
         raise DimensionMismatch("value list length must match the weight vector")
-    uniq, inverse = np.unique(vals, return_inverse=True)
-    sums = np.bincount(inverse, weights=mu.weights, minlength=uniq.size)
-    return DiscreteMeasureR(uniq, sums)
+    return DiscreteMeasureR(*merge_atoms(vals, mu.weights))
+
+
+def merge_atoms(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The atoms of pushforward as arrays, without its checks: the sorted
+    distinct values of a 1-d float array with no negative zeros, and the
+    summed weights of each."""
+    uniq, inverse = np.unique(values, return_inverse=True)
+    return uniq, np.bincount(inverse, weights=weights, minlength=uniq.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,6 +257,14 @@ class FiniteGDS:
         d = induced_metric(self)
         d.setflags(write=False)
         return d
+
+    @cached_property
+    def od_steps(self):
+        """The observable diameter as a step function of kappa
+        (obsdiam.OdSteps), built on first use."""
+        from .obsdiam import OdSteps  # obsdiam imports this module
+
+        return OdSteps.build(self)
 
     @property
     def diameter(self) -> float:

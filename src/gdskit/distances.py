@@ -9,8 +9,11 @@ is not tractable exactly; every reported value is therefore a Bracket:
 * the lower bound is certified through the observable-diameter
   transfer inequality: whenever od(X; -(kappa + delta)) exceeds
   od(Y; -kappa) + 2 delta in either direction, delta cannot exceed the
-  observable distance. Since the observable distance never exceeds the
-  box distance, the same bound certifies box brackets.
+  observable distance. The bound is the exact supremum over all kappa:
+  it is taken at a jump of either od step function or in the limit
+  kappa -> 0+, and the lower witness names that kappa and its delta.
+  Since the observable distance never exceeds the box distance, the
+  same bound certifies box brackets.
 
 The minimum over the coupling polytope is not known to be attained at
 the candidates searched here, so upper bounds are never claimed exact;
@@ -27,7 +30,7 @@ from itertools import permutations
 import numpy as np
 
 from ._kernels import block_slices, linear_assignment, sorted_unique
-from .core import FiniteGDS, ProbVector, pushforward
+from .core import FiniteGDS, ProbVector
 from .errors import (
     ComputationError,
     EmptySupport,
@@ -36,7 +39,6 @@ from .errors import (
     ValidationError,
 )
 from .families import dist_to_orbit, dist_to_orbit_sup
-from .obsdiam import observable_diameter
 
 MARGINAL_TOL = 1e-9
 
@@ -97,7 +99,6 @@ class SearchConfig:
 
     coupling_candidates: int = 8
     local_search_steps: int = 40
-    kappa_grid: tuple = (0.01, 0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45)
     seed: int = 0
     tol: float = 1e-9
     level_budget: int = 8
@@ -108,8 +109,6 @@ class SearchConfig:
             raise ValidationError("search budgets must be positive")
         if self.level_budget < 1:
             raise ValidationError("level budget must be positive")
-        if not self.kappa_grid or any(not (0.0 < k < 1.0) for k in self.kappa_grid):
-            raise InvalidKappa("kappa grid must lie inside (0, 1)")
 
 
 def _coupling_support(pi: np.ndarray):
@@ -174,77 +173,88 @@ def _hausdorff(fx, gy, forward, backward, cutoff=math.inf) -> float:
     return best
 
 
-def _od_window_breakpoints(X: FiniteGDS) -> np.ndarray:
-    """All support-window masses of the generator pushforwards, sorted
-    and distinct; the observable diameter is a step function of kappa
-    with jumps only at 1 - mass for these values.
+class OdLowerBound(float):
+    """A certified lower bound on the observable distance that names its
+    witness: the transfer inequalities at `kappa` rule out every smaller
+    delta. kappa = 0.0 stands for the limit kappa -> 0+."""
 
-    A window [i..j] of a pushforward with mass prefix sums `prefix` has
-    mass prefix[j + 1] - prefix[i]. Windows are taken in blocks of
-    about BLOCK_ENTRIES by their left end i. Each block's distinct
-    masses wait until they are at least as many as the distinct masses
-    found so far; then one sort folds them all in. So every re-sort of
-    the found set is paid for by at least as many new values, and the
-    sorting work stays within a constant factor of sorting the blocks
-    alone. The scratch memory is one block plus a few times the set.
+    kappa: float = 0.0
+
+    def describe(self) -> str:
+        if self == 0.0:
+            return "od transfer: no kappa rules out a positive delta"
+        at = "kappa -> 0+" if self.kappa == 0.0 else f"kappa={self.kappa!r}"
+        return f"od transfer at {at}: delta={float(self)!r}"
+
+
+def _delta_stars(sx, sy, kappas: np.ndarray) -> np.ndarray:
+    """Smallest delta satisfying both od transfer inequalities, at each
+    kappa, for the od step functions sx and sy.
+
+    od(kappa + delta) only changes where kappa + delta = 1 - m for a
+    jump mass m of either space, so the candidates are 0, 1 - kappa
+    (where od is 0), and the deltas (1 - m) - kappa between them, for the
+    jump masses and their `near` renderings: with MASS_GUARD, od takes a
+    jump's value from the delta of the largest rendering on. Between two
+    neighbouring candidates both od values are constant, and the least
+    delta there is a crossing of the inequalities or the left end.
+    Deltas outside the range are clamped onto its ends: a repeated
+    candidate never wins before its last copy, so repeats change
+    nothing. Kappas are scanned in blocks of about BLOCK_ENTRIES
+    candidates.
     """
-    found, waiting, count = np.empty(0), [], 0
-    for row in X.generators:
-        prefix = np.concatenate([[0.0], np.cumsum(pushforward(row, X.mu).masses)])
-        n = prefix.size - 1
-        for rows in block_slices(n, n):
-            left = np.arange(n)[rows, None]
-            windows = prefix[None, 1:] - prefix[left]
-            waiting.append(sorted_unique(windows[np.arange(n) >= left]))
-            count += waiting[-1].size
-            if count >= found.size:
-                found, waiting, count = sorted_unique(np.concatenate([found, *waiting])), [], 0
-    return sorted_unique(np.concatenate([found, *waiting]))
+    ends = sorted_unique(1.0 - np.concatenate([sx.masses, sx.near, sy.masses, sy.near]))
+    out = np.empty(kappas.size)
+    for rows in block_slices(kappas.size, ends.size + 2):
+        k = kappas[rows, None]
+        top = 1.0 - k
+        points = np.concatenate([np.zeros_like(k), np.clip(ends - k, 0.0, top), top], axis=1)
+        od_x, od_y = sx(k), sy(k)
+        vx, vy = sx(k + points), sy(k + points)
+        ok = (vx <= od_y + 2 * points) & (vy <= od_x + 2 * points)
+        crossing = np.maximum(np.maximum((vx - od_y) / 2.0, (vy - od_x) / 2.0), points)
+        nxt = np.concatenate([points[:, 1:], np.full_like(k, np.inf)], axis=1)
+        first = np.argmax(ok | (crossing < nxt), axis=1)
+        at = (np.arange(first.size), first)
+        out[rows] = np.where(ok[at], points[at], crossing[at])
+    return out
 
 
-def _od_ext(X: FiniteGDS, kappa: float) -> float:
-    if kappa >= 1.0:
-        return 0.0
-    return observable_diameter(X, kappa)
+def _jump_kappas(sx, sy) -> np.ndarray:
+    """0 (the limit kappa -> 0+), then every kappa in (0, 1) where the
+    od of either space jumps."""
+    jumps = 1.0 - np.concatenate([sx.masses, sy.masses])
+    return np.concatenate([[0.0], sorted_unique(jumps[(jumps > 0.0) & (jumps < 1.0)])])
 
 
-def _delta_star(X, Y, kappa, bp_masses_x, bp_masses_y) -> float:
-    """Smallest delta satisfying both od transfer inequalities at kappa."""
-    od_x = _od_ext(X, kappa)
-    od_y = _od_ext(Y, kappa)
-    deltas = {0.0, 1.0 - kappa}
-    for m in np.concatenate([bp_masses_x, bp_masses_y]):
-        d = (1.0 - float(m)) - kappa
-        if 0.0 < d < 1.0 - kappa:
-            deltas.add(d)
-    points = sorted(deltas)
-    for idx, b in enumerate(points):
-        vx = _od_ext(X, kappa + b)
-        vy = _od_ext(Y, kappa + b)
-        if vx <= od_y + 2 * b and vy <= od_x + 2 * b:
-            return b
-        crossing = max((vx - od_y) / 2.0, (vy - od_x) / 2.0, b)
-        nxt = points[idx + 1] if idx + 1 < len(points) else math.inf
-        if crossing < nxt:
-            return crossing
-    return points[-1]
-
-
-def dconc_lower_via_od(X: FiniteGDS, Y: FiniteGDS, kappa_grid) -> float:
+def dconc_lower_via_od(X: FiniteGDS, Y: FiniteGDS, kappas=None) -> OdLowerBound:
     """Certified lower bound on the observable distance.
 
-    For each grid kappa, computes the smallest delta satisfying both
+    For a kappa, every delta below the smallest one satisfying both
     transfer inequalities od(.; -(kappa + delta)) <= od(.; -kappa) +
-    2 delta; every smaller delta violates one of them and therefore
-    cannot exceed the observable distance. Returns the best kappa.
-    Returns 0 when no grid point yields a positive bound.
+    2 delta cannot exceed the observable distance; so that smallest
+    delta is a lower bound, and so is the best over any set of kappas.
+
+    With no `kappas`, the bound is exact over all kappa in (0, 1): where
+    both od values are constant the smallest delta does not grow with
+    kappa, since t - od(t) / 2 increases in t, so the supremum is taken
+    at a jump kappa = 1 - m of either od or in the limit kappa -> 0+.
+    Each od comes from the data set's step function (`FiniteGDS.od_steps`).
+    Given `kappas`, the best over those alone. Returns 0 when no kappa
+    yields a positive bound.
     """
-    kappa_grid = [float(k) for k in kappa_grid]
-    if not kappa_grid or any(not (0.0 < k < 1.0) for k in kappa_grid):
-        raise InvalidKappa("kappa grid must be nonempty inside (0, 1)")
-    bx = _od_window_breakpoints(X)
-    by = _od_window_breakpoints(Y)
-    return max(0.0, max(_delta_star(X, Y, k, bx, by) for k in kappa_grid))
+    sx, sy = X.od_steps, Y.od_steps
+    if kappas is None:
+        kappas = _jump_kappas(sx, sy)
+    else:
+        kappas = np.array([float(k) for k in kappas])
+        if not kappas.size or np.any(~((kappas > 0.0) & (kappas < 1.0))):
+            raise InvalidKappa("kappa grid must be nonempty inside (0, 1)")
+    deltas = _delta_stars(sx, sy, kappas)
+    best = int(np.argmax(deltas))
+    bound = OdLowerBound(max(0.0, float(deltas[best])))
+    bound.kappa = float(kappas[best])
+    return bound
 
 
 def _canon_key(X: FiniteGDS):
@@ -420,11 +430,11 @@ def dconc_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None
         )
         if improved < best_val:
             best_val, best_name = improved, name
-    lower = dconc_lower_via_od(X, Y, cfg.kappa_grid)
+    lower = dconc_lower_via_od(X, Y)
     return Bracket(
-        lower=lower,
+        lower=float(lower),
         upper=best_val,
-        lower_witness=f"od transfer on kappa grid of {len(cfg.kappa_grid)}",
+        lower_witness=lower.describe(),
         upper_witness=f"coupling {best_name} after local search",
     )
 
@@ -535,10 +545,10 @@ def box_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None) 
             v = _box_value(X, Y, pi, keep, cfg.tol, best_val)
             if v < best_val:
                 best_val, best_desc = v, f"coupling {name}, {len(keep)} pairs kept"
-    lower = dconc_lower_via_od(X, Y, cfg.kappa_grid)
+    lower = dconc_lower_via_od(X, Y)
     return Bracket(
-        lower=lower,
+        lower=float(lower),
         upper=best_val,
-        lower_witness="od transfer (observable distance lower-bounds box)",
+        lower_witness=f"{lower.describe()} (observable distance lower-bounds box)",
         upper_witness=best_desc,
     )

@@ -10,7 +10,7 @@ An (N, R)-measurement is the quotient by at most N generator rows, each
 clipped into [-R, R]. Domination search enumerates measure-compatible
 point maps with mass pruning and tests pulled-back features against the
 source family orbits; `Unknown` is a first-class outcome when the
-search budget runs out.
+search budget runs out or a rejection is not certified.
 """
 from __future__ import annotations
 
@@ -152,47 +152,73 @@ class DominationVerdict:
     Dominates verdict carries the witness point map; NotDominated
     carries a certificate describing the best failed candidate. For
     sampled lip1 families orbit membership is only sample-certified,
-    which the note records.
+    which the note records. `steps` counts the partial point maps the
+    search made.
     """
 
     status: str
     witness_map: tuple[int, ...] | None = None
     certificate: str | None = None
     note: str | None = None
+    steps: int = 0
 
 
-def _mass_compatible_maps(x_masses, y_masses, budget):
-    """Yield complete maps X -> Y whose preimage masses match Y's; stops
-    after `budget` complete maps and reports whether it finished."""
-    nx_, ny_ = len(x_masses), len(y_masses)
-    maps: list[tuple[int, ...]] = []
-    assign = [0] * nx_
-    remaining = np.array(y_masses, dtype=float)
-    truncated = False
+class _MapSearch:
+    """The maps X -> Y whose preimage masses match Y's, in lexicographic
+    order.
 
-    def rec(i):
-        nonlocal truncated
-        if truncated:
-            return
-        if i == nx_:
-            if np.all(np.abs(remaining) <= MASS_MATCH_TOL):
-                if len(maps) >= budget:
-                    truncated = True
-                    return
-                maps.append(tuple(assign))
-            return
-        for y in range(ny_):
-            if remaining[y] >= x_masses[i] - MASS_MATCH_TOL:
-                remaining[y] -= x_masses[i]
-                assign[i] = y
-                rec(i + 1)
-                remaining[y] += x_masses[i]
-                if truncated:
-                    return
-        return
+    A depth-first search assigns X's points in index order, each to the
+    first Y point whose remaining mass still fits, and backtracks.
+    Assigning one point is one step; iteration stops once `budget`
+    steps are spent and sets `exhausted`. `steps` counts the steps made.
+    """
 
-    rec(0)
-    return maps, not truncated
+    def __init__(self, x_masses, y_masses, budget: int):
+        self.x_masses = [float(m) for m in x_masses]
+        self.y_masses = [float(m) for m in y_masses]
+        self.budget = budget
+        self.steps = 0
+        self.exhausted = False
+
+    def __iter__(self):
+        xm, remaining = self.x_masses, list(self.y_masses)
+        assign = [-1] * len(xm)
+        i = 0
+        while i >= 0:
+            y = assign[i]
+            if y >= 0:
+                remaining[y] += xm[i]
+            y += 1
+            while y < len(remaining) and remaining[y] < xm[i] - MASS_MATCH_TOL:
+                y += 1
+            if y == len(remaining):
+                assign[i] = -1
+                i -= 1
+                continue
+            if self.steps == self.budget:
+                self.exhausted = True
+                return
+            self.steps += 1
+            remaining[y] -= xm[i]
+            assign[i] = y
+            if i + 1 < len(xm):
+                i += 1
+            elif all(abs(r) <= MASS_MATCH_TOL for r in remaining):
+                yield tuple(assign)
+
+
+def _beyond_lipschitz(f, g, masses, tol: float) -> bool:
+    """Whether the Ky Fan distance from f to every orbit of g under
+    1-Lipschitz maps certainly exceeds tol.
+
+    With every point mass above tol, a distance within tol puts each
+    f_i within tol of p(g_i) for one 1-Lipschitz p, so no pair may have
+    |f_i - f_j| > |g_i - g_j| + 2 tol.
+    """
+    if masses.min() <= tol:
+        return False
+    stretch = np.abs(f[:, None] - f[None, :]) - np.abs(g[:, None] - g[None, :])
+    return bool(stretch.max() > 2.0 * tol)
 
 
 def check_domination(
@@ -202,40 +228,50 @@ def check_domination(
     into X's family orbits)?
 
     Point maps are enumerated in canonical order with mass pruning, so
-    the reported witness is schedule-independent. Every pulled-back
-    Y-generator must sit within `tol` of some X-generator orbit. With
-    more candidate maps than `budget` the verdict is Unknown, with the
-    best candidate seen recorded in the certificate.
+    the reported witness is schedule-independent, and each is scored as
+    soon as it is found, so a Dominates verdict stops at its witness.
+    Every pulled-back Y-generator must sit within `tol` of some
+    X-generator orbit. `budget` bounds the search steps: each
+    assignment of one point to a Y point counts one. When the budget
+    runs out first the verdict is Unknown, with the best candidate seen
+    recorded in the certificate.
+
+    NotDominated needs every candidate map rejected on a certificate:
+    some Y-generator whose orbit distances all exceed tol, each one
+    certified exact or proven by a pair of points that no 1-Lipschitz
+    map can bring within tol. Otherwise the verdict is Unknown.
     """
-    maps, complete = _mass_compatible_maps(X.masses, Y.masses, budget)
+    search = _MapSearch(X.masses, Y.masses, budget)
     note = None
     if X.family.kind == "lip1":
         note = "orbit membership sample-certified only (lip1 family)"
-    best_score, best_map = math.inf, None
-    for cand in maps:
+    best_score, best_map, unproven = math.inf, None, False
+    for cand in search:
         cand_arr = np.asarray(cand)
-        worst = 0.0
+        worst, proven = 0.0, False
         for grow in Y.generators:
             pulled = grow[cand_arr]
-            dist = min(
-                dist_to_orbit(pulled, xrow, X.family, X.mu, tol).value
-                for xrow in X.generators
-            )
+            results = [
+                dist_to_orbit(pulled, xrow, X.family, X.mu, tol) for xrow in X.generators
+            ]
+            dist = min(r.value for r in results)
             worst = max(worst, dist)
-            if worst > tol and worst >= best_score:
+            proven = proven or (dist > tol and all(
+                r.certified or _beyond_lipschitz(pulled, xrow, X.masses, tol)
+                for r, xrow in zip(results, X.generators)
+            ))
+            if proven and worst >= best_score:
                 break
         if worst <= tol:
-            return DominationVerdict("Dominates", witness_map=cand, note=note)
+            return DominationVerdict("Dominates", witness_map=cand, note=note, steps=search.steps)
+        unproven = unproven or not proven
         if worst < best_score:
             best_score, best_map = worst, cand
-    if not complete:
-        cert = (
-            f"budget of {budget} candidate maps exhausted; best candidate "
-            f"{best_map} missed orbits by {best_score:.6g}"
-            if best_map is not None
-            else f"budget of {budget} candidate maps exhausted"
-        )
-        return DominationVerdict("Unknown", certificate=cert, note=note)
+    if search.exhausted:
+        cert = f"budget of {budget} search steps exhausted"
+        if best_map is not None:
+            cert += f"; best candidate {best_map} missed orbits by {best_score:.6g}"
+        return DominationVerdict("Unknown", certificate=cert, note=note, steps=search.steps)
     if best_map is None:
         cert = "no measure-compatible point map exists"
     else:
@@ -243,9 +279,11 @@ def check_domination(
             f"best candidate {best_map} pulls some feature {best_score:.6g} "
             f"away from the source orbits (tol {tol:.3g})"
         )
-    # sampled lip1 orbit distances are upper bounds: a miss proves nothing
-    status = "Unknown" if X.family.kind == "lip1" else "NotDominated"
-    return DominationVerdict(status, certificate=cert, note=note)
+    if unproven:
+        # an uncertified orbit value is an upper bound: a miss proves nothing
+        cert += "; some candidate's miss rests on uncertified orbit distances"
+    status = "Unknown" if unproven else "NotDominated"
+    return DominationVerdict(status, certificate=cert, note=note, steps=search.steps)
 
 
 def rounded(X: FiniteGDS, decimals: int) -> tuple[FiniteGDS, np.ndarray]:

@@ -6,6 +6,7 @@ vectorized code paths. Instance generators produce dyadic values and
 masses, for which float arithmetic in both the oracles and the library
 is exact, so equality assertions are meaningful.
 """
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -13,6 +14,7 @@ from itertools import combinations, permutations
 import numpy as np
 
 import gdskit as gk
+from gdskit._kernels import MASS_GUARD
 from gdskit.errors import NotAMetric, ValidationError
 
 
@@ -334,6 +336,84 @@ def canonical_form(X):
 
 
 # ---------------------------------------------------------------------------
+# exact observable diameter and od transfer lower bound
+# ---------------------------------------------------------------------------
+
+def rational_gds(rng, denom, max_points=6, max_gens=3):
+    """(data set, exact masses): small integer feature values and masses
+    k / denom, which floats only approximate."""
+    n = int(rng.integers(1, min(max_points, denom) + 1))
+    ks = rng.multinomial(denom - n, np.full(n, 1.0 / n)) + 1
+    g = int(rng.integers(1, max_gens + 1))
+    while True:
+        gens = rng.integers(0, 6, size=(g, n)).astype(float)
+        if len({tuple(col) for col in gens.T}) == n:
+            break
+    X = gk.validate_gds(range(n), gens, gk.ID_FAMILY, ks / denom)
+    return X, [Fraction(int(k), denom) for k in ks]
+
+
+def _exact_windows(X, masses):
+    """(mass, width) of every window of atoms, per generator, exactly."""
+    out = []
+    for row in X.generators:
+        atoms = {}
+        for value, mass in zip(row.tolist(), masses):
+            atoms[Fraction(value)] = atoms.get(Fraction(value), 0) + mass
+        vals = sorted(atoms)
+        out.append([
+            (sum(atoms[v] for v in vals[i:j + 1]), vals[j] - vals[i])
+            for i in range(len(vals)) for j in range(i, len(vals))
+        ])
+    return out
+
+
+def od_steps_exact(X, masses):
+    """The od step function in exact arithmetic: (window mass, od) pairs
+    with od(kappa) the value of the first pair whose mass is at least
+    1 - kappa, keeping only the masses where od changes."""
+    windows = _exact_windows(X, masses)
+    every = sorted({m for row in windows for m, _ in row})
+    values = [max(min(w for m, w in row if m >= t) for row in windows) for t in every]
+    return [(t, v) for k, (t, v) in enumerate(zip(every, values))
+            if k + 1 == len(every) or v < values[k + 1]]
+
+
+def od_exact(steps, kappa):
+    """od(kappa) from od_steps_exact; 0 from kappa = 1 on, and the
+    limit kappa -> 0+ (the full windows) at kappa = 0."""
+    if kappa >= 1:
+        return Fraction(0)
+    return next(v for m, v in steps if m >= 1 - kappa)
+
+
+def delta_star_exact(sx, sy, kappa):
+    """The least delta >= 0 with od_X(kappa + delta) <= od_Y(kappa) +
+    2 delta and od_Y(kappa + delta) <= od_X(kappa) + 2 delta, scanning
+    the intervals on which both od values are constant."""
+    ax, ay = od_exact(sx, kappa), od_exact(sy, kappa)
+    cuts = {Fraction(0), 1 - kappa}
+    cuts |= {1 - m - kappa for m, _ in sx + sy if 0 < 1 - m - kappa < 1 - kappa}
+    cuts = sorted(cuts)
+    for b, nxt in zip(cuts, cuts[1:] + [None]):
+        vx, vy = od_exact(sx, kappa + b), od_exact(sy, kappa + b)
+        least = max(b, (vx - ay) / 2, (vy - ax) / 2)
+        if nxt is None or least < nxt:
+            return least
+
+
+def jump_kappas_exact(sx, sy):
+    """0 (the limit kappa -> 0+) and every kappa in (0, 1) where an od jumps."""
+    return sorted({Fraction(0)} | {1 - m for m, _ in sx + sy if 0 < 1 - m < 1})
+
+
+def od_lower_exact(sx, sy):
+    """The supremum over kappa in (0, 1) of delta_star_exact, taken over
+    the jump kappas and the limit kappa -> 0+."""
+    return max(delta_star_exact(sx, sy, k) for k in jump_kappas_exact(sx, sy))
+
+
+# ---------------------------------------------------------------------------
 # full-scan coupling objectives
 # ---------------------------------------------------------------------------
 
@@ -363,18 +443,53 @@ def box_objective_full_scan(X, Y, pi, S, tol=1e-9):
 # reference loops
 # ---------------------------------------------------------------------------
 
-def od_window_breakpoints_loop(X):
-    """Every support-window mass of the generator pushforwards, one
-    window at a time into a set."""
-    masses = set()
+def od_steps_loop(X):
+    """(masses, values, near) of OdSteps.build one window at a time:
+    every window of every generator's pushforward, then for each
+    distinct window mass the largest over generators of the least width
+    at or above it, keeping the masses where that value changes."""
+    windows = []
     for row in X.generators:
-        m = gk.pushforward(row, X.mu).masses
-        prefix = np.concatenate([[0.0], np.cumsum(m)])
-        n = m.size
-        for i in range(n):
-            for j in range(i, n):
-                masses.add(float(prefix[j + 1] - prefix[i]))
-    return np.array(sorted(masses))
+        pf = gk.pushforward(row, X.mu)
+        prefix = np.concatenate([[0.0], np.cumsum(pf.masses)])
+        n = pf.values.size
+        windows.append([
+            (float(prefix[j + 1] - prefix[i]), float(pf.values[j] - pf.values[i]))
+            for i in range(n) for j in range(i, n)
+        ])
+    every = sorted({m for row in windows for m, _ in row})
+    # a generator whose total rounds below the mass has no such window
+    values = [max(min((w for m, w in row if m >= t), default=np.inf) for row in windows) for t in every]
+    steps = [(t, v) for k, (t, v) in enumerate(zip(every, values))
+             if k + 1 == len(every) or v < values[k + 1]]
+    ends = [t for t, _ in steps[1:]] + [np.inf]
+    near = [max(m for m in every if t <= m < end and m - t <= 2 * MASS_GUARD)
+            for (t, _), end in zip(steps, ends)]
+    return (np.array([t for t, _ in steps]), np.array([v for _, v in steps]), np.array(near))
+
+
+def delta_star_loop(X, Y, kappa):
+    """The smallest delta satisfying both od transfer inequalities at
+    kappa, one candidate at a time: every window mass m of either space
+    gives the candidate (1 - m) - kappa, and od comes from
+    observable_diameter."""
+    def od(Z, k):
+        return 0.0 if k >= 1.0 else gk.observable_diameter(Z, k)
+
+    masses = set()
+    for Z in (X, Y):
+        for row in Z.generators:
+            prefix = np.concatenate([[0.0], np.cumsum(gk.pushforward(row, Z.mu).masses)])
+            masses.update(float(b - a) for i, a in enumerate(prefix) for b in prefix[i + 1:])
+    od_x, od_y = od(X, kappa), od(Y, kappa)
+    deltas = sorted({0.0, 1.0 - kappa} | {d for d in ((1.0 - m) - kappa for m in masses) if 0.0 < d < 1.0 - kappa})
+    for b, nxt in zip(deltas, deltas[1:] + [math.inf]):
+        vx, vy = od(X, kappa + b), od(Y, kappa + b)
+        if vx <= od_y + 2 * b and vy <= od_x + 2 * b:
+            return b
+        crossing = max((vx - od_y) / 2.0, (vy - od_x) / 2.0, b)
+        if crossing < nxt:
+            return crossing
 
 
 def hausdorff_full_scan(scores_fwd, scores_bwd):

@@ -29,11 +29,7 @@ from oracles import (
     random_clip,
 )
 
-FAST_CFG = SearchConfig(
-    kappa_grid=(0.01, 0.1, 0.2, 0.3, 0.4),
-    coupling_candidates=3,
-    local_search_steps=20,
-)
+FAST_CFG = SearchConfig(coupling_candidates=3, local_search_steps=20)
 
 
 def test_criterion_1_two_point_observable_diameter():
@@ -157,15 +153,14 @@ def test_criterion_3_inequality_suite():
 
 
 def test_criterion_4_bracket_certification():
-    grid = tuple([0.01] + [round(0.05 * i, 2) for i in range(1, 10)])
-    cfg = SearchConfig(kappa_grid=grid, coupling_candidates=3, local_search_steps=20)
+    cfg = SearchConfig(coupling_candidates=3, local_search_steps=20)
     X1 = gk.validate_gds([0, 1], [[0.0, 1.0]], gk.TB_FAMILY, [0.5, 0.5])
     X2 = gk.validate_gds([0, 1], [[0.0, 2.0]], gk.TB_FAMILY, [0.5, 0.5])
     dc = dconc_bracket(X1, X2, cfg)
-    assert dc.lower == pytest.approx(0.49, abs=1e-12)
+    assert dc.lower == pytest.approx(0.5, abs=1e-12)
     assert dc.upper == pytest.approx(0.5, abs=1e-12)
     bx = box_bracket(X1, X2, cfg)
-    assert bx.lower == pytest.approx(0.49, abs=1e-12)
+    assert bx.lower == pytest.approx(0.5, abs=1e-12)
     assert bx.upper == pytest.approx(0.5, abs=1e-12)
 
     rng = np.random.default_rng(44)
@@ -186,7 +181,7 @@ def test_criterion_4_bracket_certification():
         d = dconc_bracket(A, B, FAST_CFG)
         assert b.lower <= (N + M) * d.upper + 1e-9
 
-    print("ACCEPTANCE 4 PASS: brackets [0.49, 0.5] pinned; 100 pairs consistent; measurement bound holds")
+    print("ACCEPTANCE 4 PASS: brackets [0.5, 0.5] pinned; 100 pairs consistent; measurement bound holds")
 
 
 def test_criterion_5_covering_and_capacity():
@@ -236,12 +231,7 @@ def test_criterion_7_staircase_series():
         direct = sum(series_weight(N) for N in range(L + 1, L + 420))
         assert series_tail(L) == pytest.approx(direct, abs=1e-15)
 
-    cfg = SearchConfig(
-        kappa_grid=(0.01, 0.1, 0.25, 0.4),
-        coupling_candidates=2,
-        local_search_steps=10,
-        level_budget=8,
-    )
+    cfg = SearchConfig(coupling_candidates=2, local_search_steps=10, level_budget=8)
     X = gk.validate_gds([0, 1], [[0.0, 1.0]], gk.TB_FAMILY, [0.5, 0.5])
     sb = staircase_distance(X, X, 2, cfg)
     lo, hi = sb.interval

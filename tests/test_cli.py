@@ -184,14 +184,20 @@ class TestTransformCommands:
 
 class TestDistanceCommands:
     def test_dconc_json(self, two_point_files, capsys):
-        code, out, _ = run(
-            ["dconc", two_point_files[0], two_point_files[1], "--kappa-grid", "0.01:0.45:0.04"],
-            capsys,
-        )
+        code, out, _ = run(["dconc", two_point_files[0], two_point_files[1]], capsys)
         assert code == 0
         payload = json.loads(out)
-        assert payload["lower"] == pytest.approx(0.49, abs=1e-12)
+        assert payload["lower"] == pytest.approx(0.5, abs=1e-12)
         assert payload["upper"] == pytest.approx(0.5, abs=1e-12)
+        assert payload["lower_witness"] == "od transfer at kappa -> 0+: delta=0.5"
+
+    @pytest.mark.parametrize("command", ["dconc", "box", "staircase", "rho"])
+    def test_no_kappa_grid(self, two_point_files, capsys, command):
+        # the lower bound is exact over kappa, so there is no grid to pick
+        with pytest.raises(SystemExit) as exc:
+            main([command, *two_point_files, "--kappa-grid", "0.01:0.45:0.04"])
+        assert exc.value.code == 2
+        assert "--kappa-grid" in capsys.readouterr().err
 
     def test_box_json(self, two_point_files, capsys):
         code, out, _ = run(["box", two_point_files[0], two_point_files[1]], capsys)

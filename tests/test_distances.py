@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from itertools import permutations
 
 import numpy as np
@@ -14,8 +15,9 @@ from gdskit.distances import (
     SearchConfig,
     _assignment_cost,
     _candidate_couplings,
+    _delta_stars,
     _hausdorff,
-    _od_window_breakpoints,
+    _jump_kappas,
     box_bracket,
     box_objective,
     dconc_bracket,
@@ -28,12 +30,19 @@ from oracles import (
     box_objective_full_scan,
     dconc_pi_full_scan,
     dyadic_gds,
+    delta_star_exact,
+    delta_star_loop,
     hausdorff_full_scan,
-    od_window_breakpoints_loop,
+    jump_kappas_exact,
+    od_exact,
+    od_lower_exact,
+    od_steps_exact,
+    od_steps_loop,
+    rational_gds,
 )
 
 GRID = tuple([0.01] + [round(0.05 * i, 2) for i in range(1, 10)])
-CFG = SearchConfig(kappa_grid=GRID, coupling_candidates=4, local_search_steps=15)
+CFG = SearchConfig(coupling_candidates=4, local_search_steps=15)
 
 
 def two_point(n, family=gk.TB_FAMILY):
@@ -109,11 +118,14 @@ class TestDconcLowerViaOd:
 
 
 class TestWindowBreakpoints:
-    """The vectorized window masses equal the reference loop's bytes."""
+    """The od step function equals the reference loop's bytes and
+    observable_diameter at every jump."""
 
     def assert_loop(self, X):
-        fast, loop = _od_window_breakpoints(X), od_window_breakpoints_loop(X)
-        assert fast.dtype == loop.dtype and fast.tobytes() == loop.tobytes()
+        steps = X.od_steps
+        for fast, loop in zip((steps.masses, steps.values, steps.near), od_steps_loop(X)):
+            assert fast.dtype == loop.dtype and fast.tobytes() == loop.tobytes()
+        assert_od_at_jumps(X)
 
     def test_non_dyadic_masses(self):
         rng = np.random.default_rng(61)
@@ -122,14 +134,14 @@ class TestWindowBreakpoints:
                 n = int(rng.integers(1, 12))
                 w = (rng.multinomial(11 - n, np.full(n, 1.0 / n)) + 1) / 11
             else:
-                n = int(rng.integers(1, 40))
+                n = int(rng.integers(1, 30))
                 w = rng.dirichlet(np.ones(n))
             gens = rng.integers(0, 6, size=(int(rng.integers(1, 4)), n)).astype(float)
             gens[0] = np.arange(n)  # points stay distinct
             self.assert_loop(gk.validate_gds(range(n), gens, gk.ID_FAMILY, w))
 
     def test_merges_across_blocks(self, monkeypatch):
-        # small blocks merge many partial sets into the sorted one
+        # small blocks fold many partial step lists into one
         for block in (1, 7, 64):
             monkeypatch.setattr(_kernels, "BLOCK_ENTRIES", block)
             self.test_non_dyadic_masses()
@@ -140,18 +152,115 @@ class TestWindowBreakpoints:
             "path:64:0.0625", "path:100:0.01", "random_cloud:64:4:linf:5",
             "random_cloud:80:3:linf:6", "random_cloud:96:3:linf:7", "random_cloud:128:3:l2:8",
         ):
-            self.assert_loop(gk.generate_space(gk.SpaceRecipe.parse(text)))
+            assert_od_at_jumps(gk.generate_space(gk.SpaceRecipe.parse(text)))
 
     def test_scratch_is_one_block(self):
-        # one 1024-point feature: 525k windows but only 1024 distinct masses
-        n = 1024
+        # one 1000-point feature: 500k windows; masses 1/1000 are not
+        # dyadic, so the pass that finds `near` runs too
+        n = 1000
         X = gk.validate_gds(range(n), [np.arange(n, dtype=float)], gk.ID_FAMILY, np.full(n, 1.0 / n))
         tracemalloc.start()
-        found = _od_window_breakpoints(X)
+        steps = X.od_steps
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert found.size == n
+        assert steps.values.tolist() == list(range(n))
         assert peak < 0.1 * 8 * n * n, peak
+
+
+def assert_od_at_jumps(X):
+    """OdSteps equals observable_diameter bit for bit at every jump
+    kappa and on a grid."""
+    steps = X.od_steps
+    kappas = [k for k in (1.0 - steps.masses).tolist() if 0.0 < k < 1.0] + list(GRID)
+    for kappa in kappas:
+        assert float(steps(kappa)) == gk.observable_diameter(X, kappa), kappa
+
+
+class TestDeltaScan:
+    """The vectorized scan equals the one-candidate-at-a-time loop bit
+    for bit, on spaces whose window masses repeat with different last
+    bits (masses 1/n for n not a power of 2)."""
+
+    @pytest.mark.parametrize("a, b", [
+        ("path:12:0.1", "random_cloud:10:2:linf:3"),
+        ("random_cloud:14:3:l2:5", "random_cloud:12:2:linf:6"),
+        ("hamming_cube:3:by_k", "path:7:0.5"),
+    ])
+    def test_matches_loop(self, a, b):
+        X, Y = (gk.generate_space(gk.SpaceRecipe.parse(t)) for t in (a, b))
+        kappas = np.concatenate([_jump_kappas(X.od_steps, Y.od_steps)[1:], GRID])
+        for kappa, delta in zip(kappas, _delta_stars(X.od_steps, Y.od_steps, kappas)):
+            assert delta == delta_star_loop(X, Y, float(kappa)), kappa
+
+
+class TestExactLowerBound:
+    """dconc_lower_via_od(X, Y) against the exact supremum over kappa."""
+
+    def pairs(self):
+        rng = np.random.default_rng(67)
+        for trial in range(60):
+            denoms = (7, 13) if trial % 2 else (13, 7)
+            yield rational_gds(rng, denoms[0]), rational_gds(rng, denoms[1])
+
+    def test_matches_oracle(self):
+        for (X, mx), (Y, my) in self.pairs():
+            sx, sy = od_steps_exact(X, mx), od_steps_exact(Y, my)
+            exact = od_lower_exact(sx, sy)
+            bound = dconc_lower_via_od(X, Y)
+            assert abs(bound - exact) <= 1e-12, (bound, exact)
+            # the bound names a kappa whose exact value it attains
+            named = min(jump_kappas_exact(sx, sy), key=lambda k: abs(k - bound.kappa))
+            assert abs(float(delta_star_exact(sx, sy, named)) - bound) <= 1e-12
+
+    def test_every_evaluated_kappa_is_valid(self):
+        for (X, mx), (Y, my) in self.pairs():
+            sx, sy = od_steps_exact(X, mx), od_steps_exact(Y, my)
+            exact_kappas = jump_kappas_exact(sx, sy)
+            kappas = _jump_kappas(X.od_steps, Y.od_steps)
+            for kappa, delta in zip(kappas, _delta_stars(X.od_steps, Y.od_steps, kappas)):
+                # each float kappa stands for the exact jump nearest to it
+                exact_kappa = min(exact_kappas, key=lambda k: abs(k - kappa))
+                assert abs(exact_kappa - Fraction(kappa)) <= 1e-15
+                assert abs(delta - delta_star_exact(sx, sy, exact_kappa)) <= 1e-12
+            grid = np.array(GRID)
+            for kappa, delta in zip(GRID, _delta_stars(X.od_steps, Y.od_steps, grid)):
+                assert abs(delta - delta_star_exact(sx, sy, Fraction(kappa))) <= 1e-12
+            assert dconc_lower_via_od(X, Y, GRID) <= dconc_lower_via_od(X, Y) + 1e-12
+
+    def test_no_kappa_beats_the_jumps(self):
+        # the exact supremum over a dense rational grid and the midpoints
+        # between jumps stays at the value taken over the jumps
+        for (X, mx), (Y, my) in self.pairs():
+            sx, sy = od_steps_exact(X, mx), od_steps_exact(Y, my)
+            best = od_lower_exact(sx, sy)
+            jumps = jump_kappas_exact(sx, sy) + [Fraction(1)]
+            probes = [(a + b) / 2 for a, b in zip(jumps, jumps[1:])]
+            probes += [Fraction(i, 97) for i in range(1, 97)]
+            assert all(delta_star_exact(sx, sy, k) <= best for k in probes)
+
+    def test_steps_match_oracle(self):
+        for (X, mx), _ in self.pairs():
+            exact = od_steps_exact(X, mx)
+            kappas = [1 - m for m, _ in exact if 0 < 1 - m < 1] + [Fraction(1, 97), Fraction(50, 97)]
+            for kappa in kappas:
+                assert float(X.od_steps(float(kappa))) == od_exact(exact, kappa)
+
+    def test_roadmap_pairs(self):
+        # the default 10-point grid gave 0.10111, 0.15667 and 0.025
+        for a, b, want in (
+            ("path:8:1", "path:9:1", 0.11111),
+            ("path:5:1", "path:6:1", 0.16667),
+            ("random_cloud:16:2:linf:1", "random_cloud:16:2:linf:2", 0.02832),
+        ):
+            X, Y = (gk.generate_space(gk.SpaceRecipe.parse(t)) for t in (a, b))
+            grid = dconc_lower_via_od(X, Y, GRID)
+            assert dconc_lower_via_od(X, Y) == pytest.approx(want, abs=5e-6)
+            assert grid < want - 1e-3
+
+    def test_zero_bound_names_no_kappa(self):
+        X = two_point(1.0)
+        bound = dconc_lower_via_od(X, X)
+        assert bound == 0.0 and bound.describe() == "od transfer: no kappa rules out a positive delta"
 
 
 class TestDconcBracket:
@@ -178,9 +287,11 @@ class TestDconcBracket:
             assert br.lower == 0.0
 
     def test_two_point_pair_bracket(self):
+        # od is 1 and 2 below kappa = 1/2: the limit kappa -> 0+ gives 1/2
         br = dconc_bracket(two_point(1.0), two_point(2.0), CFG)
-        assert br.lower == pytest.approx(0.49, abs=1e-12)
+        assert br.lower == pytest.approx(0.5, abs=1e-12)
         assert br.upper == pytest.approx(0.5, abs=1e-12)
+        assert br.lower_witness == "od transfer at kappa -> 0+: delta=0.5"
 
     def test_symmetry(self):
         rng = np.random.default_rng(17)
@@ -329,8 +440,9 @@ class TestBoxBracket:
 
     def test_two_point_pair(self):
         br = box_bracket(two_point(1.0), two_point(2.0), CFG)
-        assert br.lower == pytest.approx(0.49, abs=1e-12)
+        assert br.lower == pytest.approx(0.5, abs=1e-12)
         assert br.upper == pytest.approx(0.5, abs=1e-12)
+        assert br.lower_witness.startswith("od transfer at kappa -> 0+: delta=0.5")
 
     def test_upper_at_least_dconc_lower(self):
         rng = np.random.default_rng(23)

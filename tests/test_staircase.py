@@ -17,8 +17,7 @@ from gdskit.staircase import (
 from gdskit.transforms import enumerate_measurements
 from oracles import canonical_form, dyadic_gds
 
-GRID = tuple([0.01] + [round(0.05 * i, 2) for i in range(1, 10)])
-CFG = SearchConfig(kappa_grid=GRID, coupling_candidates=3, local_search_steps=10, level_budget=8)
+CFG = SearchConfig(coupling_candidates=3, local_search_steps=10, level_budget=8)
 
 
 def two_point(n, family=gk.TB_FAMILY):

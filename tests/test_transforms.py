@@ -178,6 +178,38 @@ class TestCheckDomination:
         if verdict.status == "Unknown":
             assert "budget" in verdict.certificate
 
+    def test_uncertified_miss_is_not_a_rejection(self):
+        # X dominates its quotient Y, but the shift-then-clip orbit search
+        # misses the member by 1/153; that value is an upper bound only
+        g = np.arange(17.0)
+        X = gk.validate_gds(range(17), [g], gk.TB_FAMILY, (np.arange(17) + 1) / 153)
+        Y, _ = quotient(X, [gk.ClipMap(0, 0.25, 0.5).apply(g)])
+        verdict = check_domination(X, Y, budget=200)
+        assert verdict.status in ("Dominates", "Unknown")
+        assert verdict.witness_map in (None, (0,) + (1,) * 16)
+
+    def test_dominates_stops_at_its_witness(self):
+        # the quotient map is the first mass-compatible map: one step per point
+        g = np.arange(12.0)
+        X = gk.validate_gds(range(12), [g], gk.B_FAMILY, np.full(12, 1 / 12))
+        Y, qmap = quotient(X, [gk.ClipMap.bound(4.0).apply(g)])
+        verdict = check_domination(X, Y, budget=12)
+        assert verdict.status == "Dominates"
+        assert verdict.witness_map == tuple(qmap.tolist())
+        assert verdict.steps == 12
+
+    def test_budget_bounds_the_search_steps(self):
+        # no subset of sixteenths weighs 17/32, so the search can only
+        # run out; it stops after exactly `budget` partial maps
+        X = gk.validate_gds(range(16), [np.arange(16.0)], gk.TB_FAMILY, np.full(16, 1 / 16))
+        Y = gk.validate_gds(range(2), [[0.0, 1.0]], gk.TB_FAMILY, [17 / 32, 15 / 32])
+        for budget in (0, 1, 1000):
+            verdict = check_domination(X, Y, budget=budget)
+            assert verdict.status == "Unknown"
+            assert verdict.steps == budget
+            assert f"budget of {budget} search steps" in verdict.certificate
+        assert check_domination(X, Y, budget=10**6).status == "NotDominated"
+
     def test_lip1_verdicts_are_noted(self):
         X = gk.validate_gds([0, 1], [[0.0, 1.0]], gk.FamilyTag("lip1", 8), [0.5, 0.5])
         Y = gk.validate_gds([0, 1], [[0.0, 0.5]], gk.FamilyTag("lip1", 8), [0.5, 0.5])
