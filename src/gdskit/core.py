@@ -202,15 +202,9 @@ def pushforward(values, mu: ProbVector) -> DiscreteMeasureR:
     vals = np.asarray(values, dtype=float) + 0.0
     if vals.ndim != 1 or vals.size != len(mu):
         raise DimensionMismatch("value list length must match the weight vector")
-    return DiscreteMeasureR(*merge_atoms(vals, mu.weights))
-
-
-def merge_atoms(values: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The atoms of pushforward as arrays, without its checks: the sorted
-    distinct values of a 1-d float array with no negative zeros, and the
-    summed weights of each."""
-    uniq, inverse = np.unique(values, return_inverse=True)
-    return uniq, np.bincount(inverse, weights=weights, minlength=uniq.size)
+    uniq, inverse = np.unique(vals, return_inverse=True)
+    sums = np.bincount(inverse, weights=mu.weights, minlength=uniq.size)
+    return DiscreteMeasureR(uniq, sums)
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import MASS_GUARD, block_slices, pd_rows, sorted_unique
-from .core import METRIC_TOL, FiniteGDS, ProbVector, check_metric, merge_atoms
+from .core import METRIC_TOL, FiniteGDS, ProbVector, check_metric, pushforward
 from .errors import InvalidKappa, MonotonicityViolation, ValidationError
 
 
@@ -129,8 +129,8 @@ def _at_mass(masses, values, t):
 
 def _atoms(row, mu: ProbVector):
     """(values, mass prefix sums) of one generator's pushforward."""
-    vals, masses = merge_atoms(row + 0.0, mu.weights)
-    return vals, np.concatenate([[0.0], np.cumsum(masses)])
+    pf = pushforward(row, mu)
+    return pf.values, np.concatenate([[0.0], np.cumsum(pf.masses)])
 
 
 def _window_blocks(n: int):

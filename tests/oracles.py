@@ -7,6 +7,7 @@ masses, for which float arithmetic in both the oracles and the library
 is exact, so equality assertions are meaningful.
 """
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -448,22 +449,26 @@ def od_steps_loop(X):
     every window of every generator's pushforward, then for each
     distinct window mass the largest over generators of the least width
     at or above it, keeping the masses where that value changes."""
-    windows = []
+    rows = []
     for row in X.generators:
         pf = gk.pushforward(row, X.mu)
         prefix = np.concatenate([[0.0], np.cumsum(pf.masses)])
         n = pf.values.size
-        windows.append([
+        windows = sorted(
             (float(prefix[j + 1] - prefix[i]), float(pf.values[j] - pf.values[i]))
             for i in range(n) for j in range(i, n)
-        ])
-    every = sorted({m for row in windows for m, _ in row})
+        )
+        least = [w for _, w in windows]  # least width at or above each mass
+        for k in range(len(least) - 2, -1, -1):
+            least[k] = min(least[k], least[k + 1])
+        rows.append(([m for m, _ in windows], least + [np.inf]))
+    every = sorted({m for row_masses, _ in rows for m in row_masses})
     # a generator whose total rounds below the mass has no such window
-    values = [max(min((w for m, w in row if m >= t), default=np.inf) for row in windows) for t in every]
+    values = [max(least[bisect_left(row_masses, t)] for row_masses, least in rows) for t in every]
     steps = [(t, v) for k, (t, v) in enumerate(zip(every, values))
              if k + 1 == len(every) or v < values[k + 1]]
     ends = [t for t, _ in steps[1:]] + [np.inf]
-    near = [max(m for m in every if t <= m < end and m - t <= 2 * MASS_GUARD)
+    near = [max(m for m in every[bisect_left(every, t):bisect_left(every, end)] if m - t <= 2 * MASS_GUARD)
             for (t, _), end in zip(steps, ends)]
     return (np.array([t for t, _ in steps]), np.array([v for _, v in steps]), np.array(near))
 

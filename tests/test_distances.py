@@ -134,7 +134,7 @@ class TestWindowBreakpoints:
                 n = int(rng.integers(1, 12))
                 w = (rng.multinomial(11 - n, np.full(n, 1.0 / n)) + 1) / 11
             else:
-                n = int(rng.integers(1, 30))
+                n = int(rng.integers(1, 40))
                 w = rng.dirichlet(np.ones(n))
             gens = rng.integers(0, 6, size=(int(rng.integers(1, 4)), n)).astype(float)
             gens[0] = np.arange(n)  # points stay distinct
@@ -152,7 +152,7 @@ class TestWindowBreakpoints:
             "path:64:0.0625", "path:100:0.01", "random_cloud:64:4:linf:5",
             "random_cloud:80:3:linf:6", "random_cloud:96:3:linf:7", "random_cloud:128:3:l2:8",
         ):
-            assert_od_at_jumps(gk.generate_space(gk.SpaceRecipe.parse(text)))
+            self.assert_loop(gk.generate_space(gk.SpaceRecipe.parse(text)))
 
     def test_scratch_is_one_block(self):
         # one 1000-point feature: 500k windows; masses 1/1000 are not
@@ -191,6 +191,12 @@ class TestDeltaScan:
         kappas = np.concatenate([_jump_kappas(X.od_steps, Y.od_steps)[1:], GRID])
         for kappa, delta in zip(kappas, _delta_stars(X.od_steps, Y.od_steps, kappas)):
             assert delta == delta_star_loop(X, Y, float(kappa)), kappa
+
+    def test_benchmark_pair_on_grid(self):
+        # two benchmark spaces, masses 1/96 and 1/100
+        X, Y = (gk.generate_space(gk.SpaceRecipe.parse(t)) for t in ("random_cloud:96:3:linf:7", "path:100:0.01"))
+        for kappa, delta in zip(GRID, _delta_stars(X.od_steps, Y.od_steps, np.array(GRID))):
+            assert delta == delta_star_loop(X, Y, kappa), kappa
 
 
 class TestExactLowerBound:
