@@ -79,13 +79,8 @@ def _emit(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _tol(args) -> float:
-    """--tol as given, 0 included; the SearchConfig default when absent."""
-    return args.tol if args.tol is not None else SearchConfig.tol
-
-
 def _search_config(args) -> SearchConfig:
-    kwargs = {"tol": _tol(args)}
+    kwargs = {}
     if getattr(args, "seed", None) is not None:
         kwargs["seed"] = args.seed
     if getattr(args, "budget", None) is not None:
@@ -173,7 +168,7 @@ def cmd_covnum(args) -> int:
 
     X = _load(args.file, args)
     family = _family(args.family) if args.family else None
-    res = covering_number(X, args.eps, family, tol=_tol(args))
+    res = covering_number(X, args.eps, family)
     print(json.dumps({"value": res.value, "exact": res.exact}))
     return 0
 
@@ -214,7 +209,7 @@ def cmd_domination(args) -> int:
     X = _load(args.file1, args)
     Y = _load(args.file2, args)
     budget = args.budget if args.budget is not None else 5000
-    verdict = check_domination(X, Y, tol=_tol(args), budget=budget)
+    verdict = check_domination(X, Y, tol=args.tol, budget=budget)
     print(
         json.dumps(
             {
@@ -291,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("file1")
             p.add_argument("file2")
-        p.add_argument("--tol", type=_tolerance, default=None, help="tolerance fed to every comparison (default 1e-9)")
         p.add_argument("--round-values", type=int, default=None, metavar="D", help="pre-round feature values to D decimals")
         p.add_argument("--out", default=None, required=out_required)
 
@@ -364,6 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("domination", help="does the first data set dominate the second?")
     common(p, files=2)
     p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--tol", type=_tolerance, default=1e-9, help="orbit membership tolerance (default 1e-9)")
     p.set_defaults(func=cmd_domination)
 
     p = sub.add_parser("sweep", help="observable diameter sweep to CSV")

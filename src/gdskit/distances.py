@@ -100,7 +100,6 @@ class SearchConfig:
     coupling_candidates: int = 8
     local_search_steps: int = 40
     seed: int = 0
-    tol: float = 1e-9
     level_budget: int = 8
     permutation_cap: int = 4
 
@@ -118,7 +117,7 @@ def _coupling_support(pi: np.ndarray):
     return rows, cols, w / total
 
 
-def dconc_pi(X: FiniteGDS, Y: FiniteGDS, pi, tol: float = 1e-9) -> float:
+def dconc_pi(X: FiniteGDS, Y: FiniteGDS, pi) -> float:
     """Hausdorff Ky Fan distance between the pulled-back feature
     families under a fixed coupling.
 
@@ -129,11 +128,11 @@ def dconc_pi(X: FiniteGDS, Y: FiniteGDS, pi, tol: float = 1e-9) -> float:
     bound on the closure value in general, exact for identity and
     translation families.
     """
-    return _dconc_value(X, Y, pi, tol, math.inf)
+    return _dconc_value(X, Y, pi, math.inf)
 
 
-def _dconc_value(X, Y, pi, tol, cutoff) -> float:
-    """dconc_pi(X, Y, pi, tol) when that is below `cutoff`; otherwise
+def _dconc_value(X, Y, pi, cutoff) -> float:
+    """dconc_pi(X, Y, pi) when that is below `cutoff`; otherwise
     some value at or above `cutoff` (see _hausdorff)."""
     coupling = pi if isinstance(pi, CouplingMatrix) else CouplingMatrix(pi)
     coupling.check_marginals(X.masses, Y.masses)
@@ -142,8 +141,8 @@ def _dconc_value(X, Y, pi, tol, cutoff) -> float:
     return _hausdorff(
         X.generators[:, rows],
         Y.generators[:, cols],
-        lambda f, g: dist_to_orbit(f, g, Y.family, mu, tol).value,
-        lambda g, f: dist_to_orbit(g, f, X.family, mu, tol).value,
+        lambda f, g: dist_to_orbit(f, g, Y.family, mu).value,
+        lambda g, f: dist_to_orbit(g, f, X.family, mu).value,
         cutoff,
     )
 
@@ -420,13 +419,13 @@ def dconc_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None
         return dconc_bracket(Y, X, cfg)
     scored = []
     for name, pi in _candidate_couplings(X, Y, cfg):
-        scored.append((dconc_pi(X, Y, pi, cfg.tol), name, pi))
+        scored.append((dconc_pi(X, Y, pi), name, pi))
     scored.sort(key=lambda t: t[0])
     best_val, best_name, _ = scored[0]
     budget = max(1, cfg.local_search_steps // 2)
     for val, name, pi in scored[:2]:
         _, improved = _pairwise_rebalance(
-            pi, lambda p, cutoff: _dconc_value(X, Y, p, cfg.tol, cutoff), val, budget
+            pi, lambda p, cutoff: _dconc_value(X, Y, p, cutoff), val, budget
         )
         if improved < best_val:
             best_val, best_name = improved, name
@@ -439,18 +438,18 @@ def dconc_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None
     )
 
 
-def box_objective(X: FiniteGDS, Y: FiniteGDS, pi, S, tol: float = 1e-9) -> float:
+def box_objective(X: FiniteGDS, Y: FiniteGDS, pi, S) -> float:
     """max(missing mass, twice the sup-norm feature discrepancy on S).
 
     S is a nonempty list of support index pairs (i, j). The sup-norm
     Hausdorff term compares the two generator families restricted to S,
     minimizing over family orbit parameters as in dist_to_orbit_sup.
     """
-    return _box_value(X, Y, pi, S, tol, math.inf)
+    return _box_value(X, Y, pi, S, math.inf)
 
 
-def _box_value(X, Y, pi, S, tol, cutoff) -> float:
-    """box_objective(X, Y, pi, S, tol) when that is below `cutoff`;
+def _box_value(X, Y, pi, S, cutoff) -> float:
+    """box_objective(X, Y, pi, S) when that is below `cutoff`;
     otherwise some value at or above `cutoff`.
 
     The scan runs on doubled orbit values, so it compares 2 * gap with
@@ -470,8 +469,8 @@ def _box_value(X, Y, pi, S, tol, cutoff) -> float:
     twice_gap = _hausdorff(
         X.generators[:, rows],
         Y.generators[:, cols],
-        lambda f, g: 2.0 * dist_to_orbit_sup(f, g, Y.family, tol).value,
-        lambda g, f: 2.0 * dist_to_orbit_sup(g, f, X.family, tol).value,
+        lambda f, g: 2.0 * dist_to_orbit_sup(f, g, Y.family).value,
+        lambda g, f: 2.0 * dist_to_orbit_sup(g, f, X.family).value,
         cutoff,
     )
     return max(missing, twice_gap)
@@ -482,31 +481,18 @@ def _support_pairs(pi):
     return list(zip(rows.tolist(), cols.tolist()))
 
 
-def _pair_scores(X, Y, pairs, tol):
-    """Per-pair residual of the best full-support orbit alignments."""
+def _pair_scores(X, Y, pairs):
+    """Per-pair residual of the best full-support orbit alignments; of
+    tied alignments, the first."""
     rows = np.array([i for i, _ in pairs])
     cols = np.array([j for _, j in pairs])
     fx = X.generators[:, rows]
     gy = Y.generators[:, cols]
     scores = np.zeros(len(pairs))
-    for f in fx:
-        best_res = None
-        best = math.inf
-        for g in gy:
-            r = dist_to_orbit_sup(f, g, Y.family, tol)
-            if r.value < best:
-                best = r.value
-                best_res = np.abs(f - r.witness.apply(g))
-        scores = np.maximum(scores, best_res)
-    for g in gy:
-        best_res = None
-        best = math.inf
-        for f in fx:
-            r = dist_to_orbit_sup(g, f, X.family, tol)
-            if r.value < best:
-                best = r.value
-                best_res = np.abs(g - r.witness.apply(f))
-        scores = np.maximum(scores, best_res)
+    for targets, sources, family in ((fx, gy, Y.family), (gy, fx, X.family)):
+        for f in targets:
+            r, source = min(((dist_to_orbit_sup(f, g, family), g) for g in sources), key=lambda t: t[0].value)
+            scores = np.maximum(scores, np.abs(f - r.witness.apply(source)))
     return scores
 
 
@@ -525,7 +511,7 @@ def box_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None) 
     scored = []
     for name, pi in _candidate_couplings(X, Y, cfg):
         pairs = _support_pairs(pi)
-        val = box_objective(X, Y, pi, pairs, cfg.tol)
+        val = box_objective(X, Y, pi, pairs)
         scored.append((val, name, pi, pairs))
     scored.sort(key=lambda t: t[0])
     best_val, best_name, _, _ = scored[0]
@@ -533,16 +519,18 @@ def box_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None) 
     for val, name, pi, pairs in scored[:3]:
         if len(pairs) <= 64:
             for p in pairs:
-                v = _box_value(X, Y, pi, [p], cfg.tol, best_val)
+                v = _box_value(X, Y, pi, [p], best_val)
                 if v < best_val:
                     best_val, best_desc = v, f"coupling {name}, singleton {p}"
-        # greedy peel: repeatedly drop the worst-aligned pair, re-scoring
-        # against alignments optimized on the surviving support
+        # greedy peel: repeatedly drop the worst-aligned pair (the lightest
+        # of tied ones, as the objective counts the mass dropped),
+        # re-scoring against alignments optimized on the surviving support
         keep = list(pairs)
         for _ in range(min(len(pairs) - 1, 24)):
-            scores = _pair_scores(X, Y, keep, cfg.tol)
-            keep.pop(int(np.argmax(scores)))
-            v = _box_value(X, Y, pi, keep, cfg.tol, best_val)
+            scores = _pair_scores(X, Y, keep)
+            worst = np.flatnonzero(scores == scores.max())
+            keep.pop(int(worst[np.argmin([pi[keep[t]] for t in worst])]))
+            v = _box_value(X, Y, pi, keep, best_val)
             if v < best_val:
                 best_val, best_desc = v, f"coupling {name}, {len(keep)} pairs kept"
     lower = dconc_lower_via_od(X, Y)

@@ -1,6 +1,6 @@
 """Monoidal families of 1-Lipschitz maps acting on features.
 
-Three parametric families are supported exactly or near-exactly:
+Three parametric families are supported exactly:
 
 * translations x -> x + c,
 * symmetric clips x -> max(-R, min(x, R)),
@@ -13,21 +13,20 @@ for support-restricted comparisons (dist_to_orbit_sup). Orbit distances
 feed covering numbers, capacities, domination checks and the coupling
 objectives.
 
-Both metrics share one orbit engine: one family dispatch, one exact
-symmetric-clip search and one shift-then-clip candidate search. A
-metric supplies a batched row scorer (kf_rows or the row maximum), a
-batched exact translation optimum with its shift (the window formula or
-the midrange), and the weights and acceptance rule of the clip search.
-Among candidates of equal value the shift-then-clip search keeps the
-smallest (c, lo, hi), in both metrics.
+Both metrics share one orbit engine: one family dispatch and one
+bisection over the breakpoints of a cover oracle (the least weight a
+family leaves farther than eps). A metric supplies a batched row scorer
+(kf_rows or the row maximum), a batched exact translation optimum with
+its shift (the window formula or the midrange), the weights and
+acceptance rule of the bisection, and its shift-then-clip search.
 
 Certification semantics: `certified=True` means the returned value is
 the exact infimum over the family, up to float rounding in scoring the
-witness; this holds for the identity, translation and symmetric-clip
-families at every support size. `False` (shift-then-clip and lip1)
-means it is an upper bound obtained from a documented candidate grid
-(within `tol` of the best candidate-grid value, not of the true
-infimum). Every returned value is what its witness achieves.
+witness; this holds for the identity, translation, symmetric-clip and
+shift-then-clip families at every support size. `False` (lip1) means
+it is an upper bound: the best of the exact shift-then-clip value and
+a seeded sample of piecewise linear maps. Every returned value is what
+its witness achieves.
 """
 from __future__ import annotations
 
@@ -53,10 +52,6 @@ from .errors import (
 )
 from .stats import levy_mean, partial_diameter
 
-# supports of at most this many points try every pairwise shift f_i - g_j
-# in the shift-then-clip search; larger ones try only f_i - g_i
-_PAIRWISE_SHIFT_CAP = 12
-_LEVEL_CAP = 12
 _LIP1_SEED = 322751
 
 
@@ -211,6 +206,24 @@ def _clip_cover(sf, fixed, absg, w, eps):
     return total - float(cover[k]), float(lo[order[k]])
 
 
+def _first_accepted(breaks, cover, metric):
+    """Bisection for the first breakpoint e_k whose cover the metric
+    accepts. cover(eps) returns (uncovered weight, witness); the weight
+    must be constant between breakpoints, must not grow with eps, and
+    must be accepted at the last one. Returns (eps, witness) at e_{k-1}
+    (when k > 0) and at e_k.
+    """
+    lo, hi, covers = 0, breaks.size - 1, {}
+    while lo < hi:
+        mid = (lo + hi) // 2
+        covers[mid] = cover(breaks[mid])
+        if metric.accepts(covers[mid][0], breaks[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return [(breaks[k], (covers.get(k) or cover(breaks[k]))[1]) for k in (lo - 1, lo) if k >= 0]
+
+
 def _orbit_clip(f, g, metric):
     """Exact distance from f to the symmetric-clip orbit of g, as (value, R).
 
@@ -234,29 +247,17 @@ def _orbit_clip(f, g, metric):
     absg = np.abs(g)
     half_gaps = np.abs(sf[:, None] - sf[None, :]) / 2.0
     breaks = sorted_unique(np.concatenate([[0.0], fixed, np.abs(sf), half_gaps.ravel()]))
-    sweeps = {}
-
-    def sweep(k):
-        if k not in sweeps:
-            sweeps[k] = _clip_cover(sf, fixed, absg, metric.w, breaks[k])
-        return sweeps[k]
-
     # the largest breakpoint is at least max |f - g|, where R = max |g|
     # leaves nothing out
-    lo, hi = 0, breaks.size - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if metric.accepts(sweep(mid)[0], breaks[mid]):
-            hi = mid
-        else:
-            lo = mid + 1
-    ks = [k for k in (lo - 1, lo) if k >= 0]
-    tops = breaks[ks]
+    found = _first_accepted(
+        breaks, lambda eps: _clip_cover(sf, fixed, absg, metric.w, eps), metric
+    )
+    tops = np.array([eps for eps, _ in found])
     a, b = np.nonzero(np.isin(half_gaps, tops))
     radii = np.concatenate([
         [0.0],
         absg,
-        [sweep(k)[1] for k in ks],
+        [r for _, r in found],
         (sf[None, :] + np.concatenate([tops, -tops])[:, None]).ravel(),
         (sf[a] + sf[b]) / 2.0,
     ])
@@ -271,46 +272,63 @@ def _orbit_clip(f, g, metric):
     return float(vals[j]), float(radii[j])
 
 
-def _candidate_levels(f):
-    levels = sorted_unique(f)
-    cap = _LEVEL_CAP if f.size <= 24 else _LEVEL_CAP // 2
-    if levels.size > cap:
-        take = np.linspace(0, levels.size - 1, cap).round().astype(int)
-        levels = levels[sorted_unique(take)]
-    return levels
+def _tb_cover(fs, ds, ws):
+    """Shift-then-clip cover oracle over points sorted by f (fs), with
+    ds = f - g and masses ws: eps -> (least weight a map leaves farther
+    than eps, a function building that map).
 
+    A constant map covers an f-window [f_j, f_j + 2 eps] (and wins a
+    tie). Any other map covers at most what (c, f_j + eps, f_k - eps)
+    covers, f_j and f_k its lowest and highest covered f: the points
+    with |d_i - c| <= eps (good) in [f_j, f_k], with c < d_i - eps
+    (low) in [f_j, f_j + 2 eps] and with c > d_i + eps (high) in
+    [f_k - 2 eps, f_k]. That is A(j) + B(k), maximized by a prefix
+    maximum over j. Raising c to the least d_a + eps over good points
+    keeps them good, leaves low points low or good and high points
+    high, so the shifts c = d_a + eps suffice. Each test compares a
+    difference of two inputs with 2 eps or 0, so it switches exactly at
+    the breakpoints |f_i - f_j| / 2 and |d_i - d_j| / 2.
+    """
+    n = fs.size
+    first = np.searchsorted(fs, fs, side="left")
+    last = np.searchsorted(fs, fs, side="right")
+    prefix = np.concatenate([[0.0], np.cumsum(ws)])
+    gaps = fs[None, :] - fs[:, None]  # gaps[j, i] = f_i - f_j
+    roles = np.array([0, 1, -1])[:, None, None]  # good, low, high
 
-def _candidate_shifts(f, g, extra=()):
-    if f.size <= _PAIRWISE_SHIFT_CAP:
-        shifts = (f[:, None] - g[None, :]).ravel()
-    else:
-        shifts = f - g
-    return sorted_unique(np.concatenate([shifts, np.asarray(extra, dtype=float)]))
+    def cover(eps):
+        two = 2.0 * eps
+        # end of [f_j, f_j + 2 eps], and the count of points below f_k - 2 eps
+        up = np.count_nonzero(gaps <= two, axis=1)
+        below = np.count_nonzero(gaps > two, axis=0)
+        const = prefix[up] - prefix[first]
 
+        def terms(rows):
+            # row r shifts by c = d_r + eps
+            diff = ds[None, :] - ds[rows, None]
+            role = (diff > two).astype(int) - (diff < 0.0)
+            sums = np.zeros((3, role.shape[0], n + 1))
+            sums[:, :, 1:] = (role == roles) * ws
+            good, lows, highs = np.cumsum(sums, axis=2, out=sums)
+            a = lows[:, up] - lows[:, first] - good[:, first]
+            best_a = np.full((a.shape[0], n + 1), -np.inf)
+            np.maximum.accumulate(a, axis=1, out=best_a[:, 1:])
+            return a, good[:, last] + highs[:, last] - highs[:, below] + best_a[:, below]
 
-def _level_pairs(levels):
-    """All (lo, hi) with lo <= hi from levels, lo also -inf, hi also +inf."""
-    los = np.concatenate([[-math.inf], levels])
-    his = np.concatenate([levels, [math.inf]])
-    lo_grid, hi_grid = np.meshgrid(los, his, indexing="ij")
-    keep = lo_grid <= hi_grid
-    return lo_grid[keep], hi_grid[keep]
+        shifted = row_blocks(lambda rows: terms(rows)[1].max(axis=1), n, n)
+        j, r = int(np.argmax(const)), int(np.argmax(shifted))
+        if const[j] >= shifted[r]:
+            return prefix[-1] - const[j], lambda: ClipMap.constant(fs[j] + eps)
 
+        def witness():
+            a, covered = terms(slice(r, r + 1))
+            k = int(np.argmax(covered[0]))
+            i = int(np.argmax(a[0, :below[k]]))
+            return ClipMap(float(ds[r] + eps), float(fs[i] + eps), float(fs[k] - eps))
 
-def _shiftclip_pairs(levels):
-    """Clip bounds in the target frame: level pairs plus symmetric clips."""
-    los, his = _level_pairs(levels)
-    radii = sorted_unique(np.abs(levels))
-    return np.concatenate([los, -radii]), np.concatenate([his, radii])
+        return prefix[-1] - shifted[r], witness
 
-
-def _clamp_level_pairs(g):
-    """Clamp thresholds in the source frame: observed values plus the
-    midpoints between consecutive ones."""
-    levels = _candidate_levels(g)
-    if levels.size > 1:
-        levels = sorted_unique(np.concatenate([levels, (levels[:-1] + levels[1:]) / 2.0]))
-    return _level_pairs(levels)
+    return cover
 
 
 class _KyFan:
@@ -328,6 +346,31 @@ class _KyFan:
 
     def accepts(self, uncovered, eps):
         return uncovered <= eps
+
+    def shiftclip(self, f, g):
+        """Exact shift-then-clip orbit distance, as (value, map): the
+        first breakpoint e_k that _tb_cover accepts is found as in
+        _orbit_clip, and min(e_k, max(e_{k-1}, m(e_{k-1}))) is reached
+        by the witness at e_{k-1} or e_k. The optimal translation and
+        those two are scored; the first wins a tie.
+        """
+        order = np.argsort(f, kind="stable")
+        fs, ds = f[order], (f - g)[order]
+        breaks = sorted_unique(np.concatenate([
+            [0.0],
+            (np.abs(fs[:, None] - fs[None, :]) / 2.0).ravel(),
+            (np.abs(ds[:, None] - ds[None, :]) / 2.0).ravel(),
+        ]))
+        # m(t) <= t at the translation optimum t, so the first
+        # breakpoint above t is accepted; so is the largest, where a
+        # constant map covers every point
+        t_vals, t_shifts = self.translate((f - g)[None, :])
+        breaks = breaks[: np.searchsorted(breaks, t_vals[0], side="right") + 1]
+        found = _first_accepted(breaks, _tb_cover(fs, ds, self.w[order]), self)
+        maps = [ClipMap.translation(t_shifts[0])] + [build() for _, build in found]
+        vals = self.rows(np.abs(f[None, :] - np.vstack([p.apply(g) for p in maps])))
+        j = int(np.argmin(vals))
+        return float(vals[j]), maps[j]
 
 
 class _Sup:
@@ -348,53 +391,27 @@ class _Sup:
     def accepts(self, uncovered, eps):
         return uncovered == 0.0
 
+    def shiftclip(self, f, g):
+        """Exact shift-then-clip orbit distance, as (value, map): with
+        d = f - g, eps = max_ij min(f_i - min f, max f - f_j, d_i - d_j) / 2.
+        Unless the constant midrange map is optimal, lo = min f + eps,
+        hi = max f - eps, and c is the middle of the range d_i - eps <=
+        c <= d_j + eps over f_i - min f > 2 eps and max f - f_j > 2 eps.
+        Those tests reuse the differences behind eps.
+        """
+        above, under, d = f - f.min(), f.max() - f, f - g
 
-def _first_min(vals, cs, los, his):
-    """The smallest (value, c, lo, hi) among candidate rows; the first
-    one on a full tie."""
-    tied = np.nonzero(vals == vals.min())[0]
-    k = tied[np.lexsort((his[tied], los[tied], cs[tied]))[0]]
-    return float(vals[k]), float(cs[k]), float(los[k]), float(his[k])
+        def pairs(rows):
+            cap = np.minimum(above[rows, None], under[None, :])
+            return np.minimum(cap, d[rows, None] - d[None, :]).max(axis=1)
 
-
-def _orbit_shiftclip(f, g, metric, tol):
-    """Candidate search over shift-then-clip maps (upper bound).
-
-    Every member factors as a clamp in the source frame followed by a
-    translation, so the search clamps g at observed levels (plus
-    midpoints) and optimizes the translation exactly, batched over all
-    clamp pairs. On supports of at most 16 points a second pass scores
-    pointwise-difference shifts against clip levels in the target
-    frame, in blocks of level pairs, and the best shift is refined on a
-    local grid of spacing `tol`. Returns the smallest (value, c, lo, hi)
-    found.
-    """
-    t_vals, t_shifts = metric.translate((f - g)[None, :])
-    best = (float(t_vals[0]), float(t_shifts[0]), -math.inf, math.inf)
-    los, his = _clamp_level_pairs(g)
-    vals, shifts = metric.translate(f[None, :] - np.clip(g[None, :], los[:, None], his[:, None]))
-    best = min(best, _first_min(vals, shifts, los + shifts, his + shifts))
-    if f.size <= 16:
-        shifts = _candidate_shifts(f, g, extra=[t_shifts[0], 0.0])
-        lo_arr, hi_arr = _shiftclip_pairs(_candidate_levels(f))
-        moved = g[None, None, :] + shifts[None, :, None]
-
-        def score(pairs):
-            # one row per (level pair, shift), pair-major
-            mapped = np.clip(moved, lo_arr[pairs, None, None], hi_arr[pairs, None, None])
-            return metric.rows(np.abs(f[None, :] - mapped.reshape(-1, f.size)))
-
-        vals = row_blocks(score, lo_arr.size, moved.size)
-        tied = np.nonzero(vals == vals.min())[0]
-        pair, k = np.divmod(tied, shifts.size)
-        best = min(best, _first_min(vals[tied], shifts[k], lo_arr[pair], hi_arr[pair]))
-    local = best[1] + tol * np.arange(-10, 11)
-    mapped = np.clip(g[None, :] + local[:, None], best[2], best[3])
-    vals = metric.rows(np.abs(f[None, :] - mapped))
-    j = int(np.argmin(vals))
-    if vals[j] < best[0]:
-        best = (float(vals[j]), float(local[j]), best[2], best[3])
-    return best
+        top = float(row_blocks(pairs, f.size, f.size).max())
+        if top >= f.max() - f.min():
+            p = ClipMap.constant((f.max() + f.min()) / 2.0)
+        else:
+            c = (d[above > top].max() + d[under > top].min()) / 2.0
+            p = ClipMap(float(c), float(f.min() + top / 2.0), float(f.max() - top / 2.0))
+        return float(np.max(np.abs(f - p.apply(g)))), p
 
 
 def _lip1_samples(g, budget):
@@ -411,7 +428,7 @@ def _lip1_samples(g, budget):
     return maps
 
 
-def _orbit_distance(f, g, family: FamilyTag, metric, tol) -> OrbitDistanceResult:
+def _orbit_distance(f, g, family: FamilyTag, metric) -> OrbitDistanceResult:
     """Distance from f to the family orbit of g in the given metric."""
     if family.kind == "id":
         return OrbitDistanceResult(float(metric.rows(np.abs(f - g)[None, :])[0]), ClipMap.identity(), True)
@@ -421,33 +438,33 @@ def _orbit_distance(f, g, family: FamilyTag, metric, tol) -> OrbitDistanceResult
     if family.kind == "B":
         value, radius = _orbit_clip(f, g, metric)
         return OrbitDistanceResult(value, ClipMap.bound(radius), True)
-    value, c, lo, hi = _orbit_shiftclip(f, g, metric, tol)
-    best_val, best_witness = value, ClipMap(c, lo, hi)
-    if family.kind == "lip1":
-        # sampled piecewise linear maps, each with its optimal translation
-        for pl in _lip1_samples(g, family.sample_budget):
-            vals, shifts = metric.translate((f - pl.apply(g))[None, :])
-            if vals[0] < best_val:
-                best_val, best_witness = float(vals[0]), pl.shifted(float(shifts[0]))
+    best_val, best_witness = metric.shiftclip(f, g)
+    if family.kind == "TB":
+        return OrbitDistanceResult(best_val, best_witness, True)
+    # lip1: sampled piecewise linear maps, each with its optimal translation
+    for pl in _lip1_samples(g, family.sample_budget):
+        vals, shifts = metric.translate((f - pl.apply(g))[None, :])
+        if vals[0] < best_val:
+            best_val, best_witness = float(vals[0]), pl.shifted(float(shifts[0]))
     return OrbitDistanceResult(best_val, best_witness, False)
 
 
-def dist_to_orbit(f, g, family: FamilyTag, mu: ProbVector, tol: float = 1e-9) -> OrbitDistanceResult:
+def dist_to_orbit(f, g, family: FamilyTag, mu: ProbVector) -> OrbitDistanceResult:
     """Ky Fan distance from feature f to the family orbit of g.
 
-    Exact for the identity, translation and symmetric-clip families at
-    every support size; an upper-bound candidate search otherwise, with
-    a witness that achieves the value.
+    Exact for the identity, translation, symmetric-clip and
+    shift-then-clip families at every support size; a sampled upper
+    bound under lip1, with a witness that achieves the value.
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
     w = mu.weights
     if f.shape != g.shape or f.shape != w.shape:
         raise DimensionMismatch("feature lists and weights must share one length")
-    return _orbit_distance(f, g, family, _KyFan(w), tol)
+    return _orbit_distance(f, g, family, _KyFan(w))
 
 
-def dist_to_orbit_sup(f, g, family: FamilyTag, tol: float = 1e-9) -> OrbitDistanceResult:
+def dist_to_orbit_sup(f, g, family: FamilyTag) -> OrbitDistanceResult:
     """Sup-norm distance from f to the family orbit of g.
 
     Same family semantics as dist_to_orbit but with max |f - p(g)|
@@ -458,7 +475,7 @@ def dist_to_orbit_sup(f, g, family: FamilyTag, tol: float = 1e-9) -> OrbitDistan
     g = np.asarray(g, dtype=float)
     if f.shape != g.shape:
         raise DimensionMismatch("feature lists must share one length")
-    return _orbit_distance(f, g, family, _Sup(f.size), tol)
+    return _orbit_distance(f, g, family, _Sup(f.size))
 
 
 def compose_family(X: FiniteGDS, p: ClipMap) -> FiniteGDS:
@@ -475,7 +492,7 @@ def compose_family(X: FiniteGDS, p: ClipMap) -> FiniteGDS:
     return result
 
 
-def directed_orbit_matrix(rows, family: FamilyTag, mu: ProbVector, tol: float = 1e-9):
+def directed_orbit_matrix(rows, family: FamilyTag, mu: ProbVector):
     """Matrix of dist_to_orbit values between feature rows (directed)."""
     rows = np.asarray(rows, dtype=float)
     m = rows.shape[0]
@@ -483,12 +500,12 @@ def directed_orbit_matrix(rows, family: FamilyTag, mu: ProbVector, tol: float = 
     for i in range(m):
         for j in range(m):
             if i != j:
-                out[i, j] = dist_to_orbit(rows[i], rows[j], family, mu, tol).value
+                out[i, j] = dist_to_orbit(rows[i], rows[j], family, mu).value
     return out
 
 
-def symmetric_orbit_matrix(rows, family: FamilyTag, mu: ProbVector, tol: float = 1e-9):
-    d = directed_orbit_matrix(rows, family, mu, tol)
+def symmetric_orbit_matrix(rows, family: FamilyTag, mu: ProbVector):
+    d = directed_orbit_matrix(rows, family, mu)
     return np.maximum(d, d.T)
 
 
@@ -498,21 +515,19 @@ class CoveringResult:
     exact: bool
 
 
-def covering_number(
-    X: FiniteGDS, eps: float, family: FamilyTag | None = None, tol: float = 1e-9
-) -> CoveringResult:
+def covering_number(X: FiniteGDS, eps: float, family: FamilyTag | None = None) -> CoveringResult:
     """Size of a smallest generator subset whose family orbits cover all
     generators within eps (open balls, Ky Fan metric).
 
     Exhaustive subset search gives the exact value for at most 12
     generators; otherwise a greedy set cover provides an upper bound.
-    lip1 orbit distances are sampled upper bounds, so a lip1 result is
-    never marked exact.
+    Orbit distances are exact for every family but lip1, whose sampled
+    upper bounds keep a lip1 result from being marked exact.
     """
     if eps <= 0:
         raise InvalidRange("eps must be positive")
     family = family or X.family
-    d = directed_orbit_matrix(X.generators, family, X.mu, tol)
+    d = directed_orbit_matrix(X.generators, family, X.mu)
     m = d.shape[0]
     covers = d < eps  # covers[t, r]: generator r covers target t
     if m <= 12:
@@ -538,9 +553,7 @@ class CapacityResult:
     exact: bool
 
 
-def capacity(
-    orbit_reps, eps: float, family: FamilyTag, mu: ProbVector, tol: float = 1e-9
-) -> CapacityResult:
+def capacity(orbit_reps, eps: float, family: FamilyTag, mu: ProbVector) -> CapacityResult:
     """Size of an eps-discrete set of orbit representatives.
 
     Discreteness uses the symmetrized orbit Hausdorff estimate (the
@@ -552,7 +565,7 @@ def capacity(
     reps = np.asarray(orbit_reps, dtype=float)
     if reps.ndim != 2 or reps.shape[0] == 0:
         raise EmptySet("need at least one representative")
-    s = symmetric_orbit_matrix(reps, family, mu, tol)
+    s = symmetric_orbit_matrix(reps, family, mu)
     m = s.shape[0]
     if m <= 12:
         apart = s > eps

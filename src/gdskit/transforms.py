@@ -238,8 +238,8 @@ def check_domination(
 
     NotDominated needs every candidate map rejected on a certificate:
     some Y-generator whose orbit distances all exceed tol, each one
-    certified exact or proven by a pair of points that no 1-Lipschitz
-    map can bring within tol. Otherwise the verdict is Unknown.
+    certified exact (every family but lip1 is) or proven by a pair of
+    points that no 1-Lipschitz map brings within tol. Else: Unknown.
     """
     search = _MapSearch(X.masses, Y.masses, budget)
     note = None
@@ -252,7 +252,7 @@ def check_domination(
         for grow in Y.generators:
             pulled = grow[cand_arr]
             results = [
-                dist_to_orbit(pulled, xrow, X.family, X.mu, tol) for xrow in X.generators
+                dist_to_orbit(pulled, xrow, X.family, X.mu) for xrow in X.generators
             ]
             dist = min(r.value for r in results)
             worst = max(worst, dist)

@@ -10,7 +10,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import numpy as np
 
@@ -299,6 +299,89 @@ def shiftclip_grid_oracle(f, g, masses, shift_steps=201, level_steps=41):
 
 
 
+# the simple cycles of a digraph on the nodes 0 (the origin), 1 (c),
+# 2 (lo) and 3 (hi), each listed once, from its smallest node
+_TB_CYCLES = [
+    cyc for size in (2, 3, 4) for nodes in combinations(range(4), size)
+    for rest in permutations(nodes[1:]) for cyc in [(nodes[0],) + rest]
+]
+
+
+@dataclass(frozen=True)
+class TbOrbit:
+    """Exact shift-then-clip orbit data from tb_orbit_oracle.
+
+    `options` holds (eps_min, uncovered weight) per feasible role
+    assignment: its covered points fit one map exactly when eps >=
+    eps_min."""
+
+    options: tuple
+
+    @property
+    def kyfan(self):
+        return min(max(e, u) for e, u in self.options)
+
+    @property
+    def sup(self):
+        return min(e for e, u in self.options if u == 0)
+
+    def uncovered(self, eps):
+        """m(eps): the least weight any map leaves farther than eps."""
+        return min(u for e, u in self.options if e <= eps)
+
+
+def tb_orbit_oracle(f, g, masses):
+    """Shift-then-clip orbit of g as seen from f, in Fractions, by role
+    enumeration.
+
+    Under p = clamp(g + c, lo, hi) a covered point is clamped low
+    (g_i + c <= lo, |f_i - lo| <= eps), in the middle (lo <= g_i + c <=
+    hi, |f_i - g_i - c| <= eps) or clamped high; an uncovered point has
+    no constraint, and lo <= hi always. Each role assignment is a system
+    of difference constraints x_v - x_u <= w on (origin, c, lo, hi).
+    Only the edges at the origin carry eps, so a simple cycle through it
+    carries 2 eps: the assignment is feasible exactly when every cycle
+    that avoids the origin is nonnegative and eps >= -w / 2 for every
+    cycle through it. Meant for at most 4 points.
+    """
+    fs = [Fraction(float(v)) for v in f]
+    gs = [Fraction(float(v)) for v in g]
+    ms = [Fraction(float(m)) for m in masses]
+    options = []
+    for roles in product("ULMH", repeat=len(fs)):
+        edges = {(3, 2): Fraction(0)}  # lo <= hi
+
+        def add(u, v, w):
+            edges[u, v] = min(edges.get((u, v), w), w)
+
+        for role, a, b in zip(roles, fs, gs):
+            if role == "L":
+                add(2, 1, -b)
+                add(0, 2, a)
+                add(2, 0, -a)
+            elif role == "M":
+                add(1, 2, b)
+                add(3, 1, -b)
+                add(0, 1, a - b)
+                add(1, 0, b - a)
+            elif role == "H":
+                add(1, 3, b)
+                add(0, 3, a)
+                add(3, 0, -a)
+        eps = Fraction(0)
+        for cyc in _TB_CYCLES:
+            steps = list(zip(cyc, cyc[1:] + cyc[:1]))
+            if all(step in edges for step in steps):
+                w = sum(edges[step] for step in steps)
+                if cyc[0] != 0 and w < 0:
+                    break
+                if cyc[0] == 0:
+                    eps = max(eps, -w / 2)
+        else:
+            options.append((eps, sum((m for m, role in zip(ms, roles) if role == "U"), Fraction(0))))
+    return TbOrbit(tuple(options))
+
+
 def exact_cover_oracle(cover_matrix):
     """Smallest column subset covering all rows of a boolean matrix."""
     m = cover_matrix.shape[1]
@@ -418,25 +501,25 @@ def od_lower_exact(sx, sy):
 # full-scan coupling objectives
 # ---------------------------------------------------------------------------
 
-def dconc_pi_full_scan(X, Y, pi, tol=1e-9):
+def dconc_pi_full_scan(X, Y, pi):
     """dconc_pi without pruning: every generator pair in both directions."""
     rows, cols = np.nonzero(pi > 0.0)
     w = pi[rows, cols]
     mu = gk.ProbVector(w / w.sum())
     fx, gy = X.generators[:, rows], Y.generators[:, cols]
-    forward = max(min(gk.dist_to_orbit(f, g, Y.family, mu, tol).value for g in gy) for f in fx)
-    backward = max(min(gk.dist_to_orbit(g, f, X.family, mu, tol).value for f in fx) for g in gy)
+    forward = max(min(gk.dist_to_orbit(f, g, Y.family, mu).value for g in gy) for f in fx)
+    backward = max(min(gk.dist_to_orbit(g, f, X.family, mu).value for f in fx) for g in gy)
     return max(forward, backward)
 
 
-def box_objective_full_scan(X, Y, pi, S, tol=1e-9):
+def box_objective_full_scan(X, Y, pi, S):
     """box_objective without pruning: every generator pair in both directions."""
     rows = np.array([i for i, _ in S])
     cols = np.array([j for _, j in S])
     mass = float(pi[rows, cols].sum())
     fx, gy = X.generators[:, rows], Y.generators[:, cols]
-    forward = max(min(gk.dist_to_orbit_sup(f, g, Y.family, tol).value for g in gy) for f in fx)
-    backward = max(min(gk.dist_to_orbit_sup(g, f, X.family, tol).value for f in fx) for g in gy)
+    forward = max(min(gk.dist_to_orbit_sup(f, g, Y.family).value for g in gy) for f in fx)
+    backward = max(min(gk.dist_to_orbit_sup(g, f, X.family).value for f in fx) for g in gy)
     return max(1.0 - mass, 2.0 * max(forward, backward))
 
 

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from gdskit.cli import main, sweep
-from gdskit.families import CoveringResult
+from gdskit.transforms import DominationVerdict
 
 
 def run(argv, capsys):
@@ -58,10 +58,10 @@ class TestBasicCommands:
         "argv",
         [
             ["covnum", "A", "--eps", "0.1", "--eps", "nan"],
-            ["covnum", "A", "--eps", "0.1", "--tol", "nan"],
-            ["covnum", "A", "--eps", "0.1", "--tol", "-0.5"],
-            ["covnum", "A", "--eps", "0.1", "--tol", "inf"],
-            ["dconc", "A", "B", "--tol", "nan"],
+            ["domination", "A", "B", "--tol", "nan"],
+            ["domination", "A", "B", "--tol", "-0.5"],
+            ["domination", "A", "B", "--tol", "inf"],
+            ["domination", "A", "B", "--tol", "-inf"],
             ["odiam", "A", "--kappa", "nan"],
             ["pdiam", "A", "--alpha", "nan"],
             ["measure", "A", "--features", "0", "--out", "OUT", "--R", "nan"],
@@ -169,17 +169,6 @@ class TestTransformCommands:
         payload = json.loads(out)
         assert payload["value"] >= 1 and payload["exact"]
 
-    def test_covnum_passes_tol_zero(self, two_point_files, capsys, monkeypatch):
-        seen = []
-
-        def fake_covering_number(X, eps, family=None, tol=None):
-            seen.append(tol)
-            return CoveringResult(1, True)
-
-        monkeypatch.setattr("gdskit.families.covering_number", fake_covering_number)
-        code, _, _ = run(["covnum", two_point_files[0], "--eps", "0.1", "--tol", "0"], capsys)
-        assert code == 0
-        assert seen == [0.0]
 
 
 class TestDistanceCommands:
@@ -220,6 +209,25 @@ class TestDistanceCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["interval"][0] == 0.0
+
+    def test_domination_passes_tol_zero(self, two_point_files, capsys, monkeypatch):
+        seen = []
+
+        def fake_check_domination(X, Y, tol=None, budget=None):
+            seen.append(tol)
+            return DominationVerdict("Dominates", witness_map=(0, 1))
+
+        monkeypatch.setattr("gdskit.cli.check_domination", fake_check_domination)
+        code, _, _ = run(["domination", *two_point_files, "--tol", "0"], capsys)
+        assert code == 0
+        assert seen == [0.0]
+
+    def test_tol_only_on_domination(self, two_point_files):
+        # no other command compares against a tolerance
+        for argv in (["covnum", two_point_files[0], "--eps", "0.1"], ["dconc", *two_point_files]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--tol", "0"])
+            assert exc.value.code == 2
 
     def test_domination_exit_codes(self, two_point_files, capsys):
         # the wider space dominates the narrower one (clip to radius 1) ...

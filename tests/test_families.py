@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import gdskit as gk
 from gdskit._kernels import window_tradeoff_min, window_tradeoff_values
 from gdskit.errors import EmptySet, InvalidRange
-from gdskit.families import _min_window
+from gdskit.families import _min_window, _tb_cover
 from oracles import (
     clip_orbit_grid_oracle,
     clip_orbit_oracle,
@@ -22,6 +23,7 @@ from oracles import (
     shiftclip_grid_oracle,
     sup_clip_orbit_enumeration,
     t_orbit_grid_oracle,
+    tb_orbit_oracle,
 )
 
 
@@ -167,8 +169,7 @@ class TestDistToOrbit:
 
     def test_witness_reproduces_value(self):
         rng = np.random.default_rng(31)
-        # None draws a small support; the fixed sizes pass the pairwise
-        # shift cap (12) and the target-frame cap (16)
+        # None draws a small support
         for size in [None] * 25 + [13, 16, 17, 20]:
             n = size or int(rng.integers(2, 6))
             f, g = dyadic_values(rng, n), dyadic_values(rng, n)
@@ -179,22 +180,27 @@ class TestDistToOrbit:
                 res = gk.dist_to_orbit(f, g, family, pv)
                 achieved = kf_oracle(f, res.witness.apply(g), w)
                 assert achieved <= res.value + 1e-9
-        # the symmetric-clip search is exact and certified at any size
+        # the clip searches are exact and certified at any size
         for n in (13, 32, 64, 256):
             f, g = rng.normal(size=n), rng.normal(size=n)
             w = rng.dirichlet(np.ones(n))
-            res = gk.dist_to_orbit(f, g, gk.B_FAMILY, gk.ProbVector(w))
-            assert res.certified
-            assert kf_oracle(f, res.witness.apply(g), w) <= res.value + 1e-15
+            for family in (gk.B_FAMILY, gk.TB_FAMILY):
+                res = gk.dist_to_orbit(f, g, family, gk.ProbVector(w))
+                assert res.certified
+                assert kf_oracle(f, res.witness.apply(g), w) <= res.value + 1e-15
 
-    def test_shiftclip_tie_takes_smallest_witness(self):
-        # several candidates map g to the constant 11/16 (c = 11/16 with
-        # hi = 11/16, or lo = hi = 11/16 with any c); of these tied
-        # witnesses the smallest (c, lo, hi) is returned
+    def test_shiftclip_tie_takes_first_candidate(self):
+        # a constant map covers as much as any shift here, and the cover
+        # takes the constant on a tie: the constant 11/16
         pv = gk.ProbVector.uniform(2)
         res = gk.dist_to_orbit([0.5, 0.875], [0.5, 0.0], gk.TB_FAMILY, pv)
         assert res.value == 0.1875
-        assert res.witness == gk.ClipMap(0.1875, 0.6875, 0.6875)
+        assert res.witness == gk.ClipMap.constant(0.6875)
+        # f is a translate of g: the optimal translation is scored first
+        # and keeps the tie with the cover witness ClipMap(-5, 0, 1)
+        res = gk.dist_to_orbit([0.0, 1.0], [5.0, 6.0], gk.TB_FAMILY, pv)
+        assert res.value == 0.0
+        assert res.witness == gk.ClipMap.translation(-5.0)
 
     def test_window_kernel_rows_match_single_row(self):
         rng = np.random.default_rng(61)
@@ -243,9 +249,10 @@ class TestSupOrbit:
                 assert achieved <= res.value + 1e-9
         for n in (13, 32, 64, 256):
             f, g = rng.normal(size=n), rng.normal(size=n)
-            res = gk.dist_to_orbit_sup(f, g, gk.B_FAMILY)
-            assert res.certified
-            assert float(np.max(np.abs(f - res.witness.apply(g)))) == res.value
+            for family in (gk.B_FAMILY, gk.TB_FAMILY):
+                res = gk.dist_to_orbit_sup(f, g, family)
+                assert res.certified
+                assert float(np.max(np.abs(f - res.witness.apply(g)))) == res.value
 
 
 def _clip_case(rng, i, n):
@@ -315,6 +322,76 @@ class TestClipOrbit:
             assert res.certified
 
 
+def _tb_case(rng, i, n):
+    """A feature pair and masses for the shift-then-clip oracle tests:
+    features k/7 or k/11 (not dyadic, so float rounding shows), masses
+    k/7 or k/11, and every other f an exact or perturbed member of the
+    orbit of g."""
+    denom = (7, 11)[i % 2]
+    g = rng.integers(-2 * denom, 2 * denom + 1, size=n) / denom
+    if i % 4 < 2:
+        f = rng.integers(-2 * denom, 2 * denom + 1, size=n) / denom
+    else:
+        c, lo, hi = np.sort(rng.integers(-2 * denom, 2 * denom + 1, size=3)) / denom
+        f = gk.ClipMap(float(rng.permutation([c, lo, hi])[0]), lo, hi).apply(g)
+        f[rng.integers(n)] += (i % 8 == 6) / 7
+    denom = (11, 7)[i // 2 % 2]
+    cuts = np.sort(rng.choice(np.arange(1, denom), size=n - 1, replace=False))
+    w = np.diff(np.concatenate([[0], cuts, [denom]])) / denom
+    return f, g, w
+
+
+class TestShiftClipOrbit:
+    def test_matches_rational_oracle(self):
+        rng = np.random.default_rng(73)
+        for i in range(120):
+            n = int(rng.integers(1, 5))
+            f, g, w = _tb_case(rng, i, n)
+            orbit = tb_orbit_oracle(f, g, w)
+            res = gk.dist_to_orbit(f, g, gk.TB_FAMILY, gk.ProbVector(w))
+            assert res.certified
+            assert abs(res.value - float(orbit.kyfan)) <= 1e-12
+            assert abs(kf_oracle(f, res.witness.apply(g), w) - res.value) <= 1e-15
+            res = gk.dist_to_orbit_sup(f, g, gk.TB_FAMILY)
+            assert res.certified
+            assert abs(res.value - float(orbit.sup)) <= 1e-12
+            assert float(np.max(np.abs(f - res.witness.apply(g)))) == res.value
+
+    def test_uncovered_weight_steps_at_breakpoints(self):
+        # m(eps) is constant from each breakpoint 0, |f_i - f_j| / 2,
+        # |d_i - d_j| / 2 up to the next, and the cover oracle gives it
+        # inside each interval wider than float rounding
+        rng = np.random.default_rng(79)
+        for i in range(60):
+            n = int(rng.integers(1, 5))
+            f, g, w = _tb_case(rng, i, n)
+            orbit = tb_orbit_oracle(f, g, w)
+            fr = [Fraction(v) for v in f.tolist()]
+            d = [a - Fraction(b) for a, b in zip(fr, g.tolist())]
+            breaks = sorted({Fraction(0)} | {abs(a - b) / 2 for pts in (fr, d) for a in pts for b in pts})
+            order = np.argsort(f, kind="stable")
+            for lo, hi in zip(breaks, breaks[1:] + [breaks[-1] + 1]):
+                m = orbit.uncovered(lo)
+                assert orbit.uncovered((lo + hi) / 2) == m
+                assert orbit.uncovered(hi - (hi - lo) / 1000) == m
+                if hi - lo > 1e-9:
+                    uncovered, _ = _tb_cover(f[order], (f - g)[order], w[order])(float((lo + hi) / 2))
+                    assert abs(uncovered - float(m)) <= 1e-12
+
+    def test_exact_members_at_any_size(self):
+        # the candidate grid of earlier versions missed most of these
+        # above 16 points, by 0.02-0.05
+        rng = np.random.default_rng(83)
+        for n in (17, 20, 30):
+            for _ in range(4):
+                g = np.sort(rng.normal(size=n))
+                lo, hi = np.sort(rng.normal(size=2))
+                f = gk.ClipMap(float(rng.normal()), lo, hi).apply(g)
+                w = rng.dirichlet(np.ones(n))
+                assert gk.dist_to_orbit(f, g, gk.TB_FAMILY, gk.ProbVector(w)).value <= 1e-12
+                assert gk.dist_to_orbit_sup(f, g, gk.TB_FAMILY).value <= 1e-12
+
+
 class TestCovering:
     def test_single_orbit_is_one(self):
         # generators all translates of one feature
@@ -355,6 +432,14 @@ class TestCovering:
             res = gk.covering_number(X, eps)
             assert res.exact
             assert res.value == exact_cover_oracle(d < eps)
+
+    def test_shiftclip_member_is_one_orbit(self):
+        # the second generator is a shift-then-clip image of the first
+        g = np.arange(17.0)
+        gens = [g, gk.ClipMap(0, 0.25, 0.5).apply(g)]
+        X = gk.validate_gds(range(17), gens, gk.TB_FAMILY, (np.arange(17) + 1) / 153)
+        res = gk.covering_number(X, 0.005)
+        assert (res.value, res.exact) == (1, True)
 
     def test_lip1_is_not_exact(self):
         # |g - 2| is 1-Lipschitz in g, so one orbit covers both rows, but

@@ -188,6 +188,16 @@ class TestCheckDomination:
         assert verdict.status in ("Dominates", "Unknown")
         assert verdict.witness_map in (None, (0,) + (1,) * 16)
 
+    def test_shiftclip_quotient_dominated_above_16_points(self):
+        # the clip quotient of a 17-point space: the candidate grid of
+        # earlier versions missed the orbit member and said Unknown
+        g = np.arange(17.0)
+        X = gk.validate_gds(range(17), [g], gk.TB_FAMILY, (np.arange(17) + 1) / 153)
+        Y, qmap = quotient(X, [gk.ClipMap(0, 0.25, 0.5).apply(g)])
+        verdict = check_domination(X, Y, budget=200)
+        assert verdict.status == "Dominates"
+        assert verdict.witness_map == tuple(qmap.tolist())
+
     def test_dominates_stops_at_its_witness(self):
         # the quotient map is the first mass-compatible map: one step per point
         g = np.arange(12.0)
