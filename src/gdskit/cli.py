@@ -216,7 +216,6 @@ def cmd_domination(args) -> int:
                 "status": verdict.status,
                 "witness_map": list(verdict.witness_map) if verdict.witness_map else None,
                 "certificate": verdict.certificate,
-                "note": verdict.note,
             },
             indent=2,
         )
@@ -295,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a standard space")
     p.add_argument("recipe", help="two_point:<d> | hamming_cube:<k>[:by_k] | path:<n>:<step> | random_cloud:<n>:<dim>:<metric>:<seed>")
-    p.add_argument("--family", default="TB", help="id | T | B | TB | lip1:<budget>")
+    p.add_argument("--family", default="TB", help="id | T | B | TB | lip1")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 
@@ -344,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=f"{name} bracket between two data sets")
         common(p, files=2)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--budget", type=int, default=None)
         p.set_defaults(func=fn)
 
     for name, fn in (("staircase", cmd_staircase), ("rho", cmd_rho)):

@@ -56,22 +56,16 @@ class FamilyTag:
     ``TB``
         All shift-then-clip maps x -> max(l, min(x + c, u)).
     ``lip1``
-        All of lip1(R), represented by a seeded sample of piecewise
-        linear 1-Lipschitz maps of size `sample_budget`. Orbit searches
-        under this tag are heuristic under-approximations of the family.
+        All of lip1(R), searched exactly through McShane's extension.
+        `parse` reads ``lip1:<n>`` (n a positive integer), the form that
+        older files carry, as ``lip1``.
     """
 
     kind: str
-    sample_budget: int | None = None
 
     def __post_init__(self):
         if self.kind not in _FAMILY_KINDS:
             raise ValidationError(f"unknown family kind {self.kind!r}")
-        if self.kind == "lip1":
-            if not isinstance(self.sample_budget, int) or self.sample_budget < 1:
-                raise ValidationError("lip1 family requires a positive sample budget")
-        elif self.sample_budget is not None:
-            raise ValidationError("sample_budget only applies to the lip1 family")
 
     @property
     def contains_translations(self) -> bool:
@@ -82,18 +76,13 @@ class FamilyTag:
         return self.kind in ("B", "TB", "lip1")
 
     def __str__(self) -> str:
-        if self.kind == "lip1":
-            return f"lip1:{self.sample_budget}"
         return self.kind
 
     @classmethod
     def parse(cls, text: str) -> "FamilyTag":
-        if text.startswith("lip1:"):
-            try:
-                budget = int(text.split(":", 1)[1])
-            except ValueError as exc:
-                raise ValidationError(f"bad lip1 budget in {text!r}") from exc
-            return cls("lip1", budget)
+        kind, _, budget = text.partition(":")
+        if kind == "lip1" and budget.isdecimal() and int(budget) > 0:
+            return cls(kind)
         return cls(text)
 
 

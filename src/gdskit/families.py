@@ -1,32 +1,30 @@
 """Monoidal families of 1-Lipschitz maps acting on features.
 
-Three parametric families are supported exactly:
+Four families are searched exactly:
 
 * translations x -> x + c,
 * symmetric clips x -> max(-R, min(x, R)),
 * shift-then-clip maps x -> max(l, min(x + c, u)),
+* all of lip1(R), through McShane's extension.
 
-plus a sampled stand-in for all of lip1(R). The central primitive is
-the distance from a feature to the orbit of another feature under a
-family, measured in the Ky Fan metric (dist_to_orbit) or in sup norm
-for support-restricted comparisons (dist_to_orbit_sup). Orbit distances
-feed covering numbers, capacities, domination checks and the coupling
-objectives.
+The central primitive is the distance from a feature to the orbit of
+another feature under a family, measured in the Ky Fan metric
+(dist_to_orbit) or in sup norm for support-restricted comparisons
+(dist_to_orbit_sup). Orbit distances feed covering numbers, capacities,
+domination checks and the coupling objectives.
 
 Both metrics share one orbit engine: one family dispatch and one
 bisection over the breakpoints of a cover oracle (the least weight a
 family leaves farther than eps). A metric supplies a batched row scorer
 (kf_rows or the row maximum), a batched exact translation optimum with
 its shift (the window formula or the midrange), the weights and
-acceptance rule of the bisection, and its shift-then-clip search.
+acceptance rule of the bisection, and its shift-then-clip and lip1
+searches.
 
 Certification semantics: `certified=True` means the returned value is
 the exact infimum over the family, up to float rounding in scoring the
-witness; this holds for the identity, translation, symmetric-clip and
-shift-then-clip families at every support size. `False` (lip1) means
-it is an upper bound: the best of the exact shift-then-clip value and
-a seeded sample of piecewise linear maps. Every returned value is what
-its witness achieves.
+witness; this holds for every family at every support size. Every
+returned value is what its witness achieves.
 """
 from __future__ import annotations
 
@@ -51,8 +49,6 @@ from .errors import (
     ValidationError,
 )
 from .stats import levy_mean, partial_diameter
-
-_LIP1_SEED = 322751
 
 
 @dataclass(frozen=True)
@@ -138,8 +134,9 @@ def compose_clips(outer: ClipMap, inner: ClipMap) -> ClipMap:
 class PLMap:
     """A piecewise linear 1-Lipschitz map, constant beyond its knots.
 
-    Used to represent sampled members of lip1(R); knot values are
-    produced by a slope-bounded random walk.
+    The lip1 orbit searches return one as their witness (_mcshane).
+    The slope bound allows rounding at 1e-12 of the largest knot or
+    value.
     """
 
     knots: np.ndarray
@@ -153,7 +150,8 @@ class PLMap:
         gaps = np.diff(k)
         if np.any(gaps <= 0):
             raise ValidationError("knots must be strictly increasing")
-        if k.size > 1 and np.any(np.abs(np.diff(v)) > gaps * (1 + 1e-12)):
+        slack = 1e-12 * max(np.abs(k).max(), np.abs(v).max())
+        if np.any(np.abs(np.diff(v)) > gaps + slack):
             raise ValidationError("knot values violate the 1-Lipschitz bound")
         object.__setattr__(self, "knots", k)
         object.__setattr__(self, "values", v)
@@ -163,9 +161,6 @@ class PLMap:
 
     def __call__(self, values) -> np.ndarray:
         return self.apply(values)
-
-    def shifted(self, c: float) -> "PLMap":
-        return PLMap(self.knots, self.values + c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,6 +216,8 @@ def _first_accepted(breaks, cover, metric):
             hi = mid
         else:
             lo = mid + 1
+        # only e_{lo-1} and e_hi can still be returned; a witness may be large
+        covers = {k: c for k, c in covers.items() if lo - 1 <= k <= hi}
     return [(breaks[k], (covers.get(k) or cover(breaks[k]))[1]) for k in (lo - 1, lo) if k >= 0]
 
 
@@ -331,6 +328,79 @@ def _tb_cover(fs, ds, ws):
     return cover
 
 
+def _mcshane(f, g, members):
+    """The central McShane extension of f from g on `members`, a PLMap
+    with a knot at each value of g: the mean of x -> min_j (f_j + |x -
+    g_j|) and x -> max_j (f_j - |x - g_j|) over members j. It is
+    1-Lipschitz, and within eps of f at every member when no pair of
+    members stretches (|f_i - f_j| - |g_i - g_j|) by more than 2 eps.
+    """
+    knots = sorted_unique(g)
+    gaps = np.abs(knots[:, None] - g[None, members])
+    fm = f[members]
+    return PLMap(knots, ((fm + gaps).min(axis=1) + (fm - gaps).max(axis=1)) / 2.0)
+
+
+def _lip1_cover(f, g, stretch, w):
+    """lip1 cover oracle, as _tb_cover, over the stretch matrix
+    |f_i - f_j| - |g_i - g_j| and the masses w.
+
+    By McShane's extension a 1-Lipschitz map brings a set S within eps
+    exactly when no pair in S stretches by more than 2 eps. Over points
+    sorted by g, with a = f + g and b = f - g, a pair i before j passes
+    exactly when a_j >= a_i - 2 eps and b_j <= b_i + 2 eps, so j fits S
+    when it passes with the members p of largest a and q of least b. A
+    dynamic program keeps W[p, q], the heaviest such S so far: (p, q) is
+    made at step max(p, q) from one earlier state, and every later point
+    that fits it and takes neither role joins it.
+    """
+    order = np.argsort(g, kind="stable")
+    ws, fits = w[order], stretch[np.ix_(order, order)]
+    a, b = (f + g)[order], (f - g)[order]
+    # [j, i]: j takes the role of largest a (least b) from the earlier i
+    up, down = a[None, :] <= a[:, None], b[None, :] >= b[:, None]
+    no, n = np.float64(-np.inf), ws.size
+
+    def cover(eps):
+        # additive masks, -inf where a test fails or a role is not taken:
+        # every finite value written at step j is exactly an old one + ws[j]
+        ok = np.where(fits <= 2.0 * eps, 0.0, no)
+        okw = ok + ws[:, None]
+        take_p, take_q = okw + np.where(up, 0.0, no), ok + np.where(down, 0.0, no)
+        keep_p, keep_q = okw + np.where(up, no, 0.0), ok + np.where(down, no, 0.0)
+        W, made_from = np.full((n, n), no), np.full((n, n), -1)
+        W[0, 0] = ws[0]
+        for j in range(1, n):
+            prev, span = W[:j, :j], np.arange(j)
+            # j joins (p, q), which becomes (j, q), (p, j) or (j, j), or stays
+            to_jq, to_pj = prev + take_p[j, :j, None], prev + take_q[j, None, :j]
+            row, col = to_jq.max(axis=0), to_pj.max(axis=1)
+            both = row + take_q[j, :j]
+            np.maximum(prev, prev + keep_p[j, :j, None] + keep_q[j, None, :j], out=prev)
+            W[j, :j], W[:j, j] = row + keep_q[j, :j], col + keep_p[j, :j]
+            W[j, j] = max(ws[j], both.max())
+            # where each new state came from, as a flat index (-1: nowhere)
+            made_from[j, :j] = to_jq.argmax(axis=0) * n + span
+            made_from[:j, j] = span * n + to_pj.argmax(axis=1)
+            if W[j, j] > ws[j]:
+                made_from[j, j] = made_from[j, both.argmax()]
+
+        def witness():
+            p, q = np.unravel_index(int(np.argmax(W)), W.shape)
+            chosen, end = [], n
+            while p >= 0:
+                t = max(p, q)
+                later = np.arange(t + 1, end)
+                joined = (ok[later, p] + ok[later, q] == 0.0) & ~up[later, p] & ~down[later, q]
+                chosen += [t, *later[joined]]
+                (p, q), end = divmod(made_from[p, q], n), t
+            return _mcshane(f, g, order[chosen])
+
+        return float(np.sum(w)) - float(W.max()), witness
+
+    return cover
+
+
 class _KyFan:
     """Ky Fan scorers under the weights w. A clip radius is accepted at
     eps when it leaves weight at most eps farther than eps."""
@@ -368,6 +438,18 @@ class _KyFan:
         breaks = breaks[: np.searchsorted(breaks, t_vals[0], side="right") + 1]
         found = _first_accepted(breaks, _tb_cover(fs, ds, self.w[order]), self)
         maps = [ClipMap.translation(t_shifts[0])] + [build() for _, build in found]
+        vals = self.rows(np.abs(f[None, :] - np.vstack([p.apply(g) for p in maps])))
+        j = int(np.argmin(vals))
+        return float(vals[j]), maps[j]
+
+    def lip1(self, f, g):
+        """Exact lip1 orbit distance, as (value, map): the first
+        breakpoint e_k that _lip1_cover accepts is found as in
+        _orbit_clip, and the witnesses at e_{k-1} and e_k are scored.
+        """
+        stretch = np.abs(f[:, None] - f[None, :]) - np.abs(g[:, None] - g[None, :])
+        breaks = sorted_unique(np.maximum(stretch, 0.0) / 2.0)
+        maps = [build() for _, build in _first_accepted(breaks, _lip1_cover(f, g, stretch, self.w), self)]
         vals = self.rows(np.abs(f[None, :] - np.vstack([p.apply(g) for p in maps])))
         j = int(np.argmin(vals))
         return float(vals[j]), maps[j]
@@ -413,19 +495,13 @@ class _Sup:
             p = ClipMap(float(c), float(f.min() + top / 2.0), float(f.max() - top / 2.0))
         return float(np.max(np.abs(f - p.apply(g)))), p
 
-
-def _lip1_samples(g, budget):
-    knots = sorted_unique(g)
-    if knots.size == 1:
-        return []  # constant input: translations already cover every image
-    rng = np.random.default_rng(_LIP1_SEED + budget)
-    maps = []
-    gaps = np.diff(knots)
-    for _ in range(budget):
-        slopes = rng.uniform(-1.0, 1.0, size=gaps.size)
-        vals = np.concatenate([[0.0], np.cumsum(slopes * gaps)])
-        maps.append(PLMap(knots, vals))
-    return maps
+    def lip1(self, f, g):
+        """Exact lip1 orbit distance, as (value, map): by McShane's
+        extension max(0, max_ij (|f_i - f_j| - |g_i - g_j|) / 2), which
+        the central extension over every point reaches.
+        """
+        p = _mcshane(f, g, np.arange(f.size))
+        return float(np.max(np.abs(f - p.apply(g)))), p
 
 
 def _orbit_distance(f, g, family: FamilyTag, metric) -> OrbitDistanceResult:
@@ -438,23 +514,15 @@ def _orbit_distance(f, g, family: FamilyTag, metric) -> OrbitDistanceResult:
     if family.kind == "B":
         value, radius = _orbit_clip(f, g, metric)
         return OrbitDistanceResult(value, ClipMap.bound(radius), True)
-    best_val, best_witness = metric.shiftclip(f, g)
-    if family.kind == "TB":
-        return OrbitDistanceResult(best_val, best_witness, True)
-    # lip1: sampled piecewise linear maps, each with its optimal translation
-    for pl in _lip1_samples(g, family.sample_budget):
-        vals, shifts = metric.translate((f - pl.apply(g))[None, :])
-        if vals[0] < best_val:
-            best_val, best_witness = float(vals[0]), pl.shifted(float(shifts[0]))
-    return OrbitDistanceResult(best_val, best_witness, False)
+    value, witness = (metric.shiftclip if family.kind == "TB" else metric.lip1)(f, g)
+    return OrbitDistanceResult(value, witness, True)
 
 
 def dist_to_orbit(f, g, family: FamilyTag, mu: ProbVector) -> OrbitDistanceResult:
     """Ky Fan distance from feature f to the family orbit of g.
 
-    Exact for the identity, translation, symmetric-clip and
-    shift-then-clip families at every support size; a sampled upper
-    bound under lip1, with a witness that achieves the value.
+    Exact for every family at every support size, with a witness that
+    achieves the value.
     """
     f = np.asarray(f, dtype=float)
     g = np.asarray(g, dtype=float)
@@ -521,8 +589,6 @@ def covering_number(X: FiniteGDS, eps: float, family: FamilyTag | None = None) -
 
     Exhaustive subset search gives the exact value for at most 12
     generators; otherwise a greedy set cover provides an upper bound.
-    Orbit distances are exact for every family but lip1, whose sampled
-    upper bounds keep a lip1 result from being marked exact.
     """
     if eps <= 0:
         raise InvalidRange("eps must be positive")
@@ -531,12 +597,11 @@ def covering_number(X: FiniteGDS, eps: float, family: FamilyTag | None = None) -
     m = d.shape[0]
     covers = d < eps  # covers[t, r]: generator r covers target t
     if m <= 12:
-        exact = family.kind != "lip1"
         for size in range(1, m + 1):
             for combo in combinations(range(m), size):
                 if np.all(covers[:, combo].any(axis=1)):
-                    return CoveringResult(size, exact)
-        return CoveringResult(m, exact)
+                    return CoveringResult(size, True)
+        return CoveringResult(m, True)
     uncovered = np.ones(m, dtype=bool)
     count = 0
     while uncovered.any():
@@ -559,8 +624,7 @@ def capacity(orbit_reps, eps: float, family: FamilyTag, mu: ProbVector) -> Capac
     Discreteness uses the symmetrized orbit Hausdorff estimate (the
     larger of the two directed orbit distances) with strict > eps.
     Greedy scan gives a lower bound; for at most 12 representatives an
-    exhaustive bitmask search returns the exact maximum, except under
-    lip1, whose orbit distances are sampled upper bounds.
+    exhaustive bitmask search returns the exact maximum.
     """
     reps = np.asarray(orbit_reps, dtype=float)
     if reps.ndim != 2 or reps.shape[0] == 0:
@@ -576,7 +640,7 @@ def capacity(orbit_reps, eps: float, family: FamilyTag, mu: ProbVector) -> Capac
             members = [i for i in range(m) if mask >> i & 1]
             if all(mask & ~allowed[i] & ~(1 << i) == 0 for i in members):
                 best = max(best, len(members))
-        return CapacityResult(best, family.kind != "lip1")
+        return CapacityResult(best, True)
     kept: list[int] = []
     for i in range(m):
         if all(s[i, k] > eps for k in kept):

@@ -5,7 +5,7 @@ Schema (one of the two feature forms is required):
     {
       "points": [...],             # labels, one per point
       "weights": [...],            # positive, summing to 1
-      "family": "TB",              # id | T | B | TB | lip1:<budget>
+      "family": "TB",              # id | T | B | TB | lip1 (lip1:<n> reads as lip1)
       "features": {"generators": [[...], ...]},
       "distance_matrix": [[...], ...]
     }

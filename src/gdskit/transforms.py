@@ -10,7 +10,7 @@ An (N, R)-measurement is the quotient by at most N generator rows, each
 clipped into [-R, R]. Domination search enumerates measure-compatible
 point maps with mass pruning and tests pulled-back features against the
 source family orbits; `Unknown` is a first-class outcome when the
-search budget runs out or a rejection is not certified.
+search budget runs out.
 """
 from __future__ import annotations
 
@@ -150,16 +150,13 @@ class DominationVerdict:
 
     status is one of "Dominates", "NotDominated", "Unknown". A
     Dominates verdict carries the witness point map; NotDominated
-    carries a certificate describing the best failed candidate. For
-    sampled lip1 families orbit membership is only sample-certified,
-    which the note records. `steps` counts the partial point maps the
-    search made.
+    carries a certificate describing the best failed candidate. `steps`
+    counts the partial point maps the search made.
     """
 
     status: str
     witness_map: tuple[int, ...] | None = None
     certificate: str | None = None
-    note: str | None = None
     steps: int = 0
 
 
@@ -207,20 +204,6 @@ class _MapSearch:
                 yield tuple(assign)
 
 
-def _beyond_lipschitz(f, g, masses, tol: float) -> bool:
-    """Whether the Ky Fan distance from f to every orbit of g under
-    1-Lipschitz maps certainly exceeds tol.
-
-    With every point mass above tol, a distance within tol puts each
-    f_i within tol of p(g_i) for one 1-Lipschitz p, so no pair may have
-    |f_i - f_j| > |g_i - g_j| + 2 tol.
-    """
-    if masses.min() <= tol:
-        return False
-    stretch = np.abs(f[:, None] - f[None, :]) - np.abs(g[:, None] - g[None, :])
-    return bool(stretch.max() > 2.0 * tol)
-
-
 def check_domination(
     X: FiniteGDS, Y: FiniteGDS, tol: float = 1e-9, budget: int = 5000
 ) -> DominationVerdict:
@@ -236,42 +219,29 @@ def check_domination(
     runs out first the verdict is Unknown, with the best candidate seen
     recorded in the certificate.
 
-    NotDominated needs every candidate map rejected on a certificate:
-    some Y-generator whose orbit distances all exceed tol, each one
-    certified exact (every family but lip1 is) or proven by a pair of
-    points that no 1-Lipschitz map brings within tol. Else: Unknown.
+    NotDominated needs every candidate map rejected: some Y-generator
+    whose exact orbit distances all exceed tol.
     """
     search = _MapSearch(X.masses, Y.masses, budget)
-    note = None
-    if X.family.kind == "lip1":
-        note = "orbit membership sample-certified only (lip1 family)"
-    best_score, best_map, unproven = math.inf, None, False
+    best_score, best_map = math.inf, None
     for cand in search:
         cand_arr = np.asarray(cand)
-        worst, proven = 0.0, False
+        worst = 0.0
         for grow in Y.generators:
             pulled = grow[cand_arr]
-            results = [
-                dist_to_orbit(pulled, xrow, X.family, X.mu) for xrow in X.generators
-            ]
-            dist = min(r.value for r in results)
+            dist = min(dist_to_orbit(pulled, xrow, X.family, X.mu).value for xrow in X.generators)
             worst = max(worst, dist)
-            proven = proven or (dist > tol and all(
-                r.certified or _beyond_lipschitz(pulled, xrow, X.masses, tol)
-                for r, xrow in zip(results, X.generators)
-            ))
-            if proven and worst >= best_score:
+            if worst > tol and worst >= best_score:
                 break
         if worst <= tol:
-            return DominationVerdict("Dominates", witness_map=cand, note=note, steps=search.steps)
-        unproven = unproven or not proven
+            return DominationVerdict("Dominates", witness_map=cand, steps=search.steps)
         if worst < best_score:
             best_score, best_map = worst, cand
     if search.exhausted:
         cert = f"budget of {budget} search steps exhausted"
         if best_map is not None:
             cert += f"; best candidate {best_map} missed orbits by {best_score:.6g}"
-        return DominationVerdict("Unknown", certificate=cert, note=note, steps=search.steps)
+        return DominationVerdict("Unknown", certificate=cert, steps=search.steps)
     if best_map is None:
         cert = "no measure-compatible point map exists"
     else:
@@ -279,11 +249,7 @@ def check_domination(
             f"best candidate {best_map} pulls some feature {best_score:.6g} "
             f"away from the source orbits (tol {tol:.3g})"
         )
-    if unproven:
-        # an uncertified orbit value is an upper bound: a miss proves nothing
-        cert += "; some candidate's miss rests on uncertified orbit distances"
-    status = "Unknown" if unproven else "NotDominated"
-    return DominationVerdict(status, certificate=cert, note=note, steps=search.steps)
+    return DominationVerdict("NotDominated", certificate=cert, steps=search.steps)
 
 
 def rounded(X: FiniteGDS, decimals: int) -> tuple[FiniteGDS, np.ndarray]:

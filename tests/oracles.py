@@ -308,11 +308,11 @@ _TB_CYCLES = [
 
 
 @dataclass(frozen=True)
-class TbOrbit:
-    """Exact shift-then-clip orbit data from tb_orbit_oracle.
+class ExactOrbit:
+    """Exact orbit data from tb_orbit_oracle or lip1_orbit_oracle.
 
-    `options` holds (eps_min, uncovered weight) per feasible role
-    assignment: its covered points fit one map exactly when eps >=
+    `options` holds (eps_min, uncovered weight) per feasible set of
+    covered points: they fit one map of the family exactly when eps >=
     eps_min."""
 
     options: tuple
@@ -379,7 +379,30 @@ def tb_orbit_oracle(f, g, masses):
                     eps = max(eps, -w / 2)
         else:
             options.append((eps, sum((m for m, role in zip(ms, roles) if role == "U"), Fraction(0))))
-    return TbOrbit(tuple(options))
+    return ExactOrbit(tuple(options))
+
+
+def lip1_orbit_oracle(f, g, masses):
+    """lip1(R) orbit of g as seen from f, in Fractions, by subset
+    enumeration.
+
+    By McShane's extension a 1-Lipschitz map brings a set S of points
+    within eps of f exactly when |f_i - f_j| <= |g_i - g_j| + 2 eps for
+    every pair in S, so S fits one map from eps_S = max(0, the largest
+    half stretch in S) on. Meant for at most 8 points.
+    """
+    fs = [Fraction(float(v)) for v in f]
+    gs = [Fraction(float(v)) for v in g]
+    ms = [Fraction(float(m)) for m in masses]
+    n = len(fs)
+    options = []
+    for size in range(1, n + 1):
+        for S in combinations(range(n), size):
+            eps = max([Fraction(0)] + [
+                (abs(fs[i] - fs[j]) - abs(gs[i] - gs[j])) / 2 for i, j in combinations(S, 2)
+            ])
+            options.append((eps, sum((ms[i] for i in range(n) if i not in S), Fraction(0))))
+    return ExactOrbit(tuple(options))
 
 
 def exact_cover_oracle(cover_matrix):

@@ -222,6 +222,13 @@ class TestDistanceCommands:
         assert code == 0
         assert seen == [0.0]
 
+    def test_budget_only_on_series_and_domination(self, two_point_files):
+        # no bracket search reads a level budget
+        for command in ("dconc", "box"):
+            with pytest.raises(SystemExit) as exc:
+                main([command, *two_point_files, "--budget", "3"])
+            assert exc.value.code == 2
+
     def test_tol_only_on_domination(self, two_point_files):
         # no other command compares against a tolerance
         for argv in (["covnum", two_point_files[0], "--eps", "0.1"], ["dconc", *two_point_files]):

@@ -14,6 +14,7 @@ from gdskit.errors import (
     ValidationError,
     ZeroWeight,
 )
+from gdskit.serialize import gds_from_obj, gds_to_obj
 from oracles import (
     binomial_profile,
     check_metric_reference,
@@ -395,12 +396,20 @@ class TestPushforward:
 
 class TestFamilyTag:
     def test_parse_round_trip(self):
-        for text in ("id", "T", "B", "TB", "lip1:40"):
+        for text in ("id", "T", "B", "TB", "lip1"):
             assert str(gk.FamilyTag.parse(text)) == text
 
-    def test_lip1_needs_budget(self):
-        with pytest.raises(Exception):
-            gk.FamilyTag("lip1")
+    def test_old_lip1_tags_parse(self):
+        # files written when lip1 carried a sample budget still load
+        assert gk.FamilyTag.parse("lip1:40") == gk.FamilyTag("lip1")
+        obj = {"points": [0, 1], "weights": [0.5, 0.5], "family": "lip1:32",
+               "features": {"generators": [[0.0, 1.0]]}}
+        X = gds_from_obj(obj)
+        assert X.family == gk.FamilyTag("lip1")
+        assert gds_to_obj(X)["family"] == "lip1"
+        for text in ("lip1:0", "lip1:x", "lip1:", "TB:3"):
+            with pytest.raises(ValidationError):
+                gk.FamilyTag.parse(text)
 
     def test_membership_flags(self):
         assert gk.TB_FAMILY.contains_translations

@@ -340,7 +340,7 @@ class TestBoxObjective:
             box_objective(X, X, np.diag(X.masses), [])
 
 
-FAMILIES = (gk.ID_FAMILY, gk.T_FAMILY, gk.B_FAMILY, gk.TB_FAMILY, gk.FamilyTag("lip1", 8))
+FAMILIES = (gk.ID_FAMILY, gk.T_FAMILY, gk.B_FAMILY, gk.TB_FAMILY, gk.FamilyTag("lip1"))
 
 
 class TestPrunedObjectives:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import gdskit as gk
 from gdskit._kernels import window_tradeoff_min, window_tradeoff_values
 from gdskit.errors import EmptySet, InvalidRange
-from gdskit.families import _min_window, _tb_cover
+from gdskit.families import _lip1_cover, _min_window, _tb_cover
 from oracles import (
     clip_orbit_grid_oracle,
     clip_orbit_oracle,
@@ -19,6 +19,7 @@ from oracles import (
     exact_capacity_oracle,
     exact_cover_oracle,
     kf_oracle,
+    lip1_orbit_oracle,
     random_clip,
     shiftclip_grid_oracle,
     sup_clip_orbit_enumeration,
@@ -110,6 +111,9 @@ class TestComposeFamily:
                 assert gk.observable_diameter(Y, kappa) <= gk.observable_diameter(X, kappa)
 
 
+LIP1 = gk.FamilyTag("lip1")
+
+
 class TestDistToOrbit:
     def test_same_feature_any_family(self):
         rng = np.random.default_rng(17)
@@ -175,8 +179,7 @@ class TestDistToOrbit:
             f, g = dyadic_values(rng, n), dyadic_values(rng, n)
             w = dyadic_masses(rng, n)
             pv = gk.ProbVector(w)
-            for family in (gk.ID_FAMILY, gk.T_FAMILY, gk.B_FAMILY, gk.TB_FAMILY,
-                           gk.FamilyTag("lip1", 16)):
+            for family in (gk.ID_FAMILY, gk.T_FAMILY, gk.B_FAMILY, gk.TB_FAMILY, LIP1):
                 res = gk.dist_to_orbit(f, g, family, pv)
                 achieved = kf_oracle(f, res.witness.apply(g), w)
                 assert achieved <= res.value + 1e-9
@@ -219,9 +222,9 @@ class TestDistToOrbit:
             f, g = dyadic_values(rng, n), dyadic_values(rng, n)
             pv = gk.ProbVector(dyadic_masses(rng, n))
             tb = gk.dist_to_orbit(f, g, gk.TB_FAMILY, pv).value
-            lip = gk.dist_to_orbit(f, g, gk.FamilyTag("lip1", 32), pv).value
-            assert lip <= tb + 1e-12
-            assert not gk.dist_to_orbit(f, g, gk.FamilyTag("lip1", 32), pv).certified
+            lip = gk.dist_to_orbit(f, g, LIP1, pv)
+            assert lip.value <= tb + 1e-12
+            assert lip.certified
 
 
 class TestSupOrbit:
@@ -392,6 +395,117 @@ class TestShiftClipOrbit:
                 assert gk.dist_to_orbit_sup(f, g, gk.TB_FAMILY).value <= 1e-12
 
 
+def _lip1_case(rng, i, n):
+    """A feature pair and masses for the lip1 oracle tests: features k/7
+    or k/11 with some g values tied, masses k/7, k/11 or Dirichlet, and
+    every other f a 1-Lipschitz image of g, perturbed at one point in
+    one case of eight."""
+    denom = (7, 11)[i % 2]
+    g = rng.integers(-2 * denom, 2 * denom + 1, size=n) / denom
+    if i % 3 == 0:
+        g[rng.integers(n, size=2)] = g[0]
+    if i % 4 < 2:
+        f = rng.integers(-2 * denom, 2 * denom + 1, size=n) / denom
+    else:
+        c = rng.integers(-2 * denom, 2 * denom + 1) / denom
+        f = np.abs(g - c) if i % 8 < 4 else np.clip(g, -1.0, c)
+        f[rng.integers(n)] += (i % 8 == 6) / 7
+    kind = i // 4 % 3
+    if kind == 2:
+        return f, g, rng.dirichlet(np.ones(n))
+    denom = (7, 11)[kind]
+    cuts = np.sort(rng.choice(np.arange(1, denom), size=n - 1, replace=False))
+    return f, g, np.diff(np.concatenate([[0], cuts, [denom]])) / denom
+
+
+class TestLip1Orbit:
+    def test_matches_rational_oracle(self):
+        rng = np.random.default_rng(89)
+        for i in range(240):
+            n = int(rng.integers(1, 8))
+            f, g, w = _lip1_case(rng, i, n)
+            orbit = lip1_orbit_oracle(f, g, w)
+            pv = gk.ProbVector(w)
+            res = gk.dist_to_orbit(f, g, LIP1, pv)
+            assert res.certified
+            assert abs(res.value - float(orbit.kyfan)) <= 1e-12
+            assert abs(kf_oracle(f, res.witness.apply(g), w) - res.value) <= 1e-15
+            assert res.value <= gk.dist_to_orbit(f, g, gk.TB_FAMILY, pv).value + 1e-12
+            res = gk.dist_to_orbit_sup(f, g, LIP1)
+            assert res.certified
+            assert abs(res.value - float(orbit.sup)) <= 1e-12
+            assert float(np.max(np.abs(f - res.witness.apply(g)))) == res.value
+            assert res.value <= gk.dist_to_orbit_sup(f, g, gk.TB_FAMILY).value + 1e-12
+
+    def test_uncovered_weight_steps_at_breakpoints(self):
+        # m(eps) is constant from each breakpoint 0, (|f_i - f_j| -
+        # |g_i - g_j|) / 2 up to the next; the cover oracle gives it
+        # inside each interval wider than float rounding, and its
+        # witness leaves no more out
+        rng = np.random.default_rng(97)
+        for i in range(60):
+            n = int(rng.integers(1, 7))
+            f, g, w = _lip1_case(rng, i, n)
+            orbit = lip1_orbit_oracle(f, g, w)
+            fr, gr = [Fraction(v) for v in f.tolist()], [Fraction(v) for v in g.tolist()]
+            breaks = sorted({Fraction(0)} | {
+                max(Fraction(0), (abs(fr[a] - fr[b]) - abs(gr[a] - gr[b])) / 2)
+                for a in range(n) for b in range(n)
+            })
+            stretch = np.abs(f[:, None] - f[None, :]) - np.abs(g[:, None] - g[None, :])
+            cover = _lip1_cover(f, g, stretch, w)
+            for lo, hi in zip(breaks, breaks[1:] + [breaks[-1] + 1]):
+                m = orbit.uncovered(lo)
+                assert orbit.uncovered((lo + hi) / 2) == m
+                if hi - lo <= 1e-9:
+                    continue  # floats of k/11 split one breakpoint in two
+                eps = float((lo + hi) / 2)
+                uncovered, build = cover(eps)
+                assert abs(uncovered - float(m)) <= 1e-12
+                left_out = np.abs(f - build().apply(g)) > eps
+                assert float(np.sum(w[left_out])) <= uncovered + 1e-12
+
+    def test_certified_at_any_size(self):
+        rng = np.random.default_rng(101)
+        for n in (13, 32, 64, 256):
+            f, g = rng.normal(size=n), rng.normal(size=n)
+            g[: n // 4] = g[0]
+            res = gk.dist_to_orbit_sup(f, g, LIP1)
+            assert res.certified
+            assert float(np.max(np.abs(f - res.witness.apply(g)))) == res.value
+            stretch = np.abs(f[:, None] - f[None, :]) - np.abs(g[:, None] - g[None, :])
+            assert abs(res.value - max(0.0, stretch.max() / 2.0)) <= 1e-12
+            if n > 64:
+                continue  # the Ky Fan search takes O(n^3) per breakpoint
+            w = rng.dirichlet(np.ones(n))
+            res = gk.dist_to_orbit(f, g, LIP1, gk.ProbVector(w))
+            assert res.certified
+            assert abs(kf_oracle(f, res.witness.apply(g), w) - res.value) <= 1e-15
+            assert res.value <= gk.dist_to_orbit(f, g, gk.TB_FAMILY, gk.ProbVector(w)).value + 1e-12
+
+    def test_witness_with_knot_gaps_below_value_rounding(self):
+        # knots 1e-4 apart under values near 100: the witness's slopes of
+        # exactly 1 round to 1 + 1e-9, which a PLMap must take
+        rng = np.random.default_rng(107)
+        for _ in range(20):
+            g = np.sort(rng.normal(size=10)) * 1e-3
+            f, w = 100.0 + rng.normal(size=10), rng.dirichlet(np.ones(10))
+            res = gk.dist_to_orbit(f, g, LIP1, gk.ProbVector(w))
+            assert abs(kf_oracle(f, res.witness.apply(g), w) - res.value) <= 1e-15
+            stretch = np.abs(f[:, None] - f[None, :]) - np.abs(g[:, None] - g[None, :])
+            assert abs(gk.dist_to_orbit_sup(f, g, LIP1).value - stretch.max() / 2.0) <= 1e-12
+
+    def test_exact_members_at_any_size(self):
+        # a seeded sample of piecewise linear maps missed these
+        rng = np.random.default_rng(103)
+        for n in (17, 30, 64):
+            g = np.sort(rng.normal(size=n))
+            f = np.concatenate([[0.0], np.cumsum(rng.uniform(-1.0, 1.0, size=n - 1) * np.diff(g))])
+            w = rng.dirichlet(np.ones(n))
+            assert gk.dist_to_orbit(f, g, LIP1, gk.ProbVector(w)).value <= 1e-12
+            assert gk.dist_to_orbit_sup(f, g, LIP1).value <= 1e-12
+
+
 class TestCovering:
     def test_single_orbit_is_one(self):
         # generators all translates of one feature
@@ -441,14 +555,13 @@ class TestCovering:
         res = gk.covering_number(X, 0.005)
         assert (res.value, res.exact) == (1, True)
 
-    def test_lip1_is_not_exact(self):
-        # |g - 2| is 1-Lipschitz in g, so one orbit covers both rows, but
-        # the sampled lip1 orbit misses it: the count is only an upper bound
+    def test_lip1_count_is_exact(self):
+        # |g - 2| is 1-Lipschitz in g, so one orbit covers both rows; no
+        # 1-Lipschitz map takes |g - 2| back to g, so the rows stay apart
         g = np.arange(5.0)
-        X = gk.validate_gds(range(5), [g, np.abs(g - 2.0)], gk.FamilyTag("lip1", 32), [0.2] * 5)
-        res = gk.covering_number(X, 0.1)
-        assert not res.exact
-        assert not gk.capacity(X.generators, 0.1, X.family, X.mu).exact
+        X = gk.validate_gds(range(5), [g, np.abs(g - 2.0)], LIP1, [0.2] * 5)
+        assert gk.covering_number(X, 0.1) == gk.CoveringResult(1, True)
+        assert gk.capacity(X.generators, 0.1, X.family, X.mu) == gk.CapacityResult(2, True)
 
     def test_covering_transfer_under_small_dconc(self):
         # cov(X, eps) <= cov(Y, eps - 2 delta) when dconc(X, Y) < delta

@@ -221,20 +221,41 @@ class TestCheckDomination:
         assert check_domination(X, Y, budget=10**6).status == "NotDominated"
 
     def test_lip1_verdicts_are_noted(self):
-        X = gk.validate_gds([0, 1], [[0.0, 1.0]], gk.FamilyTag("lip1", 8), [0.5, 0.5])
-        Y = gk.validate_gds([0, 1], [[0.0, 0.5]], gk.FamilyTag("lip1", 8), [0.5, 0.5])
+        # a lip1 Dominates names its witness map, a NotDominated its
+        # best candidate and how far that candidate misses
+        X = gk.validate_gds([0, 1], [[0.0, 1.0]], gk.FamilyTag("lip1"), [0.5, 0.5])
+        Y = gk.validate_gds([0, 1], [[0.0, 0.5]], gk.FamilyTag("lip1"), [0.5, 0.5])
         verdict = check_domination(X, Y)
-        assert verdict.note is not None
+        assert verdict.status == "Dominates"
+        assert verdict.witness_map == (0, 1)
+        verdict = check_domination(Y, X)
+        assert verdict.status == "NotDominated"
+        assert "best candidate (0, 1)" in verdict.certificate
 
     def test_lip1_miss_is_unknown(self):
-        # |x - 2| is 1-Lipschitz, so X dominates its quotient Y; the
-        # sampled lip1 orbit misses it, which proves nothing
-        g = np.arange(5.0)
-        X = gk.validate_gds(range(5), [g], gk.FamilyTag("lip1", 32), [0.2] * 5)
-        Y, _ = quotient(X, np.abs(g - 2.0)[None, :])
-        verdict = check_domination(X, Y)
+        # doubling the spread of g is no 1-Lipschitz map, but a search cut
+        # short by its budget proves nothing: the miss is Unknown, with the
+        # best candidate seen so far recorded
+        g = np.arange(4.0)
+        X = gk.validate_gds(range(4), [g], gk.FamilyTag("lip1"), [0.25] * 4)
+        Y, _ = quotient(X, 2.0 * g[None, :])
+        verdict = check_domination(X, Y, budget=10)
         assert verdict.status == "Unknown"
-        assert verdict.note is not None and verdict.certificate is not None
+        assert "budget of 10 search steps" in verdict.certificate
+        assert "best candidate (0, 1, 2, 3)" in verdict.certificate
+
+    def test_lip1_miss_is_not_dominated(self):
+        # |x - 2| is 1-Lipschitz, so X dominates its quotient by it ...
+        g = np.arange(4.0)
+        X = gk.validate_gds(range(4), [g], gk.FamilyTag("lip1"), [0.25] * 4)
+        Y, _ = quotient(X, np.abs(g - 2.0)[None, :])
+        assert check_domination(X, Y).status == "Dominates"
+        # ... but no 1-Lipschitz map doubles the spread of g, and the
+        # exact orbit search proves every candidate map a miss
+        Y, _ = quotient(X, 2.0 * g[None, :])
+        verdict = check_domination(X, Y)
+        assert verdict.status == "NotDominated"
+        assert "best candidate" in verdict.certificate
 
     def test_clip_quotients_are_never_rejected(self):
         # the quotient map by clipped generators is a domination, so a
