@@ -18,16 +18,15 @@ import time
 
 import numpy as np
 
-from .core import FamilyTag
+from .core import FamilyTag, pushforward
 from .distances import SearchConfig, box_bracket, dconc_bracket
 from .errors import ComputationError, GdsError, ValidationError
-from .obsdiam import _od_rows, od_profile
+from .obsdiam import observable_diameter, od_profile
 from .serialize import parse_gds, serialize_gds
 from .spaces import SpaceRecipe, generate_space
 from .staircase import rho_estimate, staircase_distance
 from .stats import ky_fan, partial_diameter, prohorov
 from .transforms import MeasurementSpec, check_domination, measurement, quotient, rounded
-from .core import pushforward
 
 
 def _family(text: str) -> FamilyTag:
@@ -173,34 +172,18 @@ def cmd_covnum(args) -> int:
     return 0
 
 
-def cmd_dconc(args) -> int:
+def cmd_bracket(args) -> int:
     X = _load(args.file1, args)
     Y = _load(args.file2, args)
-    br = dconc_bracket(X, Y, _search_config(args))
+    br = args.op(X, Y, _search_config(args))
     _emit(json.dumps(br.to_json(), indent=2) + "\n", args.out)
     return 0
 
 
-def cmd_box(args) -> int:
+def cmd_series(args) -> int:
     X = _load(args.file1, args)
     Y = _load(args.file2, args)
-    br = box_bracket(X, Y, _search_config(args))
-    _emit(json.dumps(br.to_json(), indent=2) + "\n", args.out)
-    return 0
-
-
-def cmd_staircase(args) -> int:
-    X = _load(args.file1, args)
-    Y = _load(args.file2, args)
-    sb = staircase_distance(X, Y, args.levels, _search_config(args))
-    _emit(json.dumps(sb.to_json(), indent=2) + "\n", args.out)
-    return 0
-
-
-def cmd_rho(args) -> int:
-    X = _load(args.file1, args)
-    Y = _load(args.file2, args)
-    sb = rho_estimate(X, Y, args.levels, _search_config(args))
+    sb = args.op(X, Y, args.levels, _search_config(args))
     _emit(json.dumps(sb.to_json(), indent=2) + "\n", args.out)
     return 0
 
@@ -242,13 +225,9 @@ def sweep(recipes, kappas, out=None, family: FamilyTag | None = None):
             rec, family=family or FamilyTag.parse("TB")
         )
         X = generate_space(recipe)
-        # X.metric is a metric for every recipe kind, so its rows need no
-        # second check: a generated space's metric is the distance matrix
-        # that generate_space validated (od equals od_profile's bit for
-        # bit), and an induced metric is a metric exactly.
         for kappa in sorted(kappas):
             t0 = time.perf_counter()
-            od = _od_rows(X.metric, X.masses, kappa)
+            od = observable_diameter(X, kappa)
             ms = (time.perf_counter() - t0) * 1e3
             rows.append((recipe.label(), recipe.param, float(kappa), od, ms))
     rows.sort(key=lambda r: (r[0], r[1], r[2]))
@@ -339,19 +318,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", default=None)
     p.set_defaults(func=cmd_covnum)
 
-    for name, fn in (("dconc", cmd_dconc), ("box", cmd_box)):
+    for name, op in (("dconc", dconc_bracket), ("box", box_bracket)):
         p = sub.add_parser(name, help=f"{name} bracket between two data sets")
         common(p, files=2)
         p.add_argument("--seed", type=int, default=None)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_bracket, op=op)
 
-    for name, fn in (("staircase", cmd_staircase), ("rho", cmd_rho)):
+    for name, op in (("staircase", staircase_distance), ("rho", rho_estimate)):
         p = sub.add_parser(name, help=f"{name} series bracket")
         common(p, files=2)
         p.add_argument("--levels", type=int, default=2)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--budget", type=int, default=None)
-        p.set_defaults(func=fn)
+        p.set_defaults(func=cmd_series, op=op)
 
     p = sub.add_parser("domination", help="does the first data set dominate the second?")
     common(p, files=2)

@@ -41,6 +41,9 @@ from .errors import (
 from .families import dist_to_orbit, dist_to_orbit_sup
 
 MARGINAL_TOL = 1e-9
+# equal-size pairs of at most this many points also try, as couplings,
+# the permutations that match their masses
+PERMUTATION_CAP = 4
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +104,6 @@ class SearchConfig:
     local_search_steps: int = 40
     seed: int = 0
     level_budget: int = 8
-    permutation_cap: int = 4
 
     def __post_init__(self):
         if self.coupling_candidates < 1 or self.local_search_steps < 0:
@@ -349,7 +351,7 @@ def _candidate_couplings(X, Y, cfg: SearchConfig):
         am = _assignment_matching(X, Y)
         if am is not None:
             cands.append(("assignment", am))
-        if nx_ <= cfg.permutation_cap:
+        if nx_ <= PERMUTATION_CAP:
             for perm in permutations(range(ny_)):
                 perm = list(perm)
                 if np.max(np.abs(mx - my[perm])) <= MARGINAL_TOL:

@@ -34,13 +34,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._kernels import (
-    MASS_GUARD,
-    kf_rows,
-    row_blocks,
-    sorted_unique,
-    window_tradeoff_values,
-)
+from ._kernels import kf_rows, row_blocks, sorted_unique, window_tradeoff_values
 from .core import DiscreteMeasureR, FamilyTag, FiniteGDS, ProbVector, pushforward
 from .errors import (
     DimensionMismatch,
@@ -48,7 +42,7 @@ from .errors import (
     InvalidRange,
     ValidationError,
 )
-from .stats import levy_mean, partial_diameter
+from .stats import levy_mean, min_window, partial_diameter
 
 
 @dataclass(frozen=True)
@@ -623,8 +617,10 @@ def capacity(orbit_reps, eps: float, family: FamilyTag, mu: ProbVector) -> Capac
 
     Discreteness uses the symmetrized orbit Hausdorff estimate (the
     larger of the two directed orbit distances) with strict > eps.
-    Greedy scan gives a lower bound; for at most 12 representatives an
-    exhaustive bitmask search returns the exact maximum.
+    Greedy scan gives a lower bound; for at most 12 representatives a
+    search by subset size, as in covering_number, returns the exact
+    maximum: a discrete set of k + 1 representatives contains one of k,
+    so the size grows while some set one larger is discrete.
     """
     reps = np.asarray(orbit_reps, dtype=float)
     if reps.ndim != 2 or reps.shape[0] == 0:
@@ -632,33 +628,19 @@ def capacity(orbit_reps, eps: float, family: FamilyTag, mu: ProbVector) -> Capac
     s = symmetric_orbit_matrix(reps, family, mu)
     m = s.shape[0]
     if m <= 12:
-        apart = s > eps
-        np.fill_diagonal(apart, False)
-        allowed = [sum(1 << j for j in range(m) if apart[i, j]) for i in range(m)]
-        best = 1
-        for mask in range(1, 1 << m):
-            members = [i for i in range(m) if mask >> i & 1]
-            if all(mask & ~allowed[i] & ~(1 << i) == 0 for i in members):
-                best = max(best, len(members))
-        return CapacityResult(best, True)
+        apart = (s > eps).tolist()
+        size = 1
+        while size < m and any(
+            all(apart[i][j] for i, j in combinations(combo, 2))
+            for combo in combinations(range(m), size + 1)
+        ):
+            size += 1
+        return CapacityResult(size, True)
     kept: list[int] = []
     for i in range(m):
         if all(s[i, k] > eps for k in kept):
             kept.append(i)
     return CapacityResult(len(kept), False)
-
-
-def _min_window(mu: DiscreteMeasureR, alpha: float):
-    """Endpoints of a minimal support window carrying mass >= alpha."""
-    width = partial_diameter(mu, alpha)
-    v = mu.values
-    prefix = np.concatenate([[0.0], np.cumsum(mu.masses)])
-    for i in range(v.size):
-        pos = int(np.searchsorted(prefix, prefix[i] + alpha - MASS_GUARD, side="left"))
-        j = pos - 1
-        if j < v.size and v[j] - v[i] == width:
-            return width, float(v[i]), float(v[j])
-    return width, float(v[0]), float(v[-1])
 
 
 def extract_bounded(
@@ -694,7 +676,7 @@ def extract_window_heuristic(
     """
     if not (0.0 < kappa < 1.0) or r <= 0.0:
         raise InvalidRange("need kappa in (0, 1) and r > 0")
-    _, left, right = _min_window(mu, 1.0 - kappa)
+    _, left, right = min_window(mu, 1.0 - kappa)
     g = ClipMap(c=-(left + right) / 2.0, lo=-r, hi=r)
     pushed = pushforward(g.apply(mu.values), ProbVector(mu.masses))
     return g, partial_diameter(pushed, 1.0 - kappa)

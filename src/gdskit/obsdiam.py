@@ -7,11 +7,11 @@ diameter (the maps are 1-Lipschitz) and the identity is always a
 member, so the supremum over the whole feature family is attained on
 the generator list; family composition is deliberately skipped.
 
-`observable_diameter_hss` evaluates the same quantity directly on a
-distance matrix whose rows serve as distance-to-point features, without
-materializing the data set. Metric validation is cubic in the point
-count; the per-row window scans cost O(n log n) after sorting. Both run
-in O(n^2) memory.
+`observable_diameter_hss` is the observable diameter of the
+Hanika-Schneider-Stumme embedding of a metric-measure space: the data
+set `core.embed_mm_space` builds, whose generators are the distance
+rows. Validating the metric is cubic in the point count; the per-row
+window scans cost O(n log n) after sorting. Both run in O(n^2) memory.
 
 Row evaluations are independent and may run in parallel; the final max
 is order-independent, so results are deterministic under any schedule.
@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import MASS_GUARD, block_slices, pd_rows, sorted_unique
-from .core import METRIC_TOL, FiniteGDS, ProbVector, check_metric, pushforward
-from .errors import InvalidKappa, MonotonicityViolation, ValidationError
+from .core import METRIC_TOL, FiniteGDS, ProbVector, embed_mm_space, pushforward
+from .errors import InvalidKappa, MonotonicityViolation
 
 
 def _check_kappa(kappa: float) -> float:
@@ -171,29 +171,22 @@ def _strict_steps(masses, values):
 
 def observable_diameter(X: FiniteGDS, kappa: float) -> float:
     """Largest (1 - kappa)-partial diameter over the generator features."""
-    return _od_rows(X.generators, X.masses, kappa)
-
-
-def _od_rows(rows, masses, kappa: float) -> float:
-    """Largest (1 - kappa)-partial diameter over the given feature rows."""
-    return float(pd_rows(rows, masses, 1.0 - _check_kappa(kappa)).max())
+    return float(pd_rows(X.generators, X.masses, 1.0 - _check_kappa(kappa)).max())
 
 
 def observable_diameter_hss(
     D, mu, kappa: float, tol: float = METRIC_TOL
 ) -> float:
-    """Observable diameter of a metric-measure space via distance rows.
+    """Observable diameter of a metric-measure space (D, mu): that of its
+    Hanika-Schneider-Stumme embedding, `embed_mm_space(D, mu, tol=tol)`,
+    whose generators are the rows of D.
 
-    Bit-identical to observable_diameter on the embedded data set (both
-    paths run the same row kernel on the same matrix), but skips the
-    embedding object entirely.
+    D must be a metric within `tol` (else NotAMetric) and mu a
+    probability vector, given as a ProbVector or a weight sequence
+    (else a ValidationError).
     """
     kappa = _check_kappa(kappa)
-    D = check_metric(D, tol=tol)
-    masses = mu.weights if hasattr(mu, "weights") else np.asarray(mu, dtype=float)
-    if masses.shape != (D.shape[0],):
-        raise ValidationError("weight count must match the matrix size")
-    return _od_rows(D, masses, kappa)
+    return observable_diameter(embed_mm_space(D, mu, tol=tol), kappa)
 
 
 def od_profile(X: FiniteGDS, kappas) -> OdProfile:

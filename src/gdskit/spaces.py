@@ -1,8 +1,8 @@
 """Standard space recipes for experiments and the CLI.
 
 Metric-based kinds (two-point, Hamming cube, path, random cloud) embed
-their distance matrix through distance-to-point features, matching the
-convention used by the observable-diameter fast path.
+their distance matrix through distance-to-point features
+(`embed_mm_space`), as `observable_diameter_hss` does.
 """
 from __future__ import annotations
 

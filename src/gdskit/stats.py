@@ -24,16 +24,24 @@ def partial_diameter(mu: DiscreteMeasureR, alpha: float) -> float:
     use a weak inequality with a MASS_GUARD allowance for float noise
     in accumulated sums.
     """
+    return min_window(mu, alpha)[0]
+
+
+def min_window(mu: DiscreteMeasureR, alpha: float) -> tuple[float, float, float]:
+    """(width, left, right) of the leftmost support window [left, right]
+    of least width among those carrying mass at least alpha; the width
+    is partial_diameter(mu, alpha)."""
     if not (0.0 < alpha <= 1.0):
         raise InvalidAlpha(f"alpha must be in (0, 1], got {alpha!r}")
     v = mu.values
     prefix = np.concatenate([[0.0], np.cumsum(mu.masses)])
     need = prefix[:-1] + (alpha - MASS_GUARD)
     pos = np.searchsorted(prefix, need, side="left")  # window end + 1, per start
-    right = pos - 1
-    valid = right < v.size
-    widths = v[right[valid]] - v[np.arange(v.size)[valid]]
-    return float(widths.min())
+    left = np.flatnonzero(pos <= v.size)
+    right = pos[left] - 1
+    widths = v[right] - v[left]
+    k = int(np.argmin(widths))
+    return float(widths[k]), float(v[left[k]]), float(v[right[k]])
 
 
 def levy_mean(mu: DiscreteMeasureR) -> float:

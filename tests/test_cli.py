@@ -266,7 +266,7 @@ class TestSweep:
 
     def test_validates_each_recipe_once(self, monkeypatch):
         import gdskit
-        from gdskit import core, obsdiam
+        from gdskit import core
 
         calls = []
         real = core.check_metric
@@ -275,9 +275,8 @@ class TestSweep:
             calls.append(D.shape)
             return real(D, tol)
 
-        # every check a sweep makes: in the embedding and in the od path
+        # every check a sweep makes is the embedding's
         monkeypatch.setattr(core, "check_metric", counting_check)
-        monkeypatch.setattr(obsdiam, "check_metric", counting_check)
         recipes = ["two_point:1", "hamming_cube:4:by_k"]
         kappas = [0.1, 0.2, 0.25, 0.4]
         rows = list(csv.reader(io.StringIO(sweep(recipes, kappas))))[1:]
@@ -296,6 +295,27 @@ class TestSweep:
         rows = list(csv.reader(io.StringIO(sweep(["hamming_cube:5:by_k"], kappas))))[1:]
         X = generate_space(SpaceRecipe.parse("hamming_cube:5:by_k"))
         assert [float(row[3]) for row in rows] == od_profile(X, kappas).values
+
+    def test_feature_file_sweeps_its_own_od(self, tmp_path):
+        # generators that are not distance rows: the od of the data set
+        # is 5.0, the od of the rows of its induced metric only 4.0
+        from gdskit import od_profile
+        from gdskit.serialize import parse_gds
+
+        path = tmp_path / "features.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "points": [0, 1, 2, 3],
+                    "weights": [0.25] * 4,
+                    "family": "TB",
+                    "features": {"generators": [[0, 1, 2, 3], [0, 0, 5, 5]]},
+                }
+            )
+        )
+        rows = list(csv.reader(io.StringIO(sweep([f"file:{path}"], [0.3]))))[1:]
+        assert [float(row[3]) for row in rows] == od_profile(parse_gds(str(path)), [0.3]).values
+        assert float(rows[0][3]) == 5.0
 
     def test_sorted_and_complete(self):
         text = sweep(["two_point:2", "two_point:1"], [0.25])

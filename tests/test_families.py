@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 import gdskit as gk
 from gdskit._kernels import window_tradeoff_min, window_tradeoff_values
 from gdskit.errors import EmptySet, InvalidRange
-from gdskit.families import _lip1_cover, _min_window, _tb_cover
+from gdskit.families import _lip1_cover, _tb_cover
+from gdskit.stats import min_window
 from oracles import (
     clip_orbit_grid_oracle,
     clip_orbit_oracle,
@@ -676,6 +677,6 @@ class TestExtractHeuristic:
 
     def test_min_window_endpoints(self):
         mu = gk.DiscreteMeasureR(np.array([0.0, 1.0, 5.0]), np.array([0.25, 0.5, 0.25]))
-        width, left, right = _min_window(mu, 0.7)
+        width, left, right = min_window(mu, 0.7)
         assert (left, right) == (0.0, 1.0)
         assert width == 1.0

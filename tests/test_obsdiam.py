@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import gdskit as gk
-from gdskit.errors import InvalidKappa, NotAMetric
+from gdskit.errors import InvalidKappa, NotAMetric, ValidationError
 from gdskit.spaces import hamming_cube_matrix
 from oracles import binomial_profile, dyadic_gds, dyadic_metric, pd_oracle, random_clip
 
@@ -72,6 +72,13 @@ class TestHssPath:
         D = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]])
         with pytest.raises(NotAMetric):
             gk.observable_diameter_hss(D, gk.ProbVector.uniform(3), 0.1)
+
+    def test_rejects_bad_weights(self):
+        # weights that are no probability vector, given as a sequence
+        D = np.array([[0.0, 1.0], [1.0, 0.0]])
+        for weights in ([2.0, -1.0], [np.nan, 0.5], [0.3, 0.3]):
+            with pytest.raises(ValidationError):
+                gk.observable_diameter_hss(D, weights, 0.25)
 
 
 class TestOdProfile:
