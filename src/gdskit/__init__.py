@@ -45,7 +45,6 @@ from .staircase import (
     SeriesBracket,
     StaircaseLevel,
     level_hausdorff,
-    rho_estimate,
     series_tail,
     series_weight,
     staircase_distance,
@@ -60,7 +59,6 @@ from .stats import (
 )
 from .transforms import (
     DominationVerdict,
-    MeasurementSample,
     MeasurementSpec,
     check_domination,
     enumerate_measurements,

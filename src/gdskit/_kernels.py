@@ -155,10 +155,6 @@ def _kf_block(diffs, masses):
     return np.minimum(best, np.maximum(0.0, zero_tail))
 
 
-def kf_single(diffs: np.ndarray, masses: np.ndarray) -> float:
-    return float(kf_rows(np.asarray(diffs, dtype=float)[None, :], masses)[0])
-
-
 def window_tradeoff_values(deltas: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise exact translation-orbit Ky Fan distance and optimal shift.
 

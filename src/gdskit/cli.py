@@ -24,7 +24,7 @@ from .errors import ComputationError, GdsError, ValidationError
 from .obsdiam import observable_diameter, od_profile
 from .serialize import parse_gds, serialize_gds
 from .spaces import SpaceRecipe, generate_space
-from .staircase import rho_estimate, staircase_distance
+from .staircase import staircase_distance
 from .stats import ky_fan, partial_diameter, prohorov
 from .transforms import MeasurementSpec, check_domination, measurement, quotient, rounded
 
@@ -175,15 +175,16 @@ def cmd_covnum(args) -> int:
 def cmd_bracket(args) -> int:
     X = _load(args.file1, args)
     Y = _load(args.file2, args)
-    br = args.op(X, Y, _search_config(args))
+    op = dconc_bracket if args.command == "dconc" else box_bracket
+    br = op(X, Y, _search_config(args))
     _emit(json.dumps(br.to_json(), indent=2) + "\n", args.out)
     return 0
 
 
-def cmd_series(args) -> int:
+def cmd_staircase(args) -> int:
     X = _load(args.file1, args)
     Y = _load(args.file2, args)
-    sb = args.op(X, Y, args.levels, _search_config(args))
+    sb = staircase_distance(X, Y, args.levels, _search_config(args))
     _emit(json.dumps(sb.to_json(), indent=2) + "\n", args.out)
     return 0
 
@@ -206,7 +207,7 @@ def cmd_domination(args) -> int:
     return 4 if verdict.status == "Unknown" else 0
 
 
-def sweep(recipes, kappas, out=None, family: FamilyTag | None = None):
+def sweep(recipes, kappas, family: FamilyTag | None = None):
     """Observable-diameter sweep over recipes and a kappa grid.
 
     Returns CSV text with columns (recipe, param, kappa, od,
@@ -236,18 +237,12 @@ def sweep(recipes, kappas, out=None, family: FamilyTag | None = None):
     writer.writerow(["recipe", "param", "kappa", "od", "runtime_ms"])
     for label, param, kappa, od, ms in rows:
         writer.writerow([label, repr(param), repr(kappa), repr(od), f"{ms:.3f}"])
-    text = buf.getvalue()
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    return text
+    return buf.getvalue()
 
 
 def cmd_sweep(args) -> int:
     kappas = args.kappa_grid if args.kappa_grid else (args.kappa,)
-    text = sweep(args.recipe, kappas, out=args.out, family=_family(args.family))
-    if not args.out:
-        sys.stdout.write(text)
+    _emit(sweep(args.recipe, kappas, family=_family(args.family)), args.out)
     return 0
 
 
@@ -269,74 +264,73 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="validate a data set file")
     common(p)
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func="cmd_validate")
 
     p = sub.add_parser("gen", help="generate a standard space")
     p.add_argument("recipe", help="two_point:<d> | hamming_cube:<k>[:by_k] | path:<n>:<step> | random_cloud:<n>:<dim>:<metric>:<seed>")
     p.add_argument("--family", default="TB", help="id | T | B | TB | lip1")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func="cmd_gen")
 
     p = sub.add_parser("odiam", help="observable diameter profile (CSV)")
     common(p)
     p.add_argument("--kappa", type=_number, default=0.1)
     p.add_argument("--kappa-grid", type=_kappa_grid, default=None, metavar="A:B:STEP")
-    p.set_defaults(func=cmd_odiam)
+    p.set_defaults(func="cmd_odiam")
 
     p = sub.add_parser("pdiam", help="partial diameter of a feature pushforward")
     common(p)
     p.add_argument("--feature", type=int, default=0)
     p.add_argument("--alpha", type=_number, required=True)
-    p.set_defaults(func=cmd_pdiam)
+    p.set_defaults(func="cmd_pdiam")
 
     p = sub.add_parser("kyfan", help="Ky Fan distance between two features")
     common(p)
     p.add_argument("--f", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
-    p.set_defaults(func=cmd_kyfan)
+    p.set_defaults(func="cmd_kyfan")
 
     p = sub.add_parser("prohorov", help="Prohorov distance between two feature pushforwards")
     common(p)
     p.add_argument("--f", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
-    p.set_defaults(func=cmd_prohorov)
+    p.set_defaults(func="cmd_prohorov")
 
     p = sub.add_parser("quotient", help="quotient by selected features")
     common(p, out_required=True)
     p.add_argument("--features", required=True, help="comma-separated generator indices")
-    p.set_defaults(func=cmd_quotient)
+    p.set_defaults(func="cmd_quotient")
 
     p = sub.add_parser("measure", help="bounded feature measurement")
     common(p, out_required=True)
     p.add_argument("--features", required=True)
     p.add_argument("--R", type=_number, required=True)
-    p.set_defaults(func=cmd_measure)
+    p.set_defaults(func="cmd_measure")
 
     p = sub.add_parser("covnum", help="covering number of the generators")
     common(p)
     p.add_argument("--eps", type=_number, required=True)
     p.add_argument("--family", default=None)
-    p.set_defaults(func=cmd_covnum)
+    p.set_defaults(func="cmd_covnum")
 
-    for name, op in (("dconc", dconc_bracket), ("box", box_bracket)):
+    for name in ("dconc", "box"):
         p = sub.add_parser(name, help=f"{name} bracket between two data sets")
         common(p, files=2)
         p.add_argument("--seed", type=int, default=None)
-        p.set_defaults(func=cmd_bracket, op=op)
+        p.set_defaults(func="cmd_bracket")
 
-    for name, op in (("staircase", staircase_distance), ("rho", rho_estimate)):
-        p = sub.add_parser(name, help=f"{name} series bracket")
-        common(p, files=2)
-        p.add_argument("--levels", type=int, default=2)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--budget", type=int, default=None)
-        p.set_defaults(func=cmd_series, op=op)
+    p = sub.add_parser("staircase", help="staircase series bracket, the pyramid metric estimate")
+    common(p, files=2)
+    p.add_argument("--levels", type=int, default=2)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None)
+    p.set_defaults(func="cmd_staircase")
 
     p = sub.add_parser("domination", help="does the first data set dominate the second?")
     common(p, files=2)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--tol", type=_tolerance, default=1e-9, help="orbit membership tolerance (default 1e-9)")
-    p.set_defaults(func=cmd_domination)
+    p.set_defaults(func="cmd_domination")
 
     p = sub.add_parser("sweep", help="observable diameter sweep to CSV")
     p.add_argument("--recipe", action="append", required=True)
@@ -344,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa-grid", type=_kappa_grid, default=None, metavar="A:B:STEP")
     p.add_argument("--family", default="TB")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sweep)
+    p.set_defaults(func="cmd_sweep")
 
     return parser
 
@@ -358,8 +352,11 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # the cached parser names its command function; looking it up here
+    # runs whatever cmd_* this module binds now, a rebound one included
+    func = globals()[args.func]
     try:
-        return args.func(args)
+        return func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -465,7 +465,11 @@ def _box_value(X, Y, pi, S, cutoff) -> float:
         raise EmptySupport("the support set must be nonempty")
     rows = np.array([i for i, _ in S])
     cols = np.array([j for _, j in S])
-    missing = 1.0 - float(coupling.pi[rows, cols].sum())
+    # the mass pi puts outside S, not 1 - pi(S): masses that sum to 1
+    # only up to rounding would leave a full support missing a little
+    outside = np.ones(coupling.pi.shape, dtype=bool)
+    outside[rows, cols] = False
+    missing = float(coupling.pi[outside].sum())
     if missing >= cutoff:
         return missing
     twice_gap = _hausdorff(

@@ -13,9 +13,6 @@ set `core.embed_mm_space` builds, whose generators are the distance
 rows. Validating the metric is cubic in the point count; the per-row
 window scans cost O(n log n) after sorting. Both run in O(n^2) memory.
 
-Row evaluations are independent and may run in parallel; the final max
-is order-independent, so results are deterministic under any schedule.
-
 `OdSteps` holds the whole function kappa -> od as a step function, for
 callers that need od at many kappas or its jumps (the certified lower
 bound of `distances`); `FiniteGDS.od_steps` builds it once per data set.
@@ -46,10 +43,6 @@ class OdProfile:
     """
 
     entries: tuple[tuple[float, float], ...]
-
-    @property
-    def kappas(self) -> list[float]:
-        return [k for k, _ in self.entries]
 
     @property
     def values(self) -> list[float]:

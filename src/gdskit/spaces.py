@@ -30,7 +30,6 @@ class SpaceRecipe:
     seed: int | None = None
     path: str | None = None
     family: FamilyTag = TB_FAMILY
-    weights: tuple | None = None  # None means uniform
 
     def label(self) -> str:
         if self.kind == "two_point":
@@ -100,7 +99,7 @@ def hamming_cube_matrix(k: int, normalize_by_k: bool) -> np.ndarray:
     return D
 
 
-def generate_space(recipe: SpaceRecipe, max_points: int = MAX_POINTS) -> FiniteGDS:
+def generate_space(recipe: SpaceRecipe) -> FiniteGDS:
     """Instantiate a recipe; deterministic per recipe and seed."""
     if recipe.kind == "two_point":
         if recipe.d is None or recipe.d <= 0:
@@ -109,14 +108,14 @@ def generate_space(recipe: SpaceRecipe, max_points: int = MAX_POINTS) -> FiniteG
     elif recipe.kind == "hamming_cube":
         if recipe.k is None or recipe.k < 1:
             raise ValidationError("hamming_cube needs k >= 1")
-        if (1 << recipe.k) > max_points:
-            raise TooLarge(f"2^{recipe.k} points exceed the cap of {max_points}")
+        if (1 << recipe.k) > MAX_POINTS:
+            raise TooLarge(f"2^{recipe.k} points exceed the cap of {MAX_POINTS}")
         D = hamming_cube_matrix(recipe.k, recipe.normalize_by_k)
     elif recipe.kind == "path":
         if recipe.n is None or recipe.n < 2 or recipe.step is None or recipe.step <= 0:
             raise ValidationError("path needs n >= 2 points and a positive step")
-        if recipe.n > max_points:
-            raise TooLarge(f"{recipe.n} points exceed the cap of {max_points}")
+        if recipe.n > MAX_POINTS:
+            raise TooLarge(f"{recipe.n} points exceed the cap of {MAX_POINTS}")
         idx = np.arange(recipe.n, dtype=float)
         D = np.subtract.outer(idx, idx)
         np.abs(D, out=D)
@@ -126,8 +125,8 @@ def generate_space(recipe: SpaceRecipe, max_points: int = MAX_POINTS) -> FiniteG
             raise ValidationError("random_cloud requires a seed")
         if recipe.n is None or recipe.n < 2 or recipe.dim is None or recipe.dim < 1:
             raise ValidationError("random_cloud needs n >= 2 and dim >= 1")
-        if recipe.n > max_points:
-            raise TooLarge(f"{recipe.n} points exceed the cap of {max_points}")
+        if recipe.n > MAX_POINTS:
+            raise TooLarge(f"{recipe.n} points exceed the cap of {MAX_POINTS}")
         rng = np.random.default_rng(recipe.seed)
         # dyadic coordinates keep all pairwise distances exact
         pts = rng.integers(0, 1025, size=(recipe.n, recipe.dim)) / 1024.0
@@ -156,11 +155,6 @@ def generate_space(recipe: SpaceRecipe, max_points: int = MAX_POINTS) -> FiniteG
         return parse_gds(recipe.path)
     else:
         raise ValidationError(f"unknown recipe kind {recipe.kind!r}")
-    weights = (
-        ProbVector.uniform(D.shape[0])
-        if recipe.weights is None
-        else ProbVector(np.asarray(recipe.weights))
-    )
     # read-only and owned, so the data set keeps this array, not a copy
     D.setflags(write=False)
-    return embed_mm_space(D, weights, recipe.family)
+    return embed_mm_space(D, ProbVector.uniform(D.shape[0]), recipe.family)

@@ -3,9 +3,8 @@
 Level N of the staircase associated with X collects the measurements of
 X by at most N generators clipped into [-N, N]. The staircase metric is
 the series over levels of Hausdorff box distances with weights
-1 / (2 N 2^N). The pyramid of X realizes the same measurement sets, so
-the pyramid metric estimate delegates to the staircase series; both are
-exposed to mirror the two metrics they estimate.
+1 / (2 N 2^N). The pyramid of X realizes the same level-N measurement
+sets as X itself, so this series is also the pyramid metric estimate.
 
 Truncation at level L leaves a tail bounded in closed form. When the
 family contains translations, every per-level Hausdorff term is at most
@@ -27,6 +26,7 @@ import numpy as np
 from .core import FiniteGDS
 from .distances import Bracket, SearchConfig, box_bracket
 from .errors import InvalidSpec, LevelMismatch
+from .stats import hausdorff
 from .transforms import enumerate_measurements
 
 
@@ -112,13 +112,10 @@ def level_hausdorff(A: StaircaseLevel, B: StaircaseLevel, config: SearchConfig |
             br = box_bracket(a, b, cfg)
             lo[i, j] = br.lower
             up[i, j] = br.upper
-
-    def haus(matrix):
-        return float(max(matrix.min(axis=1).max(), matrix.min(axis=0).max()))
-
+    rows, cols = range(len(A.members)), range(len(B.members))
     exhaustive = A.exhaustive and B.exhaustive
-    upper = haus(up)
-    lower = haus(lo) if exhaustive else 0.0
+    upper = hausdorff(rows, cols, up)
+    lower = hausdorff(rows, cols, lo) if exhaustive else 0.0
     return Bracket(
         lower=min(lower, upper),
         upper=upper,
@@ -183,15 +180,3 @@ def staircase_distance(
         estimate=estimate,
     )
 
-
-def rho_estimate(
-    X: FiniteGDS, Y: FiniteGDS, L: int, config: SearchConfig | None = None
-) -> SeriesBracket:
-    """Pyramid metric estimate between the associated pyramids.
-
-    The level-N measurement set of the pyramid of X equals the level-N
-    measurement set of X itself, so the series coincides with the
-    staircase series; this wrapper exists because the two metrics are
-    distinct objects on their natural domains.
-    """
-    return staircase_distance(X, Y, L, config)

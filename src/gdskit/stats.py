@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import MASS_GUARD, kf_single, sorted_unique
+from ._kernels import MASS_GUARD, kf_rows, sorted_unique
 from .core import DiscreteMeasureR, ProbVector
 from .errors import DimensionMismatch, EmptySet, InvalidAlpha
 
@@ -64,7 +64,7 @@ def ky_fan(f, g, mu: ProbVector) -> float:
     g = np.asarray(g, dtype=float)
     if f.shape != g.shape or f.ndim != 1 or f.size != len(mu):
         raise DimensionMismatch("feature lists and weights must share one length")
-    return kf_single(np.abs(f - g), mu.weights)
+    return float(kf_rows(np.abs(f - g)[None, :], mu.weights)[0])
 
 
 def _routable_mass(nu: DiscreteMeasureR, mu: DiscreteMeasureR, d: float) -> float:

@@ -43,17 +43,6 @@ class MeasurementSpec:
         if not self.R > 0:
             raise InvalidSpec("clip bound R must be positive (or inf)")
 
-    def to_json(self) -> dict:
-        return {
-            "features": list(self.feature_indices),
-            "R": "inf" if math.isinf(self.R) else self.R,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "MeasurementSpec":
-        r = obj["R"]
-        return cls(tuple(int(i) for i in obj["features"]), math.inf if r == "inf" else float(r))
-
 
 def quotient(X: FiniteGDS, G) -> tuple[FiniteGDS, np.ndarray]:
     """Quotient of X by the feature rows G.

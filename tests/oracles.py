@@ -43,9 +43,9 @@ def dyadic_measure(rng, max_atoms=6):
     return gk.DiscreteMeasureR(vals, dyadic_masses(rng, vals.size))
 
 
-def dyadic_gds(rng, max_points=6, max_gens=3, family=gk.TB_FAMILY, span=4):
+def dyadic_gds(rng, max_n=6, max_gens=3, family=gk.TB_FAMILY, span=4):
     """Random valid FiniteGDS with dyadic values and masses."""
-    n = int(rng.integers(2, max_points + 1))
+    n = int(rng.integers(2, max_n + 1))
     g = int(rng.integers(1, max_gens + 1))
     while True:
         gens = np.vstack([dyadic_values(rng, n, span=span) for _ in range(g)])
@@ -446,10 +446,10 @@ def canonical_form(X):
 # exact observable diameter and od transfer lower bound
 # ---------------------------------------------------------------------------
 
-def rational_gds(rng, denom, max_points=6, max_gens=3):
+def rational_gds(rng, denom, max_n=6, max_gens=3):
     """(data set, exact masses): small integer feature values and masses
     k / denom, which floats only approximate."""
-    n = int(rng.integers(1, min(max_points, denom) + 1))
+    n = int(rng.integers(1, min(max_n, denom) + 1))
     ks = rng.multinomial(denom - n, np.full(n, 1.0 / n)) + 1
     g = int(rng.integers(1, max_gens + 1))
     while True:

@@ -98,8 +98,8 @@ def test_criterion_3_inequality_suite():
     kappas = (0.05, 0.15, 0.3, 0.45)
     violations = 0
     for _ in range(200):
-        X = dyadic_gds(rng, max_points=8, max_gens=2)
-        Y = dyadic_gds(rng, max_points=8, max_gens=2)
+        X = dyadic_gds(rng, max_n=8, max_gens=2)
+        Y = dyadic_gds(rng, max_n=8, max_gens=2)
 
         # (a) Ky Fan triangle inequality and 1-Lipschitz pullback, exact
         n = X.n_points
@@ -165,15 +165,15 @@ def test_criterion_4_bracket_certification():
 
     rng = np.random.default_rng(44)
     for _ in range(100):
-        A = dyadic_gds(rng, max_points=5, max_gens=2)
-        B = dyadic_gds(rng, max_points=5, max_gens=2)
+        A = dyadic_gds(rng, max_n=5, max_gens=2)
+        B = dyadic_gds(rng, max_n=5, max_gens=2)
         d = dconc_bracket(A, B, FAST_CFG)
         b = box_bracket(A, B, FAST_CFG)
         assert d.lower <= d.upper + 1e-9
         assert b.lower <= b.upper + 1e-9
 
     for _ in range(40):
-        Z = dyadic_gds(rng, max_points=4, max_gens=3)
+        Z = dyadic_gds(rng, max_n=4, max_gens=3)
         A = measurement(Z, MeasurementSpec((0,), 2.0))
         B = measurement(Z, MeasurementSpec(tuple(range(Z.n_generators)), 3.0))
         N, M = A.n_generators, B.n_generators
@@ -195,7 +195,7 @@ def test_criterion_5_covering_and_capacity():
     rng = np.random.default_rng(55)
     checked = 0
     for _ in range(30):
-        X = dyadic_gds(rng, max_points=5, max_gens=4)
+        X = dyadic_gds(rng, max_n=5, max_gens=4)
         eps = float(rng.choice([0.13, 0.23, 0.37, 0.53]))
         cov = gk.covering_number(X, eps)
         capa = gk.capacity(X.generators, eps, X.family, X.mu)
@@ -240,8 +240,8 @@ def test_criterion_7_staircase_series():
 
     rng = np.random.default_rng(77)
     for _ in range(50):
-        A = dyadic_gds(rng, max_points=3, max_gens=2, span=2)
-        B = dyadic_gds(rng, max_points=3, max_gens=2, span=2)
+        A = dyadic_gds(rng, max_n=3, max_gens=2, span=2)
+        B = dyadic_gds(rng, max_n=3, max_gens=2, span=2)
         sb = staircase_distance(A, B, 2, cfg)
         dc = dconc_bracket(A, B, cfg)
         assert sb.partial + sb.tail_bound <= dc.upper + sb.tail_bound + 1e-9
@@ -250,7 +250,7 @@ def test_criterion_7_staircase_series():
     for seed in (1, 2, 3):
         rng2 = np.random.default_rng(seed)
         while True:
-            Z = dyadic_gds(rng2, max_points=4, max_gens=3, span=2)
+            Z = dyadic_gds(rng2, max_n=4, max_gens=3, span=2)
             if Z.n_generators == 3:
                 break
         for M, N in ((1, 2), (1, 3), (2, 3)):

@@ -273,14 +273,14 @@ class TestDconcBracket:
     def test_self_bracket_zero(self):
         rng = np.random.default_rng(11)
         for _ in range(5):
-            X = dyadic_gds(rng, max_points=4, max_gens=2)
+            X = dyadic_gds(rng, max_n=4, max_gens=2)
             br = dconc_bracket(X, X, CFG)
             assert br.lower == 0.0 and br.upper == 0.0
 
     def test_permuted_copy_bracket_zero(self):
         rng = np.random.default_rng(13)
         for _ in range(5):
-            X = dyadic_gds(rng, max_points=6, max_gens=2)
+            X = dyadic_gds(rng, max_n=6, max_gens=2)
             perm = rng.permutation(X.n_points)
             Y = gk.FiniteGDS(
                 tuple(X.point_ids[i] for i in perm),
@@ -302,8 +302,8 @@ class TestDconcBracket:
     def test_symmetry(self):
         rng = np.random.default_rng(17)
         for _ in range(8):
-            X = dyadic_gds(rng, max_points=4, max_gens=2)
-            Y = dyadic_gds(rng, max_points=4, max_gens=2)
+            X = dyadic_gds(rng, max_n=4, max_gens=2)
+            Y = dyadic_gds(rng, max_n=4, max_gens=2)
             a = dconc_bracket(X, Y, CFG)
             b = dconc_bracket(Y, X, CFG)
             assert a.lower == b.lower and a.upper == b.upper
@@ -311,8 +311,8 @@ class TestDconcBracket:
     def test_bracket_consistency_random(self):
         rng = np.random.default_rng(19)
         for _ in range(15):
-            X = dyadic_gds(rng, max_points=4, max_gens=2)
-            Y = dyadic_gds(rng, max_points=4, max_gens=2)
+            X = dyadic_gds(rng, max_n=4, max_gens=2)
+            Y = dyadic_gds(rng, max_n=4, max_gens=2)
             br = dconc_bracket(X, Y, CFG)
             assert br.lower <= br.upper + 1e-9
             assert 0.0 <= br.lower and br.upper <= 1.0 + 1e-12
@@ -351,8 +351,8 @@ class TestPrunedObjectives:
         rng = np.random.default_rng(11)
         for family in FAMILIES:
             for _ in range(6):
-                X = dyadic_gds(rng, max_points=5, max_gens=4, family=family)
-                Y = dyadic_gds(rng, max_points=5, max_gens=4, family=family)
+                X = dyadic_gds(rng, max_n=5, max_gens=4, family=family)
+                Y = dyadic_gds(rng, max_n=5, max_gens=4, family=family)
                 pi = np.outer(X.masses, Y.masses)
                 assert dconc_pi(X, Y, pi) == dconc_pi_full_scan(X, Y, pi)
                 pairs = [(i, j) for i in range(X.n_points) for j in range(Y.n_points)]
@@ -415,8 +415,8 @@ class TestIncumbentCutoff:
         rng = np.random.default_rng(71)
         for family in FAMILIES:
             for _ in range(6):
-                X = dyadic_gds(rng, max_points=4, max_gens=2, family=family)
-                Y = dyadic_gds(rng, max_points=4, max_gens=2, family=family)
+                X = dyadic_gds(rng, max_n=4, max_gens=2, family=family)
+                Y = dyadic_gds(rng, max_n=4, max_gens=2, family=family)
                 fast = (dconc_bracket(X, Y, CFG), box_bracket(X, Y, CFG))
                 with monkeypatch.context() as m:
                     no_cutoff(m)
@@ -444,6 +444,20 @@ class TestBoxBracket:
         br = box_bracket(X, X, CFG)
         assert br.lower == 0.0 and br.upper == 0.0
 
+    def test_permuted_copy_upper_zero(self):
+        # masses k / sum(k) add up to 1 only up to rounding; the full
+        # support of a perfect matching must still miss no mass
+        rng = np.random.default_rng(41)
+        for family in FAMILIES[:4]:
+            for _ in range(25):
+                n = int(rng.integers(2, 5))
+                k = rng.integers(1, 12, size=n)
+                values = rng.choice(15, size=n, replace=False) / 7.0
+                X = gk.validate_gds(range(n), [values], family, k / k.sum())
+                perm = rng.permutation(n)
+                Y = gk.validate_gds(range(n), [values[perm]], family, X.masses[perm])
+                assert box_bracket(X, Y, CFG).upper == 0.0
+
     def test_two_point_pair(self):
         br = box_bracket(two_point(1.0), two_point(2.0), CFG)
         assert br.lower == pytest.approx(0.5, abs=1e-12)
@@ -453,8 +467,8 @@ class TestBoxBracket:
     def test_upper_at_least_dconc_lower(self):
         rng = np.random.default_rng(23)
         for _ in range(10):
-            X = dyadic_gds(rng, max_points=4, max_gens=2)
-            Y = dyadic_gds(rng, max_points=4, max_gens=2)
+            X = dyadic_gds(rng, max_n=4, max_gens=2)
+            Y = dyadic_gds(rng, max_n=4, max_gens=2)
             box = box_bracket(X, Y, CFG)
             dc = dconc_bracket(X, Y, CFG)
             assert dc.lower <= box.upper + 1e-9
@@ -462,8 +476,8 @@ class TestBoxBracket:
 
     def test_symmetry(self):
         rng = np.random.default_rng(29)
-        X = dyadic_gds(rng, max_points=4, max_gens=2)
-        Y = dyadic_gds(rng, max_points=4, max_gens=2)
+        X = dyadic_gds(rng, max_n=4, max_gens=2)
+        Y = dyadic_gds(rng, max_n=4, max_gens=2)
         a = box_bracket(X, Y, CFG)
         b = box_bracket(Y, X, CFG)
         assert a.lower == b.lower and a.upper == b.upper
@@ -472,7 +486,7 @@ class TestBoxBracket:
         # box(X, Y) <= (N + M) dconc(X, Y) for N- and M-measurements
         rng = np.random.default_rng(31)
         for _ in range(8):
-            Z = dyadic_gds(rng, max_points=4, max_gens=3)
+            Z = dyadic_gds(rng, max_n=4, max_gens=3)
             n_spec = MeasurementSpec((0,), 2.0)
             specs = [i for i in range(Z.n_generators)]
             m_spec = MeasurementSpec(tuple(specs), 3.0)
@@ -488,8 +502,8 @@ class TestCandidates:
     def test_couplings_have_valid_marginals(self):
         rng = np.random.default_rng(37)
         for _ in range(10):
-            X = dyadic_gds(rng, max_points=5, max_gens=2)
-            Y = dyadic_gds(rng, max_points=5, max_gens=2)
+            X = dyadic_gds(rng, max_n=5, max_gens=2)
+            Y = dyadic_gds(rng, max_n=5, max_gens=2)
             for name, pi in _candidate_couplings(X, Y, CFG):
                 CouplingMatrix(pi).check_marginals(X.masses, Y.masses)
 

@@ -539,7 +539,7 @@ class TestCovering:
     def test_matches_exhaustive_oracle(self):
         rng = np.random.default_rng(43)
         for _ in range(10):
-            X = dyadic_gds(rng, max_points=5, max_gens=4)
+            X = dyadic_gds(rng, max_n=5, max_gens=4)
             eps = 0.37
             from gdskit.families import directed_orbit_matrix
 
@@ -568,7 +568,7 @@ class TestCovering:
         # cov(X, eps) <= cov(Y, eps - 2 delta) when dconc(X, Y) < delta
         rng = np.random.default_rng(47)
         for _ in range(8):
-            X = dyadic_gds(rng, max_points=4, max_gens=3, family=gk.T_FAMILY)
+            X = dyadic_gds(rng, max_n=4, max_gens=3, family=gk.T_FAMILY)
             shift = 1.0 / 64.0
             gens = X.generators.copy()
             gens[0] = gens[0] + shift  # a translate: stays in the T orbit
@@ -613,7 +613,7 @@ class TestCapacity:
     def test_cov_le_capa_when_both_exact(self):
         rng = np.random.default_rng(53)
         for _ in range(10):
-            X = dyadic_gds(rng, max_points=5, max_gens=4)
+            X = dyadic_gds(rng, max_n=5, max_gens=4)
             eps = 0.23
             cov = gk.covering_number(X, eps)
             capa = gk.capacity(X.generators, eps, X.family, X.mu)

@@ -69,8 +69,9 @@ class TestRecipes:
         assert peak <= 1.25 * 8 * n * n
 
     def test_too_large(self):
-        with pytest.raises(TooLarge):
-            generate_space(SpaceRecipe.parse("hamming_cube:13"))
+        for text in ("hamming_cube:13", "path:4097:1", "random_cloud:4097:1:linf:1"):
+            with pytest.raises(TooLarge):
+                generate_space(SpaceRecipe.parse(text))
 
     def test_bad_recipes(self):
         with pytest.raises(ValidationError):

@@ -8,7 +8,6 @@ from gdskit.distances import SearchConfig
 from gdskit.errors import LevelMismatch
 from gdskit.staircase import (
     level_hausdorff,
-    rho_estimate,
     series_tail,
     series_weight,
     staircase_distance,
@@ -124,8 +123,8 @@ class TestStaircaseDistance:
     def test_transfer_bound_small_pairs(self):
         rng = np.random.default_rng(11)
         for _ in range(6):
-            X = dyadic_gds(rng, max_points=3, max_gens=2, span=2)
-            Y = dyadic_gds(rng, max_points=3, max_gens=2, span=2)
+            X = dyadic_gds(rng, max_n=3, max_gens=2, span=2)
+            Y = dyadic_gds(rng, max_n=3, max_gens=2, span=2)
             sb = staircase_distance(X, Y, 2, CFG)
             dc = gk.dconc_bracket(X, Y, CFG)
             assert sb.partial + sb.tail_bound <= dc.upper + sb.tail_bound + 1e-9
@@ -168,7 +167,7 @@ class TestLimitFormulaDeskScale:
         import math
 
         rng = np.random.default_rng(17)
-        base = dyadic_gds(rng, max_points=3, max_gens=2, span=2)
+        base = dyadic_gds(rng, max_n=3, max_gens=2, span=2)
         for step in (1, 2, 3):
             noise = rng.integers(-1, 2, size=base.generators.shape) / (64.0 * 2**step)
             Xn = gk.FiniteGDS(base.point_ids, base.generators + noise, base.family, base.mu)
@@ -190,23 +189,12 @@ class TestLimitFormulaDeskScale:
 
 
 class TestRho:
-    def test_delegates_to_staircase(self):
-        X, Y = two_point(1.0), two_point(2.0)
-        a = rho_estimate(X, Y, 2, CFG)
-        b = staircase_distance(X, Y, 2, CFG)
-        assert a.partial == b.partial
-        assert a.interval == b.interval
-
-    def test_self_contains_zero(self):
-        X = two_point(1.0)
-        sb = rho_estimate(X, X, 2, CFG)
-        assert sb.interval[0] == 0.0
-
+    # the paper's pyramid metric rho is estimated by the staircase series
     def test_rho_upper_vs_dconc_transfer(self):
         rng = np.random.default_rng(13)
         for _ in range(5):
-            X = dyadic_gds(rng, max_points=3, max_gens=2, span=2)
-            Y = dyadic_gds(rng, max_points=3, max_gens=2, span=2)
-            sb = rho_estimate(X, Y, 2, CFG)
+            X = dyadic_gds(rng, max_n=3, max_gens=2, span=2)
+            Y = dyadic_gds(rng, max_n=3, max_gens=2, span=2)
+            sb = staircase_distance(X, Y, 2, CFG)
             dc = gk.dconc_bracket(X, Y, CFG)
             assert sb.partial <= dc.upper + sb.tail_bound + 1e-9

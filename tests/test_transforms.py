@@ -55,7 +55,7 @@ class TestQuotient:
     def test_quotient_map_is_domination(self):
         rng = np.random.default_rng(9)
         for _ in range(10):
-            X = dyadic_gds(rng, max_points=4, max_gens=2)
+            X = dyadic_gds(rng, max_n=4, max_gens=2)
             p = gk.ClipMap.bound(1.0)
             rows = np.vstack([p.apply(r)[None, :] for r in X.generators])
             if np.unique(rows, axis=1).shape[1] < 2:
@@ -164,8 +164,8 @@ class TestCheckDomination:
 
     def test_budget_exhaustion_unknown(self):
         rng = np.random.default_rng(23)
-        X = dyadic_gds(rng, max_points=6, max_gens=2)
-        Y = dyadic_gds(rng, max_points=4, max_gens=2)
+        X = dyadic_gds(rng, max_n=6, max_gens=2)
+        Y = dyadic_gds(rng, max_n=4, max_gens=2)
         # force uniform masses so many maps are mass-compatible
         Xu = gk.FiniteGDS(X.point_ids, X.generators, X.family, gk.ProbVector.uniform(X.n_points))
         gens = np.vstack([Xu.generators[0][:4][None, :], (Xu.generators[0][:4] * 0.5)[None, :]])
