@@ -234,9 +234,9 @@ class FiniteGDS:
 
     @cached_property
     def metric(self) -> np.ndarray:
-        """The induced metric, computed on first use; embed_mm_space sets
-        it to the validated distance matrix instead (equal in exact
-        arithmetic)."""
+        """The induced metric, an n-by-n matrix built on first read and
+        by nothing else in the library; embed_mm_space sets it to the
+        validated distance matrix instead (equal in exact arithmetic)."""
         d = induced_metric(self)
         d.setflags(write=False)
         return d
@@ -251,7 +251,8 @@ class FiniteGDS:
 
     @property
     def diameter(self) -> float:
-        return float(self.metric.max()) if self.n_points > 1 else 0.0
+        """The largest induced distance (rounding is monotone): the widest generator spread."""
+        return float(np.ptp(self.generators, axis=1).max())
 
 
 def _dataset(points, generators, family: FamilyTag, weights) -> FiniteGDS:
@@ -260,39 +261,52 @@ def _dataset(points, generators, family: FamilyTag, weights) -> FiniteGDS:
 
 
 def validate_gds(points, generators, family: FamilyTag, weights) -> FiniteGDS:
-    """Build a FiniteGDS, checking dimensions, support, and separation.
-
-    A square generator matrix with an exactly zero diagonal and no other
-    zero (the rows of a distance matrix) separates its points without
-    the induced metric: point i is the only zero of generator i. Then
-    `X.metric` stays lazy; otherwise it is built here.
+    """Build a FiniteGDS, checking shapes, values, support and separation.
 
     Raises
     ------
     DimensionMismatch
         Inconsistent matrix and weight shapes.
+    ValidationError
+        A non-finite generator value.
+    InvalidWeights
+        Non-finite weights, or weights that do not sum to 1.
     ZeroWeight
         Some weight is not strictly positive.
     IndistinctPoints
-        Two points agree on every generator, so the induced metric
-        fails positivity.
+        Two points agree on every generator (point_classes); the first
+        such pair in row order is named.
     """
     X = _dataset(points, generators, family, weights)
-    gens, n = X.generators, X.n_points
-    if n > 1 and not (
-        gens.shape[0] == n
-        and not np.any(np.diagonal(gens))
-        and np.count_nonzero(gens) == n * n - n
-    ):
-        # the metric is exactly symmetric, so the first zero in row
-        # order lies above the diagonal
-        hit = _first_zero_off_diagonal(X.metric)
-        if hit:
-            i, j = hit
-            raise IndistinctPoints(
-                f"points {X.point_ids[i]!r} and {X.point_ids[j]!r} agree on every generator"
-            )
+    classes, firsts = point_classes(X.generators)
+    if firsts.size < X.n_points:
+        # classes go by first point, so the first class of two holds the first pair
+        i, j = np.flatnonzero(classes == np.argmax(np.bincount(classes) > 1))[:2]
+        raise IndistinctPoints(
+            f"points {X.point_ids[i]!r} and {X.point_ids[j]!r} agree on every generator"
+        )
     return X
+
+
+def point_classes(G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group the points (columns) of the feature matrix G by exact value
+    equality, -0.0 equal to 0.0: each point's class, the classes numbered
+    by first point, and the first point of each class. A stable column
+    sort puts equal columns side by side in point order, and neighbours
+    are compared one row at a time, so the memory beyond G is O(n + g).
+    """
+    n = G.shape[1]
+    order = np.lexsort(G)
+    same = True
+    for row in G:
+        row = row[order]
+        same = same & (row[1:] == row[:-1])
+    start = np.concatenate(([True], ~same))
+    heads = order[start]
+    firsts = np.sort(heads)
+    classes = np.empty(n, dtype=int)
+    classes[order] = np.searchsorted(firsts, heads)[np.cumsum(start) - 1]
+    return classes, firsts
 
 
 def induced_metric(X: FiniteGDS) -> np.ndarray:
@@ -443,8 +457,8 @@ def embed_mm_space(
     entries are positive as check_metric demands, and the embedding
     makes one O(n^3) pass, check_metric's, in block-sized scratch. A
     matrix that is symmetric or zero on the diagonal only within `tol`
-    keeps the induced metric of its rows, with the separation check of
-    validate_gds.
+    goes through validate_gds, and its `X.metric` is the induced metric
+    of its rows, built when read.
     """
     D = check_metric(D, tol=tol)
     if point_ids is None:

@@ -20,7 +20,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import FiniteGDS, ProbVector
+from .core import FiniteGDS, ProbVector, point_classes
 from .errors import EmptyG, InvalidSpec
 from .families import ClipMap, dist_to_orbit
 
@@ -47,31 +47,22 @@ class MeasurementSpec:
 def quotient(X: FiniteGDS, G) -> tuple[FiniteGDS, np.ndarray]:
     """Quotient of X by the feature rows G.
 
-    Points are identified when all rows of G agree on them exactly;
-    masses are summed. Returns the quotient data set together with the
-    point map (an array sending each source index to its class index).
-    The map pushes the measure forward exactly and pulls every result
-    feature back to a row of G, so it is a domination.
+    Points are identified when all rows of G agree on them exactly
+    (core.point_classes); masses are summed, and each class keeps its
+    first point. Returns the quotient data set together with the point
+    map (an array sending each source index to its class index). The map
+    pushes the measure forward exactly and pulls every result feature
+    back to a row of G, so it is a domination.
     """
     G = np.asarray(G, dtype=float) + 0.0
     if G.ndim != 2 or G.shape[0] == 0:
         raise EmptyG("at least one feature row is required")
     if G.shape[1] != X.n_points:
         raise EmptyG(f"rows of length {G.shape[1]} for {X.n_points} points")
-    classes: dict[bytes, int] = {}
-    qmap = np.empty(X.n_points, dtype=int)
-    reps: list[int] = []
-    for i in range(X.n_points):
-        key = G[:, i].tobytes()
-        if key not in classes:
-            classes[key] = len(reps)
-            reps.append(i)
-        qmap[i] = classes[key]
-    masses = np.bincount(qmap, weights=X.masses, minlength=len(reps))
-    new_gens = G[:, reps]
+    qmap, reps = point_classes(G)
+    masses = np.bincount(qmap, weights=X.masses, minlength=reps.size)
     ids = tuple(X.point_ids[i] for i in reps)
-    result = FiniteGDS(ids, new_gens, X.family, ProbVector(masses))
-    return result, qmap
+    return FiniteGDS(ids, G[:, reps], X.family, ProbVector(masses)), qmap
 
 
 def measurement(X: FiniteGDS, spec: MeasurementSpec) -> FiniteGDS:

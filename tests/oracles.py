@@ -644,3 +644,26 @@ def check_metric_reference(D, tol=1e-9):
             i, j = np.argwhere(slack > tol)[0]
             raise NotAMetric("triangle inequality violated", (int(i), int(k), int(j)))
     return D
+
+
+def point_classes_oracle(G):
+    """Classes of equal columns of G from a dictionary of value tuples
+    (-0.0 and 0.0 are one key), numbered by first appearance, and the
+    first point of each class."""
+    seen, classes, firsts = {}, [], []
+    for i in range(G.shape[1]):
+        key = tuple(G[:, i].tolist())
+        if key not in seen:
+            seen[key] = len(firsts)
+            firsts.append(i)
+        classes.append(seen[key])
+    return classes, firsts
+
+
+def first_equal_pair_oracle(G):
+    """The first (i, j), i < j, in row order whose columns of G are equal,
+    or None."""
+    for i, j in combinations(range(G.shape[1]), 2):
+        if np.all(G[:, i] == G[:, j]):
+            return i, j
+    return None

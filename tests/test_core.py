@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gdskit as gk
-from gdskit.core import METRIC_TOL, check_metric
+from gdskit.core import METRIC_TOL, check_metric, point_classes
 from gdskit.errors import (
     DimensionMismatch,
     IndistinctPoints,
@@ -14,12 +14,15 @@ from gdskit.errors import (
     ValidationError,
     ZeroWeight,
 )
-from gdskit.serialize import gds_from_obj, gds_to_obj
+from gdskit.serialize import gds_from_obj, gds_to_obj, serialize_gds
+from gdskit.transforms import quotient
 from oracles import (
     binomial_profile,
     check_metric_reference,
     dyadic_gds,
     dyadic_metric,
+    first_equal_pair_oracle,
+    point_classes_oracle,
     random_clip,
 )
 
@@ -65,6 +68,92 @@ class TestValidateGds:
             check_metric(D)
         with pytest.raises(ValidationError):
             gk.embed_mm_space(D, [0.5, 0.5])
+
+
+def _grouping_cases(rng, count):
+    """Feature matrices of 1-14 points: small-integer ties, signed zeros,
+    normal draws with one column copied, and distance rows of points with
+    repeats."""
+    for t in range(count):
+        n, g = int(rng.integers(1, 15)), int(rng.integers(1, 5))
+        if t % 4 == 0:
+            yield rng.integers(0, 3, size=(g, n)).astype(float)
+        elif t % 4 == 1:
+            yield rng.choice([0.0, -0.0, 0.5, 1.0], size=(g, n))
+        elif t % 4 == 2:
+            G = rng.normal(size=(g, n))
+            G[:, rng.integers(n)] = G[:, rng.integers(n)]
+            yield G
+        else:
+            pts = rng.integers(0, 4, size=(n, 2)).astype(float)
+            yield np.abs(pts[:, None, :] - pts[None, :, :]).max(axis=2)
+
+
+class TestPointClasses:
+    def test_matches_oracles(self):
+        # the one grouping behind validate_gds's separation check and
+        # quotient, against a pair scan and a dictionary of columns
+        rng = np.random.default_rng(17)
+        for G in _grouping_cases(rng, 1200):
+            n = G.shape[1]
+            classes, firsts = point_classes_oracle(G)
+            got_classes, got_firsts = point_classes(G)
+            assert (got_classes.tolist(), got_firsts.tolist()) == (classes, firsts)
+            ids, w = [f"p{i}" for i in range(n)], np.full(n, 1.0 / n)
+            pair = first_equal_pair_oracle(G)
+            if pair is None:
+                gk.validate_gds(ids, G, gk.TB_FAMILY, w)
+            else:
+                with pytest.raises(IndistinctPoints) as err:
+                    gk.validate_gds(ids, G, gk.TB_FAMILY, w)
+                i, j = pair
+                assert str(err.value) == f"points {ids[i]!r} and {ids[j]!r} agree on every generator"
+            X = gk.FiniteGDS(ids, np.vstack([np.arange(n), G]), gk.TB_FAMILY, gk.ProbVector(w))
+            Y, qmap = quotient(X, G)
+            assert qmap.tolist() == classes
+            assert Y.point_ids == tuple(ids[i] for i in firsts)
+            assert np.array_equal(Y.masses, np.bincount(classes, weights=w))
+            assert np.array_equal(Y.generators, G[:, firsts])
+            assert not np.signbit(Y.generators[Y.generators == 0]).any()
+
+    def test_4096_points_without_the_induced_metric(self, tmp_path, monkeypatch, capsys):
+        from gdskit import core
+        from gdskit.cli import main
+        from gdskit.obsdiam import observable_diameter
+
+        def no_induced_metric(X):
+            raise AssertionError("induced_metric called")
+
+        # every point of a 16^3 grid: the n-by-n metric would be 128 MB
+        perm = np.random.default_rng(29).permutation(4096)
+        gens = np.indices((16, 16, 16)).reshape(3, -1)[:, perm] / 4.0
+        path = str(tmp_path / "grid.json")
+        monkeypatch.setattr(core, "induced_metric", no_induced_metric)
+        X = gk.validate_gds(range(4096), gens, gk.TB_FAMILY, np.full(4096, 1 / 4096))
+        assert X.diameter == 3.75
+        Y, _ = quotient(X, gens[:2])
+        assert Y.n_points == 256 and np.array_equal(Y.masses, np.full(256, 1 / 256))
+        serialize_gds(X, path)
+        assert main(["odiam", path]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == f"0.1,{observable_diameter(X, 0.1)!r}"
+
+    def test_diameter_is_the_largest_induced_distance(self):
+        rng = np.random.default_rng(23)
+        spaces = [dyadic_gds(rng, max_n=9) for _ in range(10)]
+        for n in (1, 2, 7, 30):
+            gens = rng.normal(size=(3, n)) * 10.0 ** rng.integers(-3, 4, size=(3, 1))
+            gens[2, 0] = -0.0
+            spaces.append(gk.validate_gds(range(n), gens, gk.TB_FAMILY, np.full(n, 1.0 / n)))
+        for text in ("two_point:1", "hamming_cube:4:by_k", "path:30:0.01", "random_cloud:40:3:l2:2"):
+            spaces.append(gk.generate_space(gk.SpaceRecipe.parse(text)))
+        pts = rng.normal(size=(25, 3))
+        D = np.sqrt(((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2))
+        spaces.append(gk.embed_mm_space(D, gk.ProbVector.uniform(25)))
+        D[3, 7] += 1e-12  # symmetric only within tol: validate_gds's path
+        spaces.append(gk.embed_mm_space(D, gk.ProbVector.uniform(25)))
+        assert not np.shares_memory(spaces[-1].metric, spaces[-1].generators)
+        for X in spaces:
+            assert X.diameter.hex() == float(gk.induced_metric(X).max()).hex()
 
 
 class TestInducedMetric:

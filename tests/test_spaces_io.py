@@ -136,8 +136,8 @@ class TestSerialization:
         def no_induced_metric(X):
             raise AssertionError("induced_metric called")
 
-        # a square generator matrix, zero only on its diagonal, separates
-        # its points without the metric
+        # the separation check groups the generator columns; it never
+        # builds the n-by-n metric
         with monkeypatch.context() as m:
             m.setattr(core, "induced_metric", no_induced_metric)
             Y = parse_gds(path)
