@@ -26,12 +26,9 @@ from .distances import (
 )
 from .families import (
     CapacityResult,
-    ClipMap,
     CoveringResult,
     OrbitDistanceResult,
-    PLMap,
     capacity,
-    compose_clips,
     compose_family,
     covering_number,
     dist_to_orbit,
@@ -39,6 +36,7 @@ from .families import (
     extract_bounded,
     extract_window_heuristic,
 )
+from .maps import ClipMap, PLMap, compose_clips
 from .obsdiam import OdProfile, observable_diameter, observable_diameter_hss, od_profile
 from .spaces import SpaceRecipe, generate_space
 from .staircase import (

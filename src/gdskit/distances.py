@@ -6,14 +6,27 @@ is not tractable exactly; every reported value is therefore a Bracket:
 * the upper bound is witnessed by an explicit coupling (and support),
   found by evaluating a deterministic family of candidate couplings and
   improving the best one by pairwise-rebalance local search;
-* the lower bound is certified through the observable-diameter
-  transfer inequality: whenever od(X; -(kappa + delta)) exceeds
-  od(Y; -kappa) + 2 delta in either direction, delta cannot exceed the
-  observable distance. The bound is the exact supremum over all kappa:
-  it is taken at a jump of either od step function or in the limit
-  kappa -> 0+, and the lower witness names that kappa and its delta.
-  Since the observable distance never exceeds the box distance, the
-  same bound certifies box brackets.
+* the lower bound is certified, and is the larger of two bounds, which
+  the lower witness names:
+  - the observable-diameter transfer bound: whenever od(X; -(kappa +
+    delta)) exceeds od(Y; -kappa) + 2 delta in either direction, delta
+    cannot exceed the observable distance. It is the exact supremum
+    over all kappa, taken at a jump of either od step function or in
+    the limit kappa -> 0+, and its witness names that kappa and delta.
+    Since the observable distance never exceeds the box distance, it
+    certifies box brackets too;
+  - the law bound: a coupling under which f and p o g are within eps in
+    Ky Fan routes mass 1 - eps of the law of f to the law of p o g
+    within distance eps (the easy half of Strassen's theorem), and a
+    box value below eps routes it within eps / 2. So the largest, over
+    generators f of either side, of the least eps at which some map p
+    of the other family routes so from some generator g is a lower
+    bound. It is exact over every orbit but lip1's (laws.py), and its
+    witness names the generator pair, eps and the reach t.
+
+Each bracket takes its lower bound first, and its coupling search stops
+once the upper bound reaches it: every later candidate scores at least
+the distance, so neither the upper bound nor its witness could change.
 
 The minimum over the coupling polytope is not known to be attained at
 the candidates searched here, so upper bounds are never claimed exact;
@@ -39,6 +52,7 @@ from .errors import (
     ValidationError,
 )
 from .families import dist_to_orbit, dist_to_orbit_sup
+from .laws import law_lower
 
 MARGINAL_TOL = 1e-9
 # equal-size pairs of at most this many points also try, as couplings,
@@ -258,6 +272,19 @@ def dconc_lower_via_od(X: FiniteGDS, Y: FiniteGDS, kappas=None) -> OdLowerBound:
     return bound
 
 
+def lower_bound(X: FiniteGDS, Y: FiniteGDS, box: bool = False) -> float:
+    """The certified lower bound of dconc_bracket (box: of box_bracket):
+    the larger of the od transfer bound and the law bound, which raises
+    it only when strictly above. The result is an OdLowerBound or a
+    LawLowerBound, whose describe() names the witness, and it does not
+    depend on the argument order."""
+    if _oriented(X, Y):
+        return lower_bound(Y, X, box)
+    od = dconc_lower_via_od(X, Y)
+    law = law_lower(X, Y, box, float(od))
+    return law if law > od else od
+
+
 def _canon_key(X: FiniteGDS):
     return (
         X.n_points,
@@ -366,7 +393,7 @@ def _candidate_couplings(X, Y, cfg: SearchConfig):
     return cands
 
 
-def _pairwise_rebalance(pi, objective, start_value, eval_budget):
+def _pairwise_rebalance(pi, objective, start_value, eval_budget, floor=-math.inf):
     """First-improvement local search over mass-cycle moves.
 
     `eval_budget` caps the number of trial objective evaluations, which
@@ -375,7 +402,9 @@ def _pairwise_rebalance(pi, objective, start_value, eval_budget):
     cutoff `best_val - 1e-15`, so `objective(trial, cutoff)` may stop
     scoring once the value is known to reach the cutoff and return any
     value at or above it: rejected trials stay rejected, and accepted
-    ones carry their exact value.
+    ones carry their exact value. The search also ends once the value
+    reaches `floor`, a lower bound on every value, since nothing can then
+    be accepted.
     """
     best_pi = pi.copy()
     best_val = start_value
@@ -401,6 +430,8 @@ def _pairwise_rebalance(pi, objective, start_value, eval_budget):
                 evals += 1
                 if val < cutoff:
                     best_pi, best_val = trial, val
+                    if best_val <= floor:
+                        return best_pi, best_val
                     improved = True
                     break
                 if evals >= eval_budget:
@@ -414,29 +445,46 @@ def _oriented(X, Y):
     return _canon_key(Y) < _canon_key(X)
 
 
+def _closed(lower, upper: float) -> float:
+    """The lower bound to report with `upper`: lowered to it when
+    rounding alone puts it above, by at most 1e-12. The upper bound is
+    never raised."""
+    return upper if upper < lower <= upper + 1e-12 else float(lower)
+
+
 def dconc_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None) -> Bracket:
-    """Bracket for the observable distance between X and Y."""
+    """Bracket for the observable distance between X and Y.
+
+    The lower bound comes first, and the search stops once the upper
+    bound reaches it: candidate scoring ends at the first candidate at
+    or below it, and the local search is skipped or ended.
+    """
     cfg = config or SearchConfig()
     if _oriented(X, Y):
         return dconc_bracket(Y, X, cfg)
+    lower = lower_bound(X, Y)
     scored = []
     for name, pi in _candidate_couplings(X, Y, cfg):
-        scored.append((dconc_pi(X, Y, pi), name, pi))
+        val = dconc_pi(X, Y, pi)
+        scored.append((val, name, pi))
+        if val <= lower:
+            break
     scored.sort(key=lambda t: t[0])
     best_val, best_name, _ = scored[0]
     budget = max(1, cfg.local_search_steps // 2)
     for val, name, pi in scored[:2]:
+        if best_val <= lower:
+            break
         _, improved = _pairwise_rebalance(
-            pi, lambda p, cutoff: _dconc_value(X, Y, p, cutoff), val, budget
+            pi, lambda p, cutoff: _dconc_value(X, Y, p, cutoff), val, budget, lower
         )
         if improved < best_val:
             best_val, best_name = improved, name
-    lower = dconc_lower_via_od(X, Y)
     return Bracket(
-        lower=float(lower),
+        lower=_closed(lower, best_val),
         upper=best_val,
         lower_witness=lower.describe(),
-        upper_witness=f"coupling {best_name} after local search",
+        upper_witness=f"coupling {best_name}" + (", bracket closed" if best_val <= lower else " after local search"),
     )
 
 
@@ -508,23 +556,29 @@ def box_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None) 
     Upper bound: minimum of the box objective over candidate couplings
     crossed with candidate supports (full support, singletons, and
     greedy discard sweeps over per-pair residual thresholds). Lower
-    bound: the observable-distance lower bound, valid since the
-    observable distance never exceeds the box distance.
+    bound: lower_bound(X, Y, box=True). As in dconc_bracket, the search
+    stops once the upper bound reaches the lower: scoring ends, and the
+    singletons and the peel are skipped or ended.
     """
     cfg = config or SearchConfig()
     if _oriented(X, Y):
         return box_bracket(Y, X, cfg)
+    lower = lower_bound(X, Y, box=True)
     scored = []
     for name, pi in _candidate_couplings(X, Y, cfg):
         pairs = _support_pairs(pi)
         val = box_objective(X, Y, pi, pairs)
         scored.append((val, name, pi, pairs))
+        if val <= lower:
+            break
     scored.sort(key=lambda t: t[0])
     best_val, best_name, _, _ = scored[0]
     best_desc = f"coupling {best_name}, full support"
     for val, name, pi, pairs in scored[:3]:
         if len(pairs) <= 64:
             for p in pairs:
+                if best_val <= lower:
+                    break
                 v = _box_value(X, Y, pi, [p], best_val)
                 if v < best_val:
                     best_val, best_desc = v, f"coupling {name}, singleton {p}"
@@ -533,16 +587,20 @@ def box_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None) 
         # re-scoring against alignments optimized on the surviving support
         keep = list(pairs)
         for _ in range(min(len(pairs) - 1, 24)):
+            if best_val <= lower:
+                break
             scores = _pair_scores(X, Y, keep)
             worst = np.flatnonzero(scores == scores.max())
             keep.pop(int(worst[np.argmin([pi[keep[t]] for t in worst])]))
             v = _box_value(X, Y, pi, keep, best_val)
             if v < best_val:
                 best_val, best_desc = v, f"coupling {name}, {len(keep)} pairs kept"
-    lower = dconc_lower_via_od(X, Y)
+    witness = lower.describe()
+    if isinstance(lower, OdLowerBound):
+        witness += " (observable distance lower-bounds box)"
     return Bracket(
-        lower=float(lower),
+        lower=_closed(lower, best_val),
         upper=best_val,
-        lower_witness=f"{lower.describe()} (observable distance lower-bounds box)",
-        upper_witness=best_desc,
+        lower_witness=witness,
+        upper_witness=best_desc + (", bracket closed" if best_val <= lower else ""),
     )

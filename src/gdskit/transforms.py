@@ -22,7 +22,8 @@ import numpy as np
 
 from .core import FiniteGDS, ProbVector, point_classes
 from .errors import EmptyG, InvalidSpec
-from .families import ClipMap, dist_to_orbit
+from .families import dist_to_orbit
+from .maps import ClipMap
 
 MASS_MATCH_TOL = 1e-9
 

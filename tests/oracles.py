@@ -667,3 +667,104 @@ def first_equal_pair_oracle(G):
         if np.all(G[:, i] == G[:, j]):
             return i, j
     return None
+
+
+# ---------------------------------------------------------------------------
+# law lower bound and exact box distance
+# ---------------------------------------------------------------------------
+
+def _hall_flow(wa, wb, linked):
+    """Maximum flow from the masses wb to the masses wa over the pairs
+    linked[j] (atoms of a) of each atom j of b, by Hall's theorem: the
+    total less the largest deficiency wb(S) - wa(N(S)) over subsets S."""
+    worst = Fraction(0)
+    for size in range(1, len(wb) + 1):
+        for S in combinations(range(len(wb)), size):
+            reach = set().union(*(linked[j] for j in S))
+            worst = max(worst, sum(wb[j] for j in S) - sum(wa[k] for k in reach))
+    return sum(wb, Fraction(0)) - worst
+
+
+def _law_positions(a, b, t, kind):
+    """Positions of the atoms b under every vertex map of the family's
+    arrangement at reach t: c in {a_i +- t - b_j}, R in {|a_k +- t|,
+    |b_j|, 0}, and lo, hi in {a_k +- t} | {b_j + c} with lo <= hi."""
+    if kind == "id":
+        return {tuple(b)}
+    shifts = {x + s * t - y for x in a for y in b for s in (-1, 1)}
+    if kind == "T":
+        return {tuple(y + c for y in b) for c in shifts}
+    if kind == "B":
+        radii = {abs(x + s * t) for x in a for s in (-1, 1)} | {abs(y) for y in b} | {Fraction(0)}
+        return {tuple(max(-r, min(y, r)) for y in b) for r in radii}
+    out = set()
+    for c in shifts:
+        levels = {x + s * t for x in a for s in (-1, 1)} | {y + c for y in b}
+        for lo in levels:
+            for hi in levels:
+                if lo <= hi:
+                    out.add(tuple(max(lo, min(y + c, hi)) for y in b))
+    return out
+
+
+def law_bound_oracle(a, wa, b, wb, kind, box):
+    """The least eps at which some map p of the family routes mass
+    1 - eps between the laws (a, wa) and p_*(b, wb) within t = eps (box:
+    eps / 2), in Fractions, for id, T, B and TB; meant for at most 4
+    atoms.
+
+    Every map of the vertex arrangement is tried, and each flow comes
+    from Hall's theorem. Acceptance grows with eps, and the most mass
+    routed only changes at t = |u - v| or |u - v| / 2 for u, v among 0,
+    +-a_k, +-b_j and a_i - b_j + b_l; bisection over those gives the
+    first accepted e_k, and the value is min(e_k, 1 - routed at
+    e_{k-1})."""
+    a, wa, b, wb = ([Fraction(float(v)) for v in x] for x in (a, wa, b, wb))
+    per_eps = Fraction(1, 2) if box else Fraction(1)
+    sums = {Fraction(0)} | set(a) | {-x for x in a} | set(b) | {-y for y in b}
+    sums |= {x - y + z for x in a for y in b for z in b}
+    cuts = {abs(u - v) / d for u in sums for v in sums for d in (1, 2)}
+    breaks = sorted({e / per_eps for e in cuts if e / per_eps < 1} | {Fraction(1)})
+
+    def unrouted(eps):
+        t = eps * per_eps
+        flows = (
+            _hall_flow(wa, wb, [{k for k, x in enumerate(a) if abs(x - y) <= t} for y in pos])
+            for pos in _law_positions(a, b, t, kind)
+        )
+        return 1 - max(flows)
+
+    lo, hi = 0, len(breaks) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if unrouted(breaks[mid]) <= breaks[mid]:
+            hi = mid
+        else:
+            lo = mid + 1
+    return breaks[0] if lo == 0 else min(breaks[lo], unrouted(breaks[lo - 1]))
+
+
+def exact_box_oracle(X, Y):
+    """The box distance of X and Y by exhaustion, for at most 8 point
+    pairs: each nonempty support S scores max(1 - most coupling mass on
+    S, 2 gap(S)), where the coupling mass is a maximum flow (Hall's
+    theorem, in Fractions) and gap(S) the sup-norm orbit Hausdorff term
+    of box_objective."""
+    pairs = [(i, j) for i in range(X.n_points) for j in range(Y.n_points)]
+    assert len(pairs) <= 8
+    wx = [Fraction(float(m)) for m in X.masses]
+    wy = [Fraction(float(m)) for m in Y.masses]
+    best = math.inf
+    for size in range(1, len(pairs) + 1):
+        for S in combinations(pairs, size):
+            linked = [{i for i, j in S if j == col} for col in range(Y.n_points)]
+            missing = float(1 - _hall_flow(wx, wy, linked))
+            rows = np.array([i for i, _ in S])
+            cols = np.array([j for _, j in S])
+            fx, gy = X.generators[:, rows], Y.generators[:, cols]
+            gap = max(
+                max(min(gk.dist_to_orbit_sup(f, g, Y.family).value for g in gy) for f in fx),
+                max(min(gk.dist_to_orbit_sup(g, f, X.family).value for f in fx) for g in gy),
+            )
+            best = min(best, max(missing, 2.0 * gap))
+    return best

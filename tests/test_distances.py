@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gdskit as gk
-from gdskit import _kernels, distances
+from gdskit import _kernels, distances, laws
 from gdskit._kernels import linear_assignment
 from gdskit.distances import (
     Bracket,
@@ -18,13 +18,17 @@ from gdskit.distances import (
     _delta_stars,
     _hausdorff,
     _jump_kappas,
+    _nw_corner,
+    OdLowerBound,
     box_bracket,
     box_objective,
     dconc_bracket,
     dconc_lower_via_od,
     dconc_pi,
+    lower_bound,
 )
 from gdskit.errors import EmptySupport, MarginalMismatch
+from gdskit.laws import LawLowerBound, orbit_law_distance
 from gdskit.transforms import MeasurementSpec, measurement
 from oracles import (
     box_objective_full_scan,
@@ -32,8 +36,10 @@ from oracles import (
     dyadic_gds,
     delta_star_exact,
     delta_star_loop,
+    exact_box_oracle,
     hausdorff_full_scan,
     jump_kappas_exact,
+    law_bound_oracle,
     od_exact,
     od_lower_exact,
     od_steps_exact,
@@ -340,7 +346,8 @@ class TestBoxObjective:
             box_objective(X, X, np.diag(X.masses), [])
 
 
-FAMILIES = (gk.ID_FAMILY, gk.T_FAMILY, gk.B_FAMILY, gk.TB_FAMILY, gk.FamilyTag("lip1"))
+LIP1 = gk.FamilyTag("lip1")
+FAMILIES = (gk.ID_FAMILY, gk.T_FAMILY, gk.B_FAMILY, gk.TB_FAMILY, LIP1)
 
 
 class TestPrunedObjectives:
@@ -426,6 +433,10 @@ class TestIncumbentCutoff:
     def test_fewer_orbit_calls_on_pinned_pair(self, monkeypatch):
         X = gk.validate_gds(range(4), [[0, 1, 2, 3], [0, 2, 4, 6], [3, 0, 1, 2]], gk.TB_FAMILY, [0.25] * 4)
         Y = gk.validate_gds(range(4), [[0, 1, 2, 3], [1, 0, 3, 2], [0, 4, 0, 4]], gk.TB_FAMILY, [0.25] * 4)
+        # the law bound closes the dconc bracket at its first candidate, and
+        # a closed bracket runs no local search; the od bound alone keeps
+        # both searches open, so that the cutoffs have trials to cut
+        monkeypatch.setattr(distances, "law_lower", lambda X, Y, box, start: start)
         for name, bracket in (("dist_to_orbit", dconc_bracket), ("dist_to_orbit_sup", box_bracket)):
             counts = []
             for cutoff in (True, False):
@@ -448,7 +459,7 @@ class TestBoxBracket:
         # masses k / sum(k) add up to 1 only up to rounding; the full
         # support of a perfect matching must still miss no mass
         rng = np.random.default_rng(41)
-        for family in FAMILIES[:4]:
+        for family in FAMILIES:
             for _ in range(25):
                 n = int(rng.integers(2, 5))
                 k = rng.integers(1, 12, size=n)
@@ -457,6 +468,20 @@ class TestBoxBracket:
                 perm = rng.permutation(n)
                 Y = gk.validate_gds(range(n), [values[perm]], family, X.masses[perm])
                 assert box_bracket(X, Y, CFG).upper == 0.0
+
+    def test_lip1_permuted_copy_uppers_zero(self):
+        # a lip1 orbit holds its own generator at distance 0, so both
+        # brackets of a permuted copy close at 0
+        rng = np.random.default_rng(43)
+        for _ in range(40):
+            n = int(rng.integers(2, 5))
+            k = rng.integers(1, 12, size=n)
+            values = rng.choice(15, size=n, replace=False) / 7.0
+            X = gk.validate_gds(range(n), [values], LIP1, k / k.sum())
+            perm = rng.permutation(n)
+            Y = gk.validate_gds(range(n), [values[perm]], LIP1, X.masses[perm])
+            assert box_bracket(X, Y, CFG).upper == 0.0
+            assert dconc_bracket(X, Y, CFG).upper == 0.0
 
     def test_two_point_pair(self):
         br = box_bracket(two_point(1.0), two_point(2.0), CFG)
@@ -593,3 +618,191 @@ class TestAssignment:
         # about 4 n^2 doubles with the sort keys of the row alignment; a
         # stacked tensor takes 400
         assert peak <= 8 * n * n * 8
+
+
+def small_law(rng, max_atoms):
+    """A law of at most max_atoms atoms k/8 in [-1.5, 1.5], with masses
+    k/7 or k/11, which floats only approximate."""
+    n = int(rng.integers(1, max_atoms + 1))
+    values = np.sort(rng.choice(np.arange(-12, 13), size=n, replace=False)) / 8
+    denom = int(rng.choice([7, 11]))
+    cuts = np.sort(rng.choice(np.arange(1, denom), size=n - 1, replace=False))
+    return gk.DiscreteMeasureR(values, np.diff(np.concatenate([[0], cuts, [denom]])) / denom)
+
+
+def small_pair(rng, family, shapes=((2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (1, 3))):
+    """Two data sets with few point pairs: one or two generators of
+    values k/8 and masses k/7."""
+    sets = []
+    for n in shapes[int(rng.integers(len(shapes)))]:
+        gens = int(rng.integers(1, 3))
+        while True:
+            G = rng.integers(-12, 13, size=(gens, n)) / 8
+            if len({tuple(col) for col in G.T}) == n:
+                break
+        k = rng.multinomial(7 - n, np.full(n, 1.0 / n)) + 1
+        sets.append(gk.validate_gds(range(n), G, family, k / 7))
+    return sets
+
+
+class TestLawBound:
+    def test_engine_matches_rational_oracle(self):
+        rng = np.random.default_rng(131)
+        for kind, cases in (("id", 20), ("T", 20), ("B", 20), ("TB", 10)):
+            for i in range(cases):
+                atoms = 4 if kind != "TB" or i < 2 else 3
+                A, B = small_law(rng, atoms), small_law(rng, atoms)
+                for box in (False, True):
+                    want = float(law_bound_oracle(A.values, A.masses, B.values, B.masses, kind, box))
+                    got = orbit_law_distance(A, B, kind, box)
+                    assert abs(got - want) <= 1e-12, (kind, box, A.atoms, B.atoms)
+                    # between a running maximum and a cap: exact inside, at most
+                    # the maximum below it, at least the cap above it, all up
+                    # to the rounding of a mass sum
+                    best, cap = sorted(float(rng.choice([want / 2, want, want + 0.125])) for _ in range(2))
+                    got = orbit_law_distance(A, B, kind, box, best, cap)
+                    if want <= best:
+                        assert got <= best + 1e-12
+                    elif want >= cap:
+                        assert got >= cap - 1e-12
+                    else:
+                        assert abs(got - want) <= 1e-12
+
+    def test_box_form_below_exact_box(self):
+        rng = np.random.default_rng(137)
+        for family in FAMILIES[:4]:
+            for _ in range(5):
+                X, Y = small_pair(rng, family)
+                assert lower_bound(X, Y, box=True) <= exact_box_oracle(X, Y) + 1e-12
+
+    def test_dconc_form_below_coupling_values(self):
+        rng = np.random.default_rng(139)
+        for family in FAMILIES[:4]:
+            for _ in range(6):
+                X = dyadic_gds(rng, max_n=4, max_gens=2, family=family)
+                Y = dyadic_gds(rng, max_n=4, max_gens=2, family=family)
+                bound = lower_bound(X, Y)
+                assert bound <= lower_bound(X, Y, box=True)
+                for _ in range(3):
+                    pi = sum(
+                        w * _nw_corner(X.masses, Y.masses, rng.permutation(X.n_points), rng.permutation(Y.n_points))
+                        for w in rng.dirichlet(np.ones(2))
+                    )
+                    assert bound <= dconc_pi(X, Y, pi) + 1e-12
+
+    def test_brackets_stay_ordered_and_witnessed(self):
+        rng = np.random.default_rng(149)
+        closed = law_won = 0
+        for family in FAMILIES:
+            for _ in range(8):
+                X = dyadic_gds(rng, max_n=4, max_gens=2, family=family)
+                Y = dyadic_gds(rng, max_n=4, max_gens=2, family=family)
+                for br, box in ((dconc_bracket(X, Y, CFG), False), (box_bracket(X, Y, CFG), True)):
+                    assert br.lower <= br.upper
+                    closed += br.lower == br.upper
+                    bound = lower_bound(X, Y, box)
+                    assert br.lower == min(float(bound), br.upper)
+                    assert br.lower_witness.startswith(bound.describe())
+                    if isinstance(bound, LawLowerBound):
+                        law_won += 1
+                        assert family != LIP1
+                        assert bound > dconc_lower_via_od(X, Y)
+                        # replay: the named pair gives the bound on its own
+                        # (X and Y of the witness are the brackets' argument order)
+                        first, second = (Y, X) if distances._oriented(X, Y) else (X, Y)
+                        own, other = (first, second) if bound.sides[0] == "X" else (second, first)
+                        f = gk.pushforward(own.generators[bound.generator], own.mu)
+                        row = [orbit_law_distance(f, gk.pushforward(g, other.mu), bound.family, box) for g in other.generators]
+                        # the named generator's least value over every partner is the bound
+                        assert row[bound.partner] == min(row) == float(bound)
+                        assert bound.reach == (float(bound) / 2 if box else float(bound))
+                    else:
+                        assert isinstance(bound, OdLowerBound)
+        assert closed > 0 and law_won > 0
+
+    def test_searched_breakpoints_match_the_listed_ones(self, monkeypatch):
+        # the differences of v are found by searchsorted without listing
+        # them; against the list, the last one in (lo, hi) is the same,
+        # and a pivot among more than BLOCK_ENTRIES splits them at least
+        # a quarter to three quarters
+        monkeypatch.setattr(laws, "BLOCK_ENTRIES", 16)
+        rng = np.random.default_rng(157)
+        for _ in range(200):
+            n = int(rng.integers(2, 40))
+            v = np.sort(rng.choice(np.arange(-200, 201), size=n, replace=False)) / rng.choice([7.0, 8.0, 10.0])
+            div = float(rng.choice([1.0, 2.0]))
+            search = laws._Differences(v, div)
+            listed = np.concatenate([(v[q] - v[:q]) / div for q in range(1, n)])
+            lo, hi = sorted(float(x) for x in rng.choice(np.concatenate([listed, rng.uniform(0, 60, 4)]), 2))
+            inside = listed[(listed > lo) & (listed < hi)]
+            if inside.size == 0:
+                assert search.pivot(lo, hi) is None and search.last(lo, hi) is None
+                continue
+            assert search.last(lo, hi) == inside.max()
+            pivot = search.pivot(lo, hi)
+            assert pivot in inside
+            if inside.size > 16:
+                assert min(np.sum(inside <= pivot), np.sum(inside >= pivot)) >= inside.size / 4
+
+    def test_engine_unchanged_by_block_sizes(self, monkeypatch):
+        # with tiny blocks every T and TB bisection takes weighted-median
+        # pivots, and the TB scan runs in many blocks: same values
+        rng = np.random.default_rng(163)
+        cases = []
+        for kind in ("T", "TB") * 8:
+            A, B = small_law(rng, 7), small_law(rng, 7)
+            for box in (False, True):
+                cases.append((A, B, kind, box, orbit_law_distance(A, B, kind, box)))
+        monkeypatch.setattr(laws, "BLOCK_ENTRIES", 4)
+        monkeypatch.setattr(_kernels, "BLOCK_ENTRIES", 4)
+        for A, B, kind, box, want in cases:
+            assert orbit_law_distance(A, B, kind, box) == want
+            assert orbit_law_distance(A, B, kind, box, want / 2, want + 0.125) == want
+
+    def test_spent_budget_leaves_a_bound(self, monkeypatch):
+        # once the scans' budget is spent, the generators searched in full
+        # still bound the distance, and the witness row gives the bound
+        rng = np.random.default_rng(167)
+        cut = 0
+        for _ in range(12):
+            X = dyadic_gds(rng, max_n=4, max_gens=3, family=gk.TB_FAMILY)
+            Y = dyadic_gds(rng, max_n=4, max_gens=3, family=gk.TB_FAMILY)
+            for box in (False, True):
+                full = float(laws.law_lower(X, Y, box, 0.0))
+                for budget in (0, 40, 400, 4000):
+                    monkeypatch.setattr(laws, "LAW_BUDGET", budget)
+                    bound = laws.law_lower(X, Y, box, 0.0)
+                    monkeypatch.undo()
+                    assert 0.0 <= bound <= full
+                    cut += bound < full
+                    if bound > 0.0:
+                        own, other = (X, Y) if bound.sides[0] == "X" else (Y, X)
+                        f = gk.pushforward(own.generators[bound.generator], own.mu)
+                        row = [orbit_law_distance(f, gk.pushforward(g, other.mu), "TB", box) for g in other.generators]
+                        assert row[bound.partner] == min(row) == float(bound)
+        assert cut > 0
+
+    def test_witness_names_the_row_that_sets_the_bound(self, monkeypatch):
+        # X generator 0 meets Y generator 1 at 0.2, X generator 1 meets
+        # nothing below 0.3: the bound is 0.3, and only X generator 1
+        # against Y generator 0 witnesses it, though X generator 0
+        # against Y generator 0 ties at 0.3
+        X = gk.validate_gds([0, 1], [[0.0, 1.0], [0.0, 2.0]], gk.TB_FAMILY, [0.5, 0.5])
+        Y = gk.validate_gds([0, 1], [[0.0, 3.0], [0.0, 4.0]], gk.TB_FAMILY, [0.5, 0.5])
+        table = {(1, 3): 0.3, (1, 4): 0.2, (2, 3): 0.3, (2, 4): 0.4}
+
+        class TableSearch:
+            def __init__(self, A, B, *_):
+                self.value = table.get((A.values[-1], B.values[-1]), 0.0)
+
+            def unrouted(self, eps):
+                return self.value
+
+            def least(self, best, cap):
+                return min(self.value, cap)
+
+        monkeypatch.setattr(laws, "_OrbitSearch", TableSearch)
+        bound = laws.law_lower(X, Y, False, 0.0)
+        assert float(bound) == 0.3
+        assert (bound.sides, bound.generator, bound.partner) == (("X", "Y"), 1, 0)
+

@@ -438,6 +438,17 @@ class TestLip1Orbit:
             assert float(np.max(np.abs(f - res.witness.apply(g)))) == res.value
             assert res.value <= gk.dist_to_orbit_sup(f, g, gk.TB_FAMILY).value + 1e-12
 
+    def test_self_distance_is_zero(self):
+        # the McShane extension of f from f must give f back exactly at its
+        # knots, or a map sits 1.1e-16 from its own orbit
+        rng = np.random.default_rng(103)
+        for _ in range(200):
+            n = int(rng.integers(2, 5))
+            k = rng.integers(1, 12, size=n)
+            f = rng.integers(-20, 21, size=n) / 7.0
+            assert gk.dist_to_orbit(f, f, LIP1, gk.ProbVector(k / k.sum())).value == 0.0
+            assert gk.dist_to_orbit_sup(f, f, LIP1).value == 0.0
+
     def test_uncovered_weight_steps_at_breakpoints(self):
         # m(eps) is constant from each breakpoint 0, (|f_i - f_j| -
         # |g_i - g_j|) / 2 up to the next; the cover oracle gives it
