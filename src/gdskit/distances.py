@@ -3,9 +3,13 @@
 Both distances minimize over couplings between the two measures, which
 is not tractable exactly; every reported value is therefore a Bracket:
 
-* the upper bound is witnessed by an explicit coupling (and support),
-  found by evaluating a deterministic family of candidate couplings and
-  improving the best one by pairwise-rebalance local search;
+* the upper bound is witnessed by an explicit coupling. dconc_bracket
+  evaluates a deterministic family of candidate couplings and improves
+  the best ones by pairwise-rebalance local search. The box witness is
+  a support S with a coupling that puts the most mass any coupling can
+  on S (a bipartite max-flow, stats._support_flow): box_bracket
+  searches supports, each scored once, which the candidate couplings
+  propose and a local search that adds or drops one pair refines;
 * the lower bound is certified, and is the larger of two bounds, which
   the lower witness names:
   - the observable-diameter transfer bound: whenever od(X; -(kappa +
@@ -38,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import chain, permutations
 
 import numpy as np
 
@@ -53,6 +57,7 @@ from .errors import (
 )
 from .families import dist_to_orbit, dist_to_orbit_sup
 from .laws import law_lower
+from .stats import _nw_corner, _support_flow
 
 MARGINAL_TOL = 1e-9
 # equal-size pairs of at most this many points also try, as couplings,
@@ -112,7 +117,15 @@ class Bracket:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budgets and seeds for the coupling/support search."""
+    """Budgets and seeds for the coupling/support search.
+
+    coupling_candidates random vertex couplings join the fixed
+    candidates. local_search_steps budgets both local searches: the
+    trial couplings of dconc_bracket's pairwise rebalance, half for each
+    of its two best candidates, and the supports box_bracket's support
+    search scores. level_budget caps the generator subsets each
+    staircase level enumerates, and seed drives every random choice.
+    """
 
     coupling_candidates: int = 8
     local_search_steps: int = 40
@@ -293,24 +306,6 @@ def _canon_key(X: FiniteGDS):
         X.masses.tobytes(),
         X.generators.tobytes(),
     )
-
-
-def _nw_corner(mx, my, row_order, col_order):
-    pi = np.zeros((mx.size, my.size))
-    rx = mx.astype(float).copy()
-    ry = my.astype(float).copy()
-    i, j = 0, 0
-    while i < len(row_order) and j < len(col_order):
-        r, c = row_order[i], col_order[j]
-        t = min(rx[r], ry[c])
-        pi[r, c] += t
-        rx[r] -= t
-        ry[c] -= t
-        if rx[r] <= ry[c]:
-            i += 1
-        else:
-            j += 1
-    return pi
 
 
 def _sorted_matching(X, Y):
@@ -550,57 +545,103 @@ def _pair_scores(X, Y, pairs):
     return scores
 
 
+class _SupportSearch:
+    """Box values of supports S, each scored once, under a coupling that
+    puts all its mass on S or else under S's max-flow coupling
+    (stats._support_flow); it keeps the best, and scores nothing once
+    that reaches the lower bound."""
+
+    def __init__(self, X, Y, lower):
+        self.X, self.Y, self.lower = X, Y, lower
+        self.scored = set()
+        self.value, self.support, self.label = math.inf, (), ""
+
+    def score(self, pairs, label, pi=None):
+        """The value of the new support `pairs` (sorted): in full under
+        pi, or under its max-flow coupling when below the best; None when
+        scored before or when the search is closed."""
+        if pairs in self.scored or self.value <= self.lower:
+            return None
+        self.scored.add(pairs)
+        X, Y = self.X, self.Y
+        if pi is None:
+            value = _box_value(X, Y, _support_flow(X.masses, Y.masses, pairs), pairs, self.value)
+        else:
+            value = box_objective(X, Y, pi, pairs)
+        if value < self.value:
+            self.value, self.support, self.label = value, pairs, label
+        return value
+
+    def descend(self, steps: int) -> None:
+        """First-improvement local search from the best support: move to
+        the first new support, one pair dropped or added, that scores
+        better, within `steps` scorings."""
+        nx, ny = self.X.n_points, self.Y.n_points
+        while steps > 0 and self.value > self.lower:
+            S, have = self.support, set(self.support)
+            drops = (S[:k] + S[k + 1:] for k in range(len(S)) if len(S) > 1)
+            adds = (tuple(sorted(S + ((i, j),))) for i in range(nx) for j in range(ny) if (i, j) not in have)
+            for trial in chain(drops, adds):
+                if trial in self.scored:
+                    continue
+                steps -= 1
+                self.score(trial, f"max-flow coupling, {len(trial)} pairs after local search")
+                if self.support is trial:
+                    break
+                if steps == 0:
+                    return
+            else:
+                return
+
+
 def box_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None) -> Bracket:
     """Bracket for the box distance between X and Y.
 
-    Upper bound: minimum of the box objective over candidate couplings
-    crossed with candidate supports (full support, singletons, and
-    greedy discard sweeps over per-pair residual thresholds). Lower
-    bound: lower_bound(X, Y, box=True). As in dconc_bracket, the search
-    stops once the upper bound reaches the lower: scoring ends, and the
-    singletons and the peel are skipped or ended.
+    Upper bound: the least box value over supports S, each scored once
+    under a coupling that puts the most mass any coupling can on S, so
+    the witness is S with that coupling (_SupportSearch). The supports
+    searched are the candidate couplings' own; for the best three of
+    those, their singletons and greedy discard sweeps over per-pair
+    residuals; then a local search from the best support. Lower bound:
+    lower_bound(X, Y, box=True). As in dconc_bracket, the search stops
+    once the upper bound reaches it.
     """
     cfg = config or SearchConfig()
     if _oriented(X, Y):
         return box_bracket(Y, X, cfg)
     lower = lower_bound(X, Y, box=True)
-    scored = []
+    search = _SupportSearch(X, Y, lower)
+    ranked = []
     for name, pi in _candidate_couplings(X, Y, cfg):
-        pairs = _support_pairs(pi)
-        val = box_objective(X, Y, pi, pairs)
-        scored.append((val, name, pi, pairs))
-        if val <= lower:
+        pairs = tuple(_support_pairs(pi))
+        val = search.score(pairs, f"coupling {name}, full support", pi)
+        if val is not None:
+            ranked.append((val, name, pi, pairs))
+        if search.value <= lower:
             break
-    scored.sort(key=lambda t: t[0])
-    best_val, best_name, _, _ = scored[0]
-    best_desc = f"coupling {best_name}, full support"
-    for val, name, pi, pairs in scored[:3]:
+    ranked.sort(key=lambda t: t[0])
+    for _, name, pi, pairs in ranked[:3]:
         if len(pairs) <= 64:
             for p in pairs:
-                if best_val <= lower:
-                    break
-                v = _box_value(X, Y, pi, [p], best_val)
-                if v < best_val:
-                    best_val, best_desc = v, f"coupling {name}, singleton {p}"
+                search.score((p,), f"max-flow coupling, singleton {p}")
         # greedy peel: repeatedly drop the worst-aligned pair (the lightest
-        # of tied ones, as the objective counts the mass dropped),
-        # re-scoring against alignments optimized on the surviving support
+        # of tied ones under pi), re-scoring against alignments optimized
+        # on the surviving support
         keep = list(pairs)
         for _ in range(min(len(pairs) - 1, 24)):
-            if best_val <= lower:
+            if search.value <= lower:
                 break
             scores = _pair_scores(X, Y, keep)
             worst = np.flatnonzero(scores == scores.max())
             keep.pop(int(worst[np.argmin([pi[keep[t]] for t in worst])]))
-            v = _box_value(X, Y, pi, keep, best_val)
-            if v < best_val:
-                best_val, best_desc = v, f"coupling {name}, {len(keep)} pairs kept"
+            search.score(tuple(keep), f"max-flow coupling, {len(keep)} pairs of coupling {name}")
+    search.descend(cfg.local_search_steps)
     witness = lower.describe()
     if isinstance(lower, OdLowerBound):
         witness += " (observable distance lower-bounds box)"
     return Bracket(
-        lower=_closed(lower, best_val),
-        upper=best_val,
+        lower=_closed(lower, search.value),
+        upper=search.value,
         lower_witness=witness,
-        upper_witness=best_desc + (", bracket closed" if best_val <= lower else ""),
+        upper_witness=search.label + (", bracket closed" if search.value <= lower else ""),
     )

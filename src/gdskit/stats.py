@@ -12,6 +12,7 @@ import numpy as np
 from ._kernels import MASS_GUARD, kf_rows, sorted_unique
 from .core import DiscreteMeasureR, ProbVector
 from .errors import DimensionMismatch, EmptySet, InvalidAlpha
+from .laws import _Differences
 
 
 def partial_diameter(mu: DiscreteMeasureR, alpha: float) -> float:
@@ -94,40 +95,129 @@ def _routable_mass(nu: DiscreteMeasureR, mu: DiscreteMeasureR, d: float) -> floa
     return flow
 
 
+def _nw_corner(mx, my, row_order, col_order):
+    """North-west corner coupling of the masses mx and my, with rows and
+    columns taken in the given orders."""
+    pi = np.zeros((mx.size, my.size))
+    rx = mx.astype(float).copy()
+    ry = my.astype(float).copy()
+    i, j = 0, 0
+    while i < len(row_order) and j < len(col_order):
+        r, c = row_order[i], col_order[j]
+        t = min(rx[r], ry[c])
+        pi[r, c] += t
+        rx[r] -= t
+        ry[c] -= t
+        if rx[r] <= ry[c]:
+            i += 1
+        else:
+            j += 1
+    return pi
+
+
+def _support_flow(mx, my, pairs) -> np.ndarray:
+    """A coupling of the masses mx and my that puts on the index pairs
+    (i, j) the most mass any coupling can.
+
+    That mass is a maximum flow from the rows, with capacities mx, to the
+    columns, with capacities my, over the pairs (Ford-Fulkerson): a greedy
+    fill, then shortest augmenting paths, each of which leaves a row or a
+    column without room or empties a pair it takes mass back from. The
+    masses left over are coupled by the north-west corner rule; after a
+    maximum flow no pair links a row and a column that both have some.
+    """
+    n, m = mx.size, my.size
+    rx, ry = mx.astype(float).tolist(), my.astype(float).tolist()
+    by_row = [[] for _ in range(n)]
+    by_col = [[] for _ in range(m)]
+    flow = {}
+    for i, j in pairs:
+        by_row[i].append(j)
+        by_col[j].append(i)
+        t = min(rx[i], ry[j])
+        flow[i, j] = t
+        rx[i] -= t
+        ry[j] -= t
+    while True:
+        # breadth-first from every row with room left: a row reaches its
+        # pairs' columns, and a column the rows of its pairs that carry flow
+        row_from = {i: None for i in range(n) if rx[i] > 0.0}
+        col_from = {}
+        frontier, sink = list(row_from), None
+        while frontier and sink is None:
+            nxt = []
+            for i in frontier:
+                for j in by_row[i]:
+                    if j in col_from:
+                        continue
+                    col_from[j] = i
+                    if ry[j] > 0.0:
+                        sink = j
+                        break
+                    for k in by_col[j]:
+                        if k not in row_from and flow[k, j] > 0.0:
+                            row_from[k] = j
+                            nxt.append(k)
+                if sink is not None:
+                    break
+            frontier = nxt
+        if sink is None:
+            break
+        # the path gains on its pairs (i, col) and gives back on (i, row_from[i])
+        gain, back, j = [], [], sink
+        while True:
+            i = col_from[j]
+            gain.append((i, j))
+            if row_from[i] is None:
+                break
+            j = row_from[i]
+            back.append((i, j))
+        t = min([rx[i], ry[sink]] + [flow[p] for p in back])
+        rx[i] -= t
+        ry[sink] -= t
+        for p in gain:
+            flow[p] += t
+        for p in back:
+            flow[p] -= t
+    pi = _nw_corner(np.array(rx), np.array(ry), range(n), range(m))
+    for (i, j), t in flow.items():
+        pi[i, j] += t
+    return pi
+
+
 def prohorov(mu: DiscreteMeasureR, nu: DiscreteMeasureR) -> float:
     """Prohorov distance, one-sided form.
 
     inf of eps >= 0 such that mu(U(A, eps)) >= nu(A) - eps for every
-    Borel A, with U the open eps-neighborhood. Writing D(eps) for the
-    worst-case deficiency max_A (nu(A) - mu(U(A, eps))), the distance is
-    min over candidate thresholds d_k (the distinct atom distances,
-    plus 0) of max(d_k, D_k), where D_k uses adjacency |x - y| <= d_k.
-    Each D_k equals 1 minus a bipartite max-flow value, which encodes
-    the subset condition without enumerating subsets. D is
-    nonincreasing and the threshold sequence increasing, so the
-    crossing is located by binary search.
+    Borel A, with U the open eps-neighborhood. Writing D(d) for the
+    worst-case deficiency max_A (nu(A) - mu(U(A, d))) with adjacency
+    |x - y| <= d, D(d) is 1 minus a bipartite max-flow value, which
+    encodes the subset condition without enumerating subsets. D is a
+    nonincreasing step function that changes only at the atom distances
+    |x - y|, so the distance is max(d, D(d)) minimized over those and 0,
+    and the crossing of D(d) with d is located by bisection. It runs over
+    the differences of the pooled atom values, which hold the atom
+    distances and are searched without being listed (laws._Differences),
+    so memory stays linear in the atoms: between two of them D is
+    constant, and the result is that of the atom distances alone.
     """
-    dists = np.abs(nu.values[:, None] - mu.values[None, :])
-    cands = sorted_unique(np.concatenate([[0.0], dists.ravel()]))
+    total = float(nu.masses.sum())
 
-    cache: dict[int, float] = {}
+    def deficiency(d: float) -> float:
+        return max(0.0, total - _routable_mass(nu, mu, d))
 
-    def deficiency(k: int) -> float:
-        if k not in cache:
-            flow = _routable_mass(nu, mu, cands[k])
-            cache[k] = max(0.0, float(nu.masses.sum()) - flow)
-        return cache[k]
-
-    lo, hi = 0, len(cands) - 1
-    if deficiency(lo) <= cands[lo]:
-        return float(cands[lo])
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if deficiency(mid) <= cands[mid]:
+    breaks = _Differences(sorted_unique(np.concatenate([mu.values, nu.values])), 1.0)
+    lo, d_lo = 0.0, deficiency(0.0)
+    if d_lo <= 0.0:
+        return 0.0
+    hi = float(breaks.v[-1] - breaks.v[0])  # every atom reaches every other
+    while (mid := breaks.pivot(lo, hi)) is not None:
+        d = deficiency(mid)
+        if d <= mid:
             hi = mid
         else:
-            lo = mid
-    return float(min(deficiency(hi - 1), cands[hi]))
+            lo, d_lo = mid, d
+    return float(min(d_lo, hi))
 
 
 def hausdorff(A, B, dist) -> float:

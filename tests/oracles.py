@@ -152,6 +152,31 @@ def prohorov_oracle(mu, nu):
     return float(best)
 
 
+def prohorov_listing(mu, nu):
+    """stats.prohorov over the listed atom distances: every |y - x| and 0,
+    sorted, bisected on the index with the same flow, and the value
+    min(D(d_{k-1}), d_k) at the first accepted d_k. It holds the
+    atoms^2 distances at once."""
+    from gdskit.stats import _routable_mass
+
+    dists = np.abs(nu.values[:, None] - mu.values[None, :])
+    cands = np.unique(np.concatenate([[0.0], dists.ravel()]))
+
+    def deficiency(k):
+        return max(0.0, float(nu.masses.sum()) - _routable_mass(nu, mu, cands[k]))
+
+    lo, hi = 0, len(cands) - 1
+    if deficiency(lo) <= cands[lo]:
+        return float(cands[lo])
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if deficiency(mid) <= cands[mid]:
+            hi = mid
+        else:
+            lo = mid
+    return float(min(deficiency(hi - 1), cands[hi]))
+
+
 def binomial_profile(k):
     """Pushforward of a normalized Hamming cube distance row: values j/k
     with masses C(k, j) / 2^k."""

@@ -29,8 +29,10 @@ from gdskit.distances import (
 )
 from gdskit.errors import EmptySupport, MarginalMismatch
 from gdskit.laws import LawLowerBound, orbit_law_distance
+from gdskit.stats import _support_flow
 from gdskit.transforms import MeasurementSpec, measurement
 from oracles import (
+    _hall_flow,
     box_objective_full_scan,
     dconc_pi_full_scan,
     dyadic_gds,
@@ -645,6 +647,54 @@ def small_pair(rng, family, shapes=((2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (1, 
     return sets
 
 
+def rational_masses(rng, n):
+    denom = int(rng.choice([7, 11]))
+    cuts = np.sort(rng.choice(np.arange(1, denom), size=n - 1, replace=False))
+    return np.diff(np.concatenate([[0], cuts, [denom]])) / denom
+
+
+def random_support(rng, nx, ny):
+    pairs = [(i, j) for i in range(nx) for j in range(ny)]
+    keep = rng.choice(len(pairs), size=int(rng.integers(1, len(pairs) + 1)), replace=False)
+    return [pairs[k] for k in sorted(keep)]
+
+
+class TestSupportFlow:
+    """stats._support_flow: a coupling that puts on a support S the most
+    mass any coupling can, the coupling each box support is scored under."""
+
+    def test_mass_on_support_is_the_max_flow(self):
+        rng = np.random.default_rng(157)
+        for _ in range(300):
+            nx, ny = (int(k) for k in rng.integers(1, 6, size=2))
+            mx, my = rational_masses(rng, nx), rational_masses(rng, ny)
+            S = random_support(rng, nx, ny)
+            pi = _support_flow(mx, my, S)
+            linked = [{i for i, j in S if j == col} for col in range(ny)]
+            want = _hall_flow([Fraction(m) for m in mx], [Fraction(m) for m in my], linked)
+            assert abs(sum(pi[i, j] for i, j in S) - float(want)) <= 1e-15
+            # raises unless the entries are nonnegative and the marginals
+            # within MARGINAL_TOL
+            CouplingMatrix(pi).check_marginals(mx, my)
+
+    def test_box_value_at_most_any_couplings(self):
+        rng = np.random.default_rng(163)
+        for family in FAMILIES:
+            for _ in range(10):
+                X, Y = (
+                    gk.validate_gds(range(Z.n_points), Z.generators, family, rational_masses(rng, Z.n_points))
+                    for Z in (dyadic_gds(rng, max_n=4, max_gens=2, family=family) for _ in range(2))
+                )
+                S = random_support(rng, X.n_points, Y.n_points)
+                best = box_objective(X, Y, _support_flow(X.masses, Y.masses, S), S)
+                for _ in range(4):
+                    pi = sum(
+                        w * _nw_corner(X.masses, Y.masses, rng.permutation(X.n_points), rng.permutation(Y.n_points))
+                        for w in rng.dirichlet(np.ones(3))
+                    )
+                    assert best <= box_objective(X, Y, pi, S)
+
+
 class TestLawBound:
     def test_engine_matches_rational_oracle(self):
         rng = np.random.default_rng(131)
@@ -673,7 +723,14 @@ class TestLawBound:
         for family in FAMILIES[:4]:
             for _ in range(5):
                 X, Y = small_pair(rng, family)
-                assert lower_bound(X, Y, box=True) <= exact_box_oracle(X, Y) + 1e-12
+                # the same pair with values k/7, which floats only approximate
+                non_dyadic = (gk.validate_gds(range(Z.n_points), Z.generators * 8 / 7, family, Z.masses) for Z in (X, Y))
+                for A, B in ((X, Y), tuple(non_dyadic)):
+                    exact = exact_box_oracle(A, B)
+                    assert lower_bound(A, B, box=True) <= exact + 1e-12
+                    # every box upper is the box value of a coupling and a support
+                    for config in (CFG, SearchConfig()):
+                        assert box_bracket(A, B, config).upper >= exact - 1e-12
 
     def test_dconc_form_below_coupling_values(self):
         rng = np.random.default_rng(139)

@@ -2,6 +2,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from oracles import (
     kf_oracle,
     ky_fan_grid_oracle,
     pd_oracle,
+    prohorov_listing,
     prohorov_oracle,
     random_clip,
 )
@@ -26,6 +28,17 @@ from oracles import (
 
 def measure(values, masses):
     return gk.DiscreteMeasureR(np.asarray(values, float), np.asarray(masses, float))
+
+
+def rational_measure(rng, max_atoms):
+    """At most max_atoms atoms of values k/8 or k/7 in [-3, 3], with
+    masses k/7 or k/11."""
+    denom = int(rng.choice([7, 11]))
+    n = int(rng.integers(1, min(max_atoms, denom - 1) + 1))
+    step = int(rng.choice([7, 8]))
+    values = np.sort(rng.choice(np.arange(-3 * step, 3 * step + 1), size=n, replace=False)) / step
+    cuts = np.sort(rng.choice(np.arange(1, denom), size=n - 1, replace=False))
+    return measure(values, np.diff(np.concatenate([[0], cuts, [denom]])) / denom)
 
 
 class TestPartialDiameter:
@@ -193,6 +206,29 @@ class TestProhorov:
             mu = dyadic_measure(rng, max_atoms=atoms)
             nu = dyadic_measure(rng, max_atoms=atoms)
             assert gk.prohorov(mu, nu) == prohorov_oracle(mu, nu)
+
+    def test_matches_listing_form(self):
+        # values k/8 or k/7 and masses k/7 or k/11, which floats only
+        # approximate; the bisection over the pooled differences returns
+        # the listed atom distances' value bit for bit
+        rng = np.random.default_rng(59)
+        for _ in range(400):
+            mu, nu = (rational_measure(rng, int(rng.integers(1, 11))) for _ in range(2))
+            assert gk.prohorov(mu, nu) == prohorov_listing(mu, nu)
+
+    def test_4096_atoms_in_linear_memory(self):
+        # the listed form holds 4096^2 distances and a sorted copy, about
+        # 550 MB at their peak
+        rng = np.random.default_rng(61)
+        mu, nu = (measure(np.sort(rng.normal(size=4096)), np.full(4096, 1 / 4096)) for _ in range(2))
+        tracemalloc.start()
+        try:
+            value = gk.prohorov(mu, nu)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.0 < value < 1.0
+        assert peak <= 4 << 20
 
     def test_import_needs_no_graph_library(self):
         # brackets on equal-size data sets also solve the assignment
