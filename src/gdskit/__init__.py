@@ -34,7 +34,6 @@ from .families import (
     dist_to_orbit,
     dist_to_orbit_sup,
     extract_bounded,
-    extract_window_heuristic,
 )
 from .maps import ClipMap, PLMap, compose_clips
 from .obsdiam import OdProfile, observable_diameter, observable_diameter_hss, od_profile

@@ -2,9 +2,17 @@
 
 All routines here are pure functions of ndarrays. They are the single
 implementation behind the scalar APIs and their batched (row-wise)
-counterparts, so the two always agree bit for bit.
+counterparts, so the two always agree bit for bit:
+
+- kf_rows: stats.ky_fan, and every Ky Fan orbit distance;
+- pd_rows: stats.partial_diameter and obsdiam.observable_diameter;
+- window_tradeoff_values: the Ky Fan distance to a translation orbit;
+- Differences, the breakpoint search: stats.prohorov and the law
+  lower bound (laws.orbit_law_distance).
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -197,6 +205,76 @@ def window_tradeoff_min(delta: np.ndarray, masses: np.ndarray) -> tuple[float, f
     """window_tradeoff_values of a single row, as (value, shift)."""
     values, shifts = window_tradeoff_values(np.asarray(delta, dtype=float)[None, :], masses)
     return float(values[0]), float(shifts[0])
+
+
+class Differences:
+    """The breakpoints (v_q - v_p) / div over p < q of sorted distinct
+    values v, searched without listing the n (n - 1) / 2 of them: for
+    each p, those in (lo, hi) are a run of q, found by searchsorted."""
+
+    def __init__(self, v, div):
+        self.v, self.div = v, div
+        self.span = float(np.abs(v).max())
+
+    def _runs(self, lo, hi):
+        """[start, stop) of the q, for each p, with (v_q - v_p) / div in
+        (lo, hi), exactly in float."""
+        v, n = self.v, self.v.size
+        lo, hi = lo * self.div, hi * self.div  # div is a power of 2: exact
+        slack = 8.0 * math.ulp(2.0 * self.span + hi)
+        start = np.maximum(np.searchsorted(v, v + (lo - slack), side="left"), np.arange(1, n + 1))
+        stop = np.maximum(np.searchsorted(v, v + (hi + slack), side="right"), start)
+        # the searches are widened for the rounding of v_q - v_p; each end
+        # then moves in past the few values that fail the exact test
+        while (out := (start < stop) & (v[np.minimum(start, n - 1)] - v <= lo)).any():
+            start += out
+        while (out := (start < stop) & (v[stop - 1] - v >= hi)).any():
+            stop -= out
+        return start, stop
+
+    def pivot(self, lo, hi):
+        """A breakpoint in (lo, hi), or None: the median of their
+        distinct values once at most BLOCK_ENTRIES remain, and before
+        that the median of the runs' medians weighted by the runs'
+        lengths, which has at least a quarter of them on either side."""
+        v = self.v
+        start, stop = self._runs(lo, hi)
+        count = stop - start
+        p = np.flatnonzero(count)
+        count = count[p]
+        total = int(count.sum())
+        if total == 0:
+            return None
+        if total <= BLOCK_ENTRIES:
+            rows = np.repeat(p, count)
+            q = start[rows] + np.arange(total) - np.repeat(np.cumsum(count) - count, count)
+            run = sorted_unique((v[q] - v[rows]) / self.div)
+            return run[run.size // 2]
+        mid = (v[start[p] + count // 2] - v[p]) / self.div
+        order = np.argsort(mid, kind="stable")
+        return mid[order[np.searchsorted(np.cumsum(count[order]), total / 2.0)]]
+
+    def last(self, lo, hi):
+        """The largest breakpoint in (lo, hi), or None."""
+        start, stop = self._runs(lo, hi)
+        p = np.flatnonzero(stop > start)
+        return ((self.v[stop[p] - 1] - self.v[p]) / self.div).max() if p.size else None
+
+    def least(self, lo, hi, u_lo, test) -> float:
+        """min(e, u) for the first breakpoint e in (lo, hi) at which
+        test(e) <= e, or e = hi when none is; u is test at the last
+        breakpoint below e, or u_lo = test(lo) when (lo, e) holds none.
+
+        Bisection: acceptance, test(e) <= e, must grow with e, and test
+        must be constant between breakpoints, with lo not accepting.
+        """
+        while (mid := self.pivot(lo, hi)) is not None:
+            u = test(mid)
+            if u <= mid:
+                hi = mid
+            else:
+                lo, u_lo = mid, u
+        return float(min(hi, u_lo))
 
 
 def linear_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -59,8 +59,10 @@ def _kappa_grid(text: str):
         raise argparse.ArgumentTypeError(f"bad kappa grid {text!r}, expected a:b:step") from exc
     if step <= 0 or not a < b:
         raise argparse.ArgumentTypeError("kappa grid needs a < b and positive step")
-    grid = np.arange(a, b + step / 2, step)
-    return tuple(float(k) for k in grid if 0.0 < k < 1.0)
+    grid = tuple(float(k) for k in np.arange(a, b + step / 2, step) if 0.0 < k < 1.0)
+    if not grid:
+        raise argparse.ArgumentTypeError(f"kappa grid {text!r} has no value in (0, 1)")
+    return grid
 
 
 def _load(path: str, args):
@@ -94,6 +96,13 @@ def _indices(text: str):
         raise ValidationError(f"bad index list {text!r}") from exc
 
 
+def _generator(X, i: int) -> np.ndarray:
+    """Generator row i of X; an index outside the rows is an error."""
+    if not 0 <= i < X.n_generators:
+        raise ValidationError(f"generator index {i} out of range for {X.n_generators} generators")
+    return X.generators[i]
+
+
 def cmd_validate(args) -> int:
     X = _load(args.file, args)
     print(f"ok: {X.n_points} points, {X.n_generators} generators, family {X.family}")
@@ -112,7 +121,7 @@ def cmd_gen(args) -> int:
 
 def cmd_odiam(args) -> int:
     X = _load(args.file, args)
-    kappas = args.kappa_grid if args.kappa_grid else (args.kappa,)
+    kappas = args.kappa_grid or (args.kappa,)
     profile = od_profile(X, sorted(kappas))
     buf = io.StringIO()
     writer = csv.writer(buf)
@@ -125,28 +134,28 @@ def cmd_odiam(args) -> int:
 
 def cmd_pdiam(args) -> int:
     X = _load(args.file, args)
-    mu = pushforward(X.generators[args.feature], X.mu)
+    mu = pushforward(_generator(X, args.feature), X.mu)
     print(repr(partial_diameter(mu, args.alpha)))
     return 0
 
 
 def cmd_kyfan(args) -> int:
     X = _load(args.file, args)
-    print(repr(ky_fan(X.generators[args.f], X.generators[args.g], X.mu)))
+    print(repr(ky_fan(_generator(X, args.f), _generator(X, args.g), X.mu)))
     return 0
 
 
 def cmd_prohorov(args) -> int:
     X = _load(args.file, args)
-    mu = pushforward(X.generators[args.f], X.mu)
-    nu = pushforward(X.generators[args.g], X.mu)
+    mu = pushforward(_generator(X, args.f), X.mu)
+    nu = pushforward(_generator(X, args.g), X.mu)
     print(repr(prohorov(mu, nu)))
     return 0
 
 
 def cmd_quotient(args) -> int:
     X = _load(args.file, args)
-    rows = X.generators[list(_indices(args.features))]
+    rows = [_generator(X, i) for i in _indices(args.features)]
     Y, _ = quotient(X, rows)
     serialize_gds(Y, args.out)
     print(f"quotient: {X.n_points} -> {Y.n_points} points")
@@ -241,7 +250,7 @@ def sweep(recipes, kappas, family: FamilyTag | None = None):
 
 
 def cmd_sweep(args) -> int:
-    kappas = args.kappa_grid if args.kappa_grid else (args.kappa,)
+    kappas = args.kappa_grid or (args.kappa,)
     _emit(sweep(args.recipe, kappas, family=_family(args.family)), args.out)
     return 0
 

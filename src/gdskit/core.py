@@ -354,19 +354,20 @@ def _exactly_symmetric(D: np.ndarray) -> bool:
     return _first_hit(D.shape[0], lambda rows: D[rows] != D[:, rows].T) is None
 
 
-def _triangle_violation(D: np.ndarray, tol: float):
-    """Some (i, k, j) with D[i, j] - (D[i, k] + D[k, j]) > tol, or None.
+def _triangle_violation(D: np.ndarray):
+    """Some (i, k, j) with D[i, j] - (D[i, k] + D[k, j]) > METRIC_TOL,
+    or None.
 
     A min-plus product over strips of rows times blocks of k. Rounding
     is monotone, so fl(d - s) cannot grow with s, and the largest slack
     of a pair (i, j) is fl(D[i, j] - min_k s_k) with s_k = fl(D[i, k] +
     D[k, j]), the sum a loop over k would form: a violation exists
-    exactly when one strip entry's slack exceeds `tol`. A strip checks
-    only the columns j >= its first row: for D alone when D is exactly
-    symmetric (the pair (j, i) then has the same sums), otherwise for D
-    and D.T (whose pair (i, j) is D's pair (j, i)). The strip-by-block
-    sums hold about max(2 * BLOCK_ENTRIES, n^2 / 64) entries, at most
-    n^3.
+    exactly when one strip entry's slack exceeds METRIC_TOL. A strip
+    checks only the columns j >= its first row: for D alone when D is
+    exactly symmetric (the pair (j, i) then has the same sums), otherwise
+    for D and D.T (whose pair (i, j) is D's pair (j, i)). The
+    strip-by-block sums hold about max(2 * BLOCK_ENTRIES, n^2 / 64)
+    entries, at most n^3.
     """
     n = D.shape[0]
     cap = min(n**3, max(2 * BLOCK_ENTRIES, n * n // 64))
@@ -385,19 +386,20 @@ def _triangle_violation(D: np.ndarray, tol: float):
                 block = sums[:, : left.shape[1]]
                 np.add(left[:, :, None], M[c : c + depth, a:][None, :, :], out=block)
                 np.minimum(least, np.min(block, axis=1, out=part), out=least)
-            bad = np.subtract(strip, least, out=least) > tol
+            bad = np.subtract(strip, least, out=least) > METRIC_TOL
             if bad.any():
                 i, j = np.argwhere(bad)[0] + a
-                k = int(np.argmax(M[i, j] - (M[i, :] + M[:, j]) > tol))
+                k = int(np.argmax(M[i, j] - (M[i, :] + M[:, j]) > METRIC_TOL))
                 return (int(j), k, int(i)) if transposed else (int(i), k, int(j))
     return None
 
 
-def check_metric(D: np.ndarray, tol: float = METRIC_TOL) -> np.ndarray:
+def check_metric(D: np.ndarray) -> np.ndarray:
     """Validate a distance matrix; returns it as a float array.
 
-    Symmetry and the zero diagonal are required within `tol`, positivity
-    off the diagonal exactly, and the triangle inequality within `tol`.
+    Symmetry and the zero diagonal are required within METRIC_TOL,
+    positivity off the diagonal exactly, and the triangle inequality
+    within METRIC_TOL.
     Raises NotAMetric identifying a violating pair or triple, and
     ValidationError for a non-finite entry. The checks run in that order
     and by row blocks, so a matrix breaking several axioms reports the
@@ -415,18 +417,18 @@ def check_metric(D: np.ndarray, tol: float = METRIC_TOL) -> np.ndarray:
     hit = _first_hit(n, lambda rows: ~np.isfinite(D[rows]))
     if hit:
         raise ValidationError(f"non-finite distance at {hit}")
-    if np.any(np.abs(np.diag(D)) > tol):
-        i = int(np.argmax(np.abs(np.diag(D)) > tol))
+    if np.any(np.abs(np.diag(D)) > METRIC_TOL):
+        i = int(np.argmax(np.abs(np.diag(D)) > METRIC_TOL))
         raise NotAMetric("nonzero diagonal", (i, i))
 
     def asymmetric(rows):
         gap = D[rows] - D[:, rows].T
-        return np.abs(gap, out=gap) > tol
+        return np.abs(gap, out=gap) > METRIC_TOL
 
     hit = _first_hit(n, asymmetric)
     if hit:
         raise NotAMetric("asymmetric entry", hit)
-    hit = _first_hit(n, lambda rows: D[rows] < -tol)
+    hit = _first_hit(n, lambda rows: D[rows] < -METRIC_TOL)
     if hit:
         raise NotAMetric("negative distance", hit)
     hit = _first_zero_off_diagonal(D)
@@ -434,15 +436,13 @@ def check_metric(D: np.ndarray, tol: float = METRIC_TOL) -> np.ndarray:
         raise NotAMetric("zero distance between distinct points", hit)
     # with the checks above passed, no pair (i, i) breaks the triangle
     # inequality, so one point needs no triangle check
-    hit = _triangle_violation(D, tol) if n > 1 else None
+    hit = _triangle_violation(D) if n > 1 else None
     if hit:
         raise NotAMetric("triangle inequality violated", hit)
     return D
 
 
-def embed_mm_space(
-    D, weights, family: FamilyTag = ID_FAMILY, point_ids=None, tol: float = METRIC_TOL
-) -> FiniteGDS:
+def embed_mm_space(D, weights, family: FamilyTag = ID_FAMILY, point_ids=None) -> FiniteGDS:
     """Embed a metric-measure space as a geometric data set.
 
     The generators are the rows of the distance matrix (one
@@ -453,14 +453,14 @@ def embed_mm_space(
     in exact arithmetic, attained at y = x. So when D is exactly
     symmetric with an exactly zero diagonal, as every generated recipe
     is, `X.metric` is that array itself: it meets the triangle
-    inequality within `tol` exactly when D does, its off-diagonal
+    inequality within METRIC_TOL exactly when D does, its off-diagonal
     entries are positive as check_metric demands, and the embedding
     makes one O(n^3) pass, check_metric's, in block-sized scratch. A
-    matrix that is symmetric or zero on the diagonal only within `tol`
-    goes through validate_gds, and its `X.metric` is the induced metric
-    of its rows, built when read.
+    matrix that is symmetric or zero on the diagonal only within
+    METRIC_TOL goes through validate_gds, and its `X.metric` is the
+    induced metric of its rows, built when read.
     """
-    D = check_metric(D, tol=tol)
+    D = check_metric(D)
     if point_ids is None:
         point_ids = tuple(range(D.shape[0]))
     if np.any(np.diagonal(D)) or not _exactly_symmetric(D):

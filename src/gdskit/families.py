@@ -39,7 +39,7 @@ from ._kernels import kf_rows, row_blocks, sorted_unique, window_tradeoff_values
 from .core import DiscreteMeasureR, FamilyTag, FiniteGDS, ProbVector, pushforward
 from .errors import DimensionMismatch, EmptySet, InvalidRange
 from .maps import ClipMap, PLMap
-from .stats import levy_mean, min_window, partial_diameter
+from .stats import levy_mean, partial_diameter
 
 
 @dataclass(frozen=True, eq=False)
@@ -547,8 +547,7 @@ def extract_bounded(
 
     for kappa in (0, 1/2) with kappa + eps < 1/2; values of g lie in
     [-r, r]. The construction underlying the guarantee covers only
-    kappa below 1/2; see extract_window_heuristic for the rest of the
-    range.
+    kappa below 1/2.
     """
     if not (0.0 < kappa < 0.5) or eps <= 0.0 or kappa + eps >= 0.5 or r <= 0.0:
         raise InvalidRange("need 0 < kappa, kappa + eps < 1/2 and r > 0")
@@ -556,19 +555,3 @@ def extract_bounded(
     pushed = pushforward(g.apply(mu.values), ProbVector(mu.masses))
     return g, partial_diameter(pushed, 1.0 - kappa)
 
-
-def extract_window_heuristic(
-    mu: DiscreteMeasureR, kappa: float, r: float
-) -> tuple[ClipMap, float]:
-    """Window-centered extraction for any kappa in (0, 1).
-
-    Centers the clip on a minimal (1 - kappa)-mass window instead of
-    the Levy mean. Not certified: no counterpart of the bounded
-    extraction guarantee is claimed for kappa >= 1/2.
-    """
-    if not (0.0 < kappa < 1.0) or r <= 0.0:
-        raise InvalidRange("need kappa in (0, 1) and r > 0")
-    _, left, right = min_window(mu, 1.0 - kappa)
-    g = ClipMap(c=-(left + right) / 2.0, lo=-r, hi=r)
-    pushed = pushforward(g.apply(mu.values), ProbVector(mu.masses))
-    return g, partial_diameter(pushed, 1.0 - kappa)

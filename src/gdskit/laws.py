@@ -19,68 +19,14 @@ import math
 
 import numpy as np
 
-from ._kernels import BLOCK_ENTRIES, block_slices, sorted_unique
+from ._kernels import Differences, block_slices, sorted_unique
 from .core import FiniteGDS, pushforward
-
-
-class _Differences:
-    """The breakpoints (v_q - v_p) / div over p < q of sorted distinct
-    values v, searched without listing the n (n - 1) / 2 of them: for
-    each p, those in (lo, hi) are a run of q, found by searchsorted."""
-
-    def __init__(self, v, div):
-        self.v, self.div = v, div
-        self.span = float(np.abs(v).max())
-
-    def _runs(self, lo, hi):
-        """[start, stop) of the q, for each p, with (v_q - v_p) / div in
-        (lo, hi), exactly in float."""
-        v, n = self.v, self.v.size
-        lo, hi = lo * self.div, hi * self.div  # div is a power of 2: exact
-        slack = 8.0 * math.ulp(2.0 * self.span + hi)
-        start = np.maximum(np.searchsorted(v, v + (lo - slack), side="left"), np.arange(1, n + 1))
-        stop = np.maximum(np.searchsorted(v, v + (hi + slack), side="right"), start)
-        # the searches are widened for the rounding of v_q - v_p; each end
-        # then moves in past the few values that fail the exact test
-        while (out := (start < stop) & (v[np.minimum(start, n - 1)] - v <= lo)).any():
-            start += out
-        while (out := (start < stop) & (v[stop - 1] - v >= hi)).any():
-            stop -= out
-        return start, stop
-
-    def pivot(self, lo, hi):
-        """A breakpoint in (lo, hi), or None: the median of their
-        distinct values once at most BLOCK_ENTRIES remain, and before
-        that the median of the runs' medians weighted by the runs'
-        lengths, which has at least a quarter of them on either side."""
-        v = self.v
-        start, stop = self._runs(lo, hi)
-        count = stop - start
-        p = np.flatnonzero(count)
-        count = count[p]
-        total = int(count.sum())
-        if total == 0:
-            return None
-        if total <= BLOCK_ENTRIES:
-            rows = np.repeat(p, count)
-            q = start[rows] + np.arange(total) - np.repeat(np.cumsum(count) - count, count)
-            run = sorted_unique((v[q] - v[rows]) / self.div)
-            return run[run.size // 2]
-        mid = (v[start[p] + count // 2] - v[p]) / self.div
-        order = np.argsort(mid, kind="stable")
-        return mid[order[np.searchsorted(np.cumsum(count[order]), total / 2.0)]]
-
-    def last(self, lo, hi):
-        """The largest breakpoint in (lo, hi), or None."""
-        start, stop = self._runs(lo, hi)
-        p = np.flatnonzero(stop > start)
-        return ((self.v[stop[p] - 1] - self.v[p]) / self.div).max() if p.size else None
 
 
 def _law_breaks(a, b, kind, per_eps):
     """The eps, besides 0, at which the most mass that one map of `kind`
     routes between the atoms a and b within t = eps * per_eps can
-    change, as differences of one set of values (_Differences).
+    change, as differences of one set of values (_kernels.Differences).
 
     Under the vertex maps each atom of b sits at a position q - t, q or
     q + t, q a sum of atom values, and every test compares such a
@@ -92,11 +38,11 @@ def _law_breaks(a, b, kind, per_eps):
     holds some more; those only add steps to the bisection.
     """
     if kind == "id":
-        return _Differences(sorted_unique(np.concatenate([a, b])), per_eps)
+        return Differences(sorted_unique(np.concatenate([a, b])), per_eps)
     if kind == "B":
-        return _Differences(sorted_unique(np.concatenate([a, b, a / 2.0, -a / 2.0, [0.0]])), per_eps)
+        return Differences(sorted_unique(np.concatenate([a, b, a / 2.0, -a / 2.0, [0.0]])), per_eps)
     d = (a[:, None] - b[None, :]).ravel()
-    return _Differences(sorted_unique(np.concatenate([d, a]) if kind == "TB" else d), 2.0 * per_eps)
+    return Differences(sorted_unique(np.concatenate([d, a]) if kind == "TB" else d), 2.0 * per_eps)
 
 
 def _vertex_maps(a, b, t, kind):
@@ -303,13 +249,7 @@ class _OrbitSearch:
             if u > last:
                 return min(hi, u)
             hi = last
-        while (mid := self.breaks.pivot(lo, hi)) is not None:
-            u = self.unrouted(mid)
-            if u <= mid:
-                hi = mid
-            else:
-                lo, u_lo = mid, u
-        return float(min(hi, u_lo))
+        return self.breaks.least(lo, hi, u_lo, self.unrouted)
 
 
 def orbit_law_distance(A, B, kind: str, box: bool, best: float = 0.0, cap: float = 1.0) -> float:

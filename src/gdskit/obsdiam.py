@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._kernels import MASS_GUARD, block_slices, pd_rows, sorted_unique
-from .core import METRIC_TOL, FiniteGDS, ProbVector, embed_mm_space, pushforward
+from .core import FiniteGDS, ProbVector, embed_mm_space, pushforward
 from .errors import InvalidKappa, MonotonicityViolation
 
 
@@ -167,19 +167,17 @@ def observable_diameter(X: FiniteGDS, kappa: float) -> float:
     return float(pd_rows(X.generators, X.masses, 1.0 - _check_kappa(kappa)).max())
 
 
-def observable_diameter_hss(
-    D, mu, kappa: float, tol: float = METRIC_TOL
-) -> float:
+def observable_diameter_hss(D, mu, kappa: float) -> float:
     """Observable diameter of a metric-measure space (D, mu): that of its
-    Hanika-Schneider-Stumme embedding, `embed_mm_space(D, mu, tol=tol)`,
-    whose generators are the rows of D.
+    Hanika-Schneider-Stumme embedding, `embed_mm_space(D, mu)`, whose
+    generators are the rows of D.
 
-    D must be a metric within `tol` (else NotAMetric) and mu a
+    D must be a metric within METRIC_TOL (else NotAMetric) and mu a
     probability vector, given as a ProbVector or a weight sequence
     (else a ValidationError).
     """
     kappa = _check_kappa(kappa)
-    return observable_diameter(embed_mm_space(D, mu, tol=tol), kappa)
+    return observable_diameter(embed_mm_space(D, mu), kappa)
 
 
 def od_profile(X: FiniteGDS, kappas) -> OdProfile:

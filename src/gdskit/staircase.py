@@ -80,15 +80,17 @@ class SeriesBracket:
         }
 
 
-def staircase_level(X: FiniteGDS, N: int, budget: int = 64, seed: int = 0) -> StaircaseLevel:
+def staircase_level(X: FiniteGDS, N: int, config: SearchConfig | None = None) -> StaircaseLevel:
     """Measurements of X by at most N generators clipped into [-N, N].
 
     Closure is a no-op at finite scale: there are finitely many
-    generator subsets.
+    generator subsets. At most config.level_budget of them are taken,
+    sampled with seed config.seed + N when there are more.
     """
     if N < 1:
         raise InvalidSpec("level index must be at least 1")
-    sample = enumerate_measurements(X, N, float(N), budget, seed)
+    cfg = config or SearchConfig()
+    sample = enumerate_measurements(X, N, float(N), cfg.level_budget, cfg.seed + N)
     return StaircaseLevel(N, sample.members, sample.exhaustive)
 
 
@@ -166,8 +168,8 @@ def staircase_distance(
     lower = 0.0
     estimate = False
     for N in range(1, L + 1):
-        a = staircase_level(X, N, cfg.level_budget, cfg.seed + N)
-        b = staircase_level(Y, N, cfg.level_budget, cfg.seed + N)
+        a = staircase_level(X, N, cfg)
+        b = staircase_level(Y, N, cfg)
         br = level_hausdorff(a, b, cfg)
         partial += series_weight(N) * br.upper
         lower += series_weight(N) * br.lower

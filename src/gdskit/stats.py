@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._kernels import MASS_GUARD, kf_rows, sorted_unique
+from ._kernels import MASS_GUARD, Differences, kf_rows, pd_rows, sorted_unique
 from .core import DiscreteMeasureR, ProbVector
 from .errors import DimensionMismatch, EmptySet, InvalidAlpha
-from .laws import _Differences
 
 
 def partial_diameter(mu: DiscreteMeasureR, alpha: float) -> float:
@@ -25,24 +24,9 @@ def partial_diameter(mu: DiscreteMeasureR, alpha: float) -> float:
     use a weak inequality with a MASS_GUARD allowance for float noise
     in accumulated sums.
     """
-    return min_window(mu, alpha)[0]
-
-
-def min_window(mu: DiscreteMeasureR, alpha: float) -> tuple[float, float, float]:
-    """(width, left, right) of the leftmost support window [left, right]
-    of least width among those carrying mass at least alpha; the width
-    is partial_diameter(mu, alpha)."""
     if not (0.0 < alpha <= 1.0):
         raise InvalidAlpha(f"alpha must be in (0, 1], got {alpha!r}")
-    v = mu.values
-    prefix = np.concatenate([[0.0], np.cumsum(mu.masses)])
-    need = prefix[:-1] + (alpha - MASS_GUARD)
-    pos = np.searchsorted(prefix, need, side="left")  # window end + 1, per start
-    left = np.flatnonzero(pos <= v.size)
-    right = pos[left] - 1
-    widths = v[right] - v[left]
-    k = int(np.argmin(widths))
-    return float(widths[k]), float(v[left[k]]), float(v[right[k]])
+    return float(pd_rows(mu.values, mu.masses, alpha)[0])
 
 
 def levy_mean(mu: DiscreteMeasureR) -> float:
@@ -197,7 +181,7 @@ def prohorov(mu: DiscreteMeasureR, nu: DiscreteMeasureR) -> float:
     |x - y|, so the distance is max(d, D(d)) minimized over those and 0,
     and the crossing of D(d) with d is located by bisection. It runs over
     the differences of the pooled atom values, which hold the atom
-    distances and are searched without being listed (laws._Differences),
+    distances and are searched without being listed (_kernels.Differences),
     so memory stays linear in the atoms: between two of them D is
     constant, and the result is that of the atom distances alone.
     """
@@ -206,18 +190,12 @@ def prohorov(mu: DiscreteMeasureR, nu: DiscreteMeasureR) -> float:
     def deficiency(d: float) -> float:
         return max(0.0, total - _routable_mass(nu, mu, d))
 
-    breaks = _Differences(sorted_unique(np.concatenate([mu.values, nu.values])), 1.0)
-    lo, d_lo = 0.0, deficiency(0.0)
+    d_lo = deficiency(0.0)
     if d_lo <= 0.0:
         return 0.0
-    hi = float(breaks.v[-1] - breaks.v[0])  # every atom reaches every other
-    while (mid := breaks.pivot(lo, hi)) is not None:
-        d = deficiency(mid)
-        if d <= mid:
-            hi = mid
-        else:
-            lo, d_lo = mid, d
-    return float(min(d_lo, hi))
+    breaks = Differences(sorted_unique(np.concatenate([mu.values, nu.values])), 1.0)
+    # at the span every atom reaches every other
+    return breaks.least(0.0, float(breaks.v[-1] - breaks.v[0]), d_lo, deficiency)
 
 
 def hausdorff(A, B, dist) -> float:

@@ -77,12 +77,15 @@ class TestBasicCommands:
             ["measure", "A", "--features", "0", "--out", "OUT", "--R", "nan"],
             ["sweep", "--recipe", "two_point:1", "--kappa", "nan"],
             ["odiam", "A", "--kappa-grid", "bad"],
+            ["odiam", "A", "--kappa-grid", "1:2:0.5"],
+            ["sweep", "--recipe", "two_point:1", "--kappa-grid", "1:2:0.5"],
         ],
     )
     def test_bad_float_option_exit_2(self, two_point_files, tmp_path, capsys, argv):
         # the bad option comes last; --eps nan printed {"value": 2,
-        # "exact": true} and exited 0, and a bad --kappa-grid escaped as a
-        # traceback with status 1
+        # "exact": true} and exited 0, a bad --kappa-grid escaped as a
+        # traceback with status 1, and one with no value in (0, 1)
+        # printed od at --kappa and exited 0
         paths = {"A": two_point_files[0], "B": two_point_files[1], "OUT": str(tmp_path / "m.json")}
         argv = [paths.get(a, a) for a in argv]
         with pytest.raises(SystemExit) as exc:
@@ -90,6 +93,24 @@ class TestBasicCommands:
         out, err = capsys.readouterr()
         assert (exc.value.code, out) == (2, "")
         assert f"argument {argv[-2]}" in err
+
+    @pytest.mark.parametrize("index", ["2", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pdiam", "A", "--feature", "I", "--alpha", "0.6"],
+            ["kyfan", "A", "--f", "0", "--g", "I"],
+            ["prohorov", "A", "--f", "I", "--g", "0"],
+            ["quotient", "A", "--features", "0,I", "--out", "OUT"],
+        ],
+    )
+    def test_generator_index_out_of_range_exit_2(self, two_point_files, tmp_path, capsys, argv, index):
+        # the file has two generators: index 2 escaped as an IndexError
+        # traceback, and -1 silently took the last generator
+        paths = {"A": two_point_files[0], "I": index, "0,I": f"0,{index}", "OUT": str(tmp_path / "q.json")}
+        code, out, err = run([paths.get(a, a) for a in argv], capsys)
+        assert (code, out) == (2, "")
+        assert f"generator index {index} out of range for 2 generators" in err
 
     def test_infinite_float_options_allowed(self, two_point_files, tmp_path, capsys):
         code, out, _ = run(["covnum", two_point_files[0], "--eps", "inf"], capsys)
@@ -282,9 +303,9 @@ class TestSweep:
         calls = []
         real = core.check_metric
 
-        def counting_check(D, tol):
+        def counting_check(D):
             calls.append(D.shape)
-            return real(D, tol)
+            return real(D)
 
         # every check a sweep makes is the embedding's
         monkeypatch.setattr(core, "check_metric", counting_check)

@@ -782,13 +782,13 @@ class TestLawBound:
         # them; against the list, the last one in (lo, hi) is the same,
         # and a pivot among more than BLOCK_ENTRIES splits them at least
         # a quarter to three quarters
-        monkeypatch.setattr(laws, "BLOCK_ENTRIES", 16)
+        monkeypatch.setattr(_kernels, "BLOCK_ENTRIES", 16)
         rng = np.random.default_rng(157)
         for _ in range(200):
             n = int(rng.integers(2, 40))
             v = np.sort(rng.choice(np.arange(-200, 201), size=n, replace=False)) / rng.choice([7.0, 8.0, 10.0])
             div = float(rng.choice([1.0, 2.0]))
-            search = laws._Differences(v, div)
+            search = _kernels.Differences(v, div)
             listed = np.concatenate([(v[q] - v[:q]) / div for q in range(1, n)])
             lo, hi = sorted(float(x) for x in rng.choice(np.concatenate([listed, rng.uniform(0, 60, 4)]), 2))
             inside = listed[(listed > lo) & (listed < hi)]
@@ -802,19 +802,22 @@ class TestLawBound:
                 assert min(np.sum(inside <= pivot), np.sum(inside >= pivot)) >= inside.size / 4
 
     def test_engine_unchanged_by_block_sizes(self, monkeypatch):
-        # with tiny blocks every T and TB bisection takes weighted-median
-        # pivots, and the TB scan runs in many blocks: same values
+        # with tiny blocks every T and TB bisection, and every Prohorov
+        # one, takes weighted-median pivots, and the TB scan runs in many
+        # blocks: same values
         rng = np.random.default_rng(163)
-        cases = []
+        cases, pairs = [], []
         for kind in ("T", "TB") * 8:
             A, B = small_law(rng, 7), small_law(rng, 7)
+            pairs.append((A, B, gk.prohorov(A, B)))
             for box in (False, True):
                 cases.append((A, B, kind, box, orbit_law_distance(A, B, kind, box)))
-        monkeypatch.setattr(laws, "BLOCK_ENTRIES", 4)
         monkeypatch.setattr(_kernels, "BLOCK_ENTRIES", 4)
         for A, B, kind, box, want in cases:
             assert orbit_law_distance(A, B, kind, box) == want
             assert orbit_law_distance(A, B, kind, box, want / 2, want + 0.125) == want
+        for A, B, want in pairs:
+            assert gk.prohorov(A, B) == want
 
     def test_spent_budget_leaves_a_bound(self, monkeypatch):
         # once the scans' budget is spent, the generators searched in full

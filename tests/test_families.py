@@ -9,7 +9,6 @@ import gdskit as gk
 from gdskit._kernels import window_tradeoff_min, window_tradeoff_values
 from gdskit.errors import EmptySet, InvalidRange
 from gdskit.families import _lip1_cover, _tb_cover
-from gdskit.stats import min_window
 from oracles import (
     clip_orbit_grid_oracle,
     clip_orbit_oracle,
@@ -677,17 +676,3 @@ class TestExtractBounded:
             gk.extract_bounded(mu, 0.3, 0.25, 1.0)
         with pytest.raises(InvalidRange):
             gk.extract_bounded(mu, 0.3, 0.1, 0.0)
-
-
-class TestExtractHeuristic:
-    def test_window_centering_any_kappa(self):
-        mu = gk.DiscreteMeasureR(np.array([0.0, 10.0, 10.5]), np.array([0.25, 0.5, 0.25]))
-        g, achieved = gk.extract_window_heuristic(mu, 0.6, 5.0)
-        # the 0.4-mass window [10, 10.5] gets centered and survives the clip
-        assert achieved <= gk.partial_diameter(mu, 0.4) + 1e-12
-
-    def test_min_window_endpoints(self):
-        mu = gk.DiscreteMeasureR(np.array([0.0, 1.0, 5.0]), np.array([0.25, 0.5, 0.25]))
-        width, left, right = min_window(mu, 0.7)
-        assert (left, right) == (0.0, 1.0)
-        assert width == 1.0

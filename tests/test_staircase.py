@@ -47,14 +47,14 @@ class TestStaircaseLevel:
     def test_two_generator_level_one(self):
         gens = np.array([[0.0, 1.0, 2.0], [2.0, 0.0, 1.0]])
         X = gk.validate_gds(range(3), gens, gk.TB_FAMILY, [0.25, 0.25, 0.5])
-        level = staircase_level(X, 1, budget=16)
+        level = staircase_level(X, 1, SearchConfig(level_budget=16))
         assert level.exhaustive
         assert len(level.members) == 2
 
     def test_level_at_or_above_generator_count(self):
         rng = np.random.default_rng(3)
         X = dyadic_gds(rng, max_gens=2)
-        level = staircase_level(X, 5, budget=16)
+        level = staircase_level(X, 5, SearchConfig(level_budget=16))
         assert level.exhaustive
         assert len(level.members) == 1
 
@@ -62,15 +62,33 @@ class TestStaircaseLevel:
         rng = np.random.default_rng(5)
         gens = np.vstack([np.arange(5.0) + rng.uniform(-0.2, 0.2, 5) for _ in range(12)])
         X = gk.validate_gds(range(5), gens, gk.TB_FAMILY, np.full(5, 0.2))
-        level = staircase_level(X, 3, budget=7, seed=1)
+        level = staircase_level(X, 3, SearchConfig(level_budget=7))
         assert not level.exhaustive
         assert len(level.members) == 7
+
+    def test_series_levels_are_the_configured_ones(self, monkeypatch):
+        # a level built from a config is the one staircase_distance
+        # compares, sampled levels included: one budget, one seed rule
+        from gdskit import staircase
+
+        rng = np.random.default_rng(11)
+        gens = np.vstack([np.arange(5.0) + rng.uniform(-0.2, 0.2, 5) for _ in range(12)])
+        X = gk.validate_gds(range(5), gens, gk.TB_FAMILY, np.full(5, 0.2))
+        cfg = SearchConfig(coupling_candidates=1, local_search_steps=0, level_budget=2, seed=4)
+        seen = []
+        monkeypatch.setattr(staircase, "level_hausdorff", lambda a, b, c: seen.append(a) or gk.Bracket(0.0, 0.0))
+        staircase_distance(X, X, 2, cfg)
+        assert [level.N for level in seen] == [1, 2]
+        for level in seen:
+            built = staircase_level(X, level.N, cfg)
+            assert not built.exhaustive and len(built.members) == 2
+            assert [m.generators.tobytes() for m in level.members] == [m.generators.tobytes() for m in built.members]
 
     def test_members_are_bounded(self):
         rng = np.random.default_rng(7)
         X = dyadic_gds(rng, max_gens=3, span=6)
         for N in (1, 2):
-            level = staircase_level(X, N, budget=16)
+            level = staircase_level(X, N, SearchConfig(level_budget=16))
             for member in level.members:
                 assert member.n_generators <= N
                 assert np.all(np.abs(member.generators) <= N)
@@ -79,13 +97,13 @@ class TestStaircaseLevel:
 class TestLevelHausdorff:
     def test_identical_levels(self):
         X = two_point(1.0)
-        a = staircase_level(X, 1, budget=8)
+        a = staircase_level(X, 1, CFG)
         br = level_hausdorff(a, a, CFG)
         assert br.lower == 0.0 and br.upper == 0.0
 
     def test_clip_identifies_two_point_pair_at_level_one(self):
-        a = staircase_level(two_point(1.0), 1, budget=8)
-        b = staircase_level(two_point(2.0), 1, budget=8)
+        a = staircase_level(two_point(1.0), 1, CFG)
+        b = staircase_level(two_point(2.0), 1, CFG)
         br = level_hausdorff(a, b, CFG)
         assert br.upper == 0.0  # b_1 clips (0, 2) to (0, 1)
 
@@ -93,8 +111,8 @@ class TestLevelHausdorff:
         rng = np.random.default_rng(9)
         gens = np.vstack([np.arange(4.0) * (1 + 0.1 * i) for i in range(9)])
         X = gk.validate_gds(range(4), gens, gk.TB_FAMILY, np.full(4, 0.25))
-        full = staircase_level(X, 2, budget=1000)
-        sampled = staircase_level(X, 2, budget=3)
+        full = staircase_level(X, 2, SearchConfig(level_budget=1000))
+        sampled = staircase_level(X, 2, SearchConfig(level_budget=3))
         assert full.exhaustive and not sampled.exhaustive
         br = level_hausdorff(full, sampled, CFG)
         assert br.estimate
@@ -178,8 +196,8 @@ class TestLimitFormulaDeskScale:
                         continue
                     r = gk.observable_diameter(Xn, kappa) + 5 * eps
                     N = math.ceil(r / (1 - (kappa + eps)) + eps)
-                    a = staircase_level(base, N, budget=64)
-                    b = staircase_level(Xn, N, budget=64)
+                    a = staircase_level(base, N, SearchConfig(level_budget=64))
+                    b = staircase_level(Xn, N, SearchConfig(level_budget=64))
                     assert a.exhaustive and b.exhaustive
                     br = level_hausdorff(a, b, CFG)
                     if br.upper <= eps:  # hypothesis numerically certified

@@ -3,13 +3,14 @@ import pathlib
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import gdskit as gk
-from gdskit._kernels import pd_rows
+from gdskit._kernels import MASS_GUARD, pd_rows
 from gdskit.errors import DimensionMismatch, EmptySet, InvalidAlpha
 from oracles import (
     KyFanConfig,
@@ -87,6 +88,46 @@ class TestPartialDiameter:
             target = gk.partial_diameter(mu, 1 - kappa)
             seq = [gk.partial_diameter(mu, 1 - (kappa + 1.0 / n)) for n in (4, 16, 4096, 2**20)]
             assert seq[-1] == target
+
+    def test_non_dyadic_masses_match_exact_windows(self):
+        # masses k/7, k/11 or Dirichlet draws, which floats only
+        # approximate, and alphas at window masses: the least support
+        # window with exact mass >= alpha - MASS_GUARD, and bit for bit
+        # the row kernel's value for each row
+        def exact_window(row, masses, alpha):
+            atoms = sorted(zip(row.tolist(), masses))
+            need = Fraction(alpha) - Fraction(MASS_GUARD)
+            return min(
+                atoms[j][0] - atoms[i][0]
+                for i in range(len(atoms))
+                for j in range(i, len(atoms))
+                if sum(m for _, m in atoms[i : j + 1]) >= need
+            )
+
+        rng = np.random.default_rng(67)
+        for trial in range(300):
+            if trial % 3 == 2:
+                n = int(rng.integers(1, 12))
+                w = rng.dirichlet(np.ones(n))
+                exact = [Fraction(float(m)) for m in w]
+                alphas = np.cumsum(w)[:-1].tolist() + rng.uniform(0, 1, 3).tolist() + [1.0]
+            else:
+                denom = (7, 11)[trial % 3]
+                n = int(rng.integers(1, denom + 1))
+                counts = rng.multinomial(denom - n, np.full(n, 1.0 / n)) + 1
+                w = counts / denom
+                exact = [Fraction(int(k), denom) for k in counts]
+                alphas = [k / denom for k in range(1, denom + 1)]
+            scale = float(rng.choice([3.0, 7.0, 10.0]))
+            rows = np.vstack([rng.choice(np.arange(-40, 41), size=n, replace=False) / scale for _ in range(3)])
+            mu = gk.ProbVector(w)
+            for alpha in alphas:
+                if not 0.0 < alpha <= 1.0:
+                    continue
+                for row, width in zip(rows, pd_rows(rows, w, alpha)):
+                    value = gk.partial_diameter(gk.pushforward(row, mu), alpha)
+                    assert value == exact_window(row, exact, alpha)
+                    assert value.hex() == float(width).hex()
 
     def test_batched_rows_match_scalar_at_scale(self):
         # the row search must not lose MASS_GUARD-sized differences to the
