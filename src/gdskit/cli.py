@@ -28,6 +28,9 @@ from .staircase import staircase_distance
 from .stats import ky_fan, partial_diameter, prohorov
 from .transforms import MeasurementSpec, check_domination, measurement, quotient, rounded
 
+# the most kappas a --kappa-grid may list; each costs one od evaluation
+MAX_KAPPAS = 10_000
+
 
 def _family(text: str) -> FamilyTag:
     return FamilyTag.parse(text)
@@ -57,8 +60,11 @@ def _kappa_grid(text: str):
         a, b, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad kappa grid {text!r}, expected a:b:step") from exc
-    if step <= 0 or not a < b:
+    if not (step > 0 and a < b):
         raise argparse.ArgumentTypeError("kappa grid needs a < b and positive step")
+    # np.arange lists ceil of this many values; inf and NaN fail too
+    if not (b + step / 2 - a) / step <= MAX_KAPPAS:
+        raise argparse.ArgumentTypeError(f"kappa grid {text!r} has more than {MAX_KAPPAS} values")
     grid = tuple(float(k) for k in np.arange(a, b + step / 2, step) if 0.0 < k < 1.0)
     if not grid:
         raise argparse.ArgumentTypeError(f"kappa grid {text!r} has no value in (0, 1)")

@@ -201,8 +201,11 @@ def check_domination(
     recorded in the certificate.
 
     NotDominated needs every candidate map rejected: some Y-generator
-    whose exact orbit distances all exceed tol.
+    whose exact orbit distances all exceed tol. A negative budget is an
+    InvalidSpec.
     """
+    if budget < 0:
+        raise InvalidSpec(f"search budget must be >= 0, got {budget}")
     search = _MapSearch(X.masses, Y.masses, budget)
     best_score, best_map = math.inf, None
     for cand in search:

@@ -68,21 +68,22 @@ def test_criterion_2_hss_path_agreement_and_scaling():
     slow = gk.observable_diameter(gk.embed_mm_space(D8, mu8), 0.1)
     assert fast == slow == oracle
 
-    # cubic-order scaling between n = 128 and n = 256
-    def best_time(D, reps=5):
-        m = gk.ProbVector.uniform(D.shape[0])
-        best = np.inf
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            gk.observable_diameter_hss(D, m, 0.1)
-            best = min(best, time.perf_counter() - t0)
-        return best
+    # cubic-order scaling between n = 128 and n = 256: the two sizes are
+    # timed in turn, best of 7 each, so a drift in machine load hits both
+    def timed(D, m):
+        t0 = time.perf_counter()
+        gk.observable_diameter_hss(D, m, 0.1)
+        return time.perf_counter() - t0
 
-    D128 = dyadic_metric(rng, 128)
-    D256 = dyadic_metric(rng, 256)
-    best_time(D128, reps=2)
-    best_time(D256, reps=2)  # warmup
-    ratio = best_time(D256) / best_time(D128)
+    sizes = [(D, gk.ProbVector.uniform(D.shape[0])) for D in (dyadic_metric(rng, 128), dyadic_metric(rng, 256))]
+    for _ in range(2):  # warmup
+        for D, m in sizes:
+            timed(D, m)
+    best = [np.inf, np.inf]
+    for _ in range(7):
+        for k, (D, m) in enumerate(sizes):
+            best[k] = min(best[k], timed(D, m))
+    ratio = best[1] / best[0]
     assert 4.0 <= ratio <= 16.0
     elapsed = time.perf_counter() - start
     assert elapsed < 60.0

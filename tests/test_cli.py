@@ -79,13 +79,16 @@ class TestBasicCommands:
             ["odiam", "A", "--kappa-grid", "bad"],
             ["odiam", "A", "--kappa-grid", "1:2:0.5"],
             ["sweep", "--recipe", "two_point:1", "--kappa-grid", "1:2:0.5"],
+            ["odiam", "A", "--kappa-grid", "0.00005:0.99995:0.00005"],
+            ["sweep", "--recipe", "two_point:1", "--kappa-grid", "0.00005:0.99995:0.00005"],
         ],
     )
     def test_bad_float_option_exit_2(self, two_point_files, tmp_path, capsys, argv):
         # the bad option comes last; --eps nan printed {"value": 2,
         # "exact": true} and exited 0, a bad --kappa-grid escaped as a
-        # traceback with status 1, and one with no value in (0, 1)
-        # printed od at --kappa and exited 0
+        # traceback with status 1, one with no value in (0, 1) printed od
+        # at --kappa and exited 0, and one of 19 999 kappas (above
+        # MAX_KAPPAS) printed 19 999 rows and exited 0
         paths = {"A": two_point_files[0], "B": two_point_files[1], "OUT": str(tmp_path / "m.json")}
         argv = [paths.get(a, a) for a in argv]
         with pytest.raises(SystemExit) as exc:
@@ -282,6 +285,11 @@ class TestDistanceCommands:
             ["domination", two_point_files[0], two_point_files[1], "--budget", "0"], capsys
         )
         assert code == 4
+        # a negative budget searched without a limit, printed Dominates
+        # and exited 0
+        code, out, err = run(["domination", two_point_files[1], two_point_files[0], "--budget", "-3"], capsys)
+        assert (code, out) == (2, "")
+        assert "search budget must be >= 0, got -3" in err
 
 
 class TestSweep:

@@ -459,17 +459,20 @@ class TestBoxBracket:
 
     def test_permuted_copy_upper_zero(self):
         # masses k / sum(k) add up to 1 only up to rounding; the full
-        # support of a perfect matching must still miss no mass
+        # support of a perfect matching must still miss no mass. Above
+        # PERMUTATION_CAP points only the assignment candidate is sure to
+        # find that matching
         rng = np.random.default_rng(41)
         for family in FAMILIES:
             for _ in range(25):
-                n = int(rng.integers(2, 5))
+                n = int(rng.integers(2, 9))
                 k = rng.integers(1, 12, size=n)
                 values = rng.choice(15, size=n, replace=False) / 7.0
                 X = gk.validate_gds(range(n), [values], family, k / k.sum())
                 perm = rng.permutation(n)
                 Y = gk.validate_gds(range(n), [values[perm]], family, X.masses[perm])
                 assert box_bracket(X, Y, CFG).upper == 0.0
+                assert dconc_bracket(X, Y, CFG).upper == 0.0
 
     def test_lip1_permuted_copy_uppers_zero(self):
         # a lip1 orbit holds its own generator at distance 0, so both
@@ -533,6 +536,22 @@ class TestCandidates:
             Y = dyadic_gds(rng, max_n=5, max_gens=2)
             for name, pi in _candidate_couplings(X, Y, CFG):
                 CouplingMatrix(pi).check_marginals(X.masses, Y.masses)
+
+    def test_each_matrix_once(self):
+        # on mass-matched equal sizes the diagonal coupling was a copy of
+        # the identity permutation, and random vertices repeat earlier
+        # candidates; a copy was scored again and could take both of
+        # dconc_bracket's local-search slots
+        rng = np.random.default_rng(47)
+        for k in range(60):
+            X = dyadic_gds(rng, max_n=6, max_gens=2)
+            n = X.n_points
+            masses = np.full(n, 1.0 / n) if k % 3 == 0 else X.masses
+            X = gk.validate_gds(range(n), X.generators, X.family, masses)
+            order = np.arange(n) if k % 3 == 1 else rng.permutation(n)
+            Y = gk.validate_gds(range(n), X.generators[:, order] / 2 + 0.25, X.family, masses[order])
+            cands = _candidate_couplings(X, Y, SearchConfig())
+            assert len({pi.tobytes() for _, pi in cands}) == len(cands)
 
     def test_bracket_inversion_guard(self):
         with pytest.raises(Exception):

@@ -209,6 +209,10 @@ class TestCheckDomination:
             assert verdict.steps == budget
             assert f"budget of {budget} search steps" in verdict.certificate
         assert check_domination(X, Y, budget=10**6).status == "NotDominated"
+        # the search stops at steps == budget, which a negative budget
+        # never meets: -3 searched without a limit
+        with pytest.raises(InvalidSpec):
+            check_domination(X, Y, budget=-3)
 
     def test_lip1_verdicts_are_noted(self):
         # a lip1 Dominates names its witness map, a NotDominated its
