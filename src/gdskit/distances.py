@@ -3,14 +3,18 @@
 Both distances minimize over couplings between the two measures, which
 is not tractable exactly; every reported value is therefore a Bracket:
 
-* the upper bound is witnessed by an explicit coupling. Both brackets
-  start from a fixed list of candidate couplings, each matrix once
-  (_candidate_couplings). dconc_bracket scores each and improves the
-  best two by pairwise-rebalance local search. The box witness is
-  a support S with a coupling that puts the most mass any coupling can
-  on S (a bipartite max-flow, stats._support_flow): box_bracket
-  searches supports, each scored once, which the candidate couplings
-  propose and a local search that adds or drops one pair refines;
+* the upper bound is witnessed by an explicit coupling. One search,
+  _Search, serves both brackets: it scores each coupling or support at
+  most once, keeps the best with a label naming it, and refines it by a
+  first-improvement local search. Both start from a fixed list of
+  candidate couplings, each matrix once (_candidate_couplings).
+  dconc_bracket scores each and improves the best two by mass-cycle
+  moves. The box witness is a support S with a coupling that puts the
+  most mass any coupling can on S (a bipartite max-flow,
+  stats._support_flow): box_bracket searches supports, which the
+  candidate couplings propose and a local search that adds or drops one
+  pair refines. COUPLING_CANDIDATES and LOCAL_SEARCH_STEPS are the
+  search budgets;
 * the lower bound is certified, and is the larger of two bounds, which
   the lower witness names:
   - the observable-diameter transfer bound: whenever od(X; -(kappa +
@@ -29,9 +33,9 @@ is not tractable exactly; every reported value is therefore a Bracket:
     bound. It is exact over every orbit but lip1's (laws.py), and its
     witness names the generator pair, eps and the reach t.
 
-Each bracket takes its lower bound first, and its coupling search stops
-once the upper bound reaches it: every later candidate scores at least
-the distance, so neither the upper bound nor its witness could change.
+Each bracket takes its lower bound first, and its search stops once the
+upper bound reaches it: every later candidate scores at least the
+distance, so neither the upper bound nor its witness could change.
 
 The minimum over the coupling polytope is not known to be attained at
 the candidates searched here, so upper bounds are never claimed exact;
@@ -43,7 +47,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, permutations
+from functools import partial
+from itertools import chain, permutations, product
 
 import numpy as np
 
@@ -64,6 +69,11 @@ MARGINAL_TOL = 1e-9
 # equal-size pairs of at most this many points also try, as couplings,
 # the permutations that match their masses
 PERMUTATION_CAP = 4
+# seeded random vertex couplings that join the fixed candidates
+COUPLING_CANDIDATES = 8
+# scorings of the local search: dconc runs it from its best two
+# candidates with half each, box from its best support
+LOCAL_SEARCH_STEPS = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,24 +128,21 @@ class Bracket:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budgets and seeds for the coupling/support search.
+    """Seed and staircase budget of a search.
 
-    coupling_candidates random vertex couplings join the fixed
-    candidates. local_search_steps budgets both local searches: the
-    trial couplings of dconc_bracket's pairwise rebalance, half for each
-    of its two best candidates, and the supports box_bracket's support
-    search scores. level_budget caps the generator subsets each
-    staircase level enumerates, and seed drives every random choice.
+    seed drives every random choice: the random vertex candidates and
+    the staircase's measurement samples. level_budget caps the generator
+    subsets each staircase level enumerates. The coupling search's own
+    budgets are the module constants COUPLING_CANDIDATES and
+    LOCAL_SEARCH_STEPS.
     """
 
-    coupling_candidates: int = 8
-    local_search_steps: int = 40
     seed: int = 0
     level_budget: int = 8
 
     def __post_init__(self):
-        if self.coupling_candidates < 1 or self.local_search_steps < 0:
-            raise ValidationError("search budgets must be positive")
+        if self.seed < 0:
+            raise ValidationError("seed must be nonnegative")
         if self.level_budget < 1:
             raise ValidationError("level budget must be positive")
 
@@ -365,7 +372,7 @@ def _candidate_couplings(X, Y, cfg: SearchConfig):
                     pi[np.arange(nx_), perm] = mx
                     cands.append((f"perm{tuple(perm)}", pi))
     rng = np.random.default_rng(cfg.seed)
-    for k in range(cfg.coupling_candidates):
+    for k in range(COUPLING_CANDIDATES):
         ro = list(rng.permutation(nx_))
         co = list(rng.permutation(ny_))
         cands.append((f"vertex{k}", _nw_corner(mx, my, ro, co)))
@@ -373,54 +380,6 @@ def _candidate_couplings(X, Y, cfg: SearchConfig):
     for name, pi in cands:
         unique.setdefault(pi.tobytes(), (name, pi))
     return list(unique.values())
-
-
-def _pairwise_rebalance(pi, objective, start_value, eval_budget, floor=-math.inf):
-    """First-improvement local search over mass-cycle moves.
-
-    `eval_budget` caps the number of trial objective evaluations, which
-    dominates the cost; the scan order is canonical, so results are
-    deterministic. A trial is accepted only when its value is below the
-    cutoff `best_val - 1e-15`, so `objective(trial, cutoff)` may stop
-    scoring once the value is known to reach the cutoff and return any
-    value at or above it: rejected trials stay rejected, and accepted
-    ones carry their exact value. The search also ends once the value
-    reaches `floor`, a lower bound on every value, since nothing can then
-    be accepted.
-    """
-    best_pi = pi.copy()
-    best_val = start_value
-    evals = 0
-    improved = True
-    while improved and evals < eval_budget:
-        rows, cols = np.nonzero(best_pi > 0)
-        improved = False
-        for a in range(len(rows)):
-            for b in range(len(rows)):
-                i, j = rows[a], cols[a]
-                k, l = rows[b], cols[b]
-                if i == k or j == l:
-                    continue
-                trial = best_pi.copy()
-                t = min(best_pi[i, j], best_pi[k, l])
-                trial[i, j] -= t
-                trial[k, l] -= t
-                trial[i, l] += t
-                trial[k, j] += t
-                cutoff = best_val - 1e-15
-                val = objective(trial, cutoff)
-                evals += 1
-                if val < cutoff:
-                    best_pi, best_val = trial, val
-                    if best_val <= floor:
-                        return best_pi, best_val
-                    improved = True
-                    break
-                if evals >= eval_budget:
-                    return best_pi, best_val
-            if improved:
-                break
-    return best_pi, best_val
 
 
 def _oriented(X, Y):
@@ -434,40 +393,105 @@ def _closed(lower, upper: float) -> float:
     return upper if upper < lower <= upper + 1e-12 else float(lower)
 
 
+class _Search:
+    """The upper-bound search of both brackets. It scores objects (a
+    coupling, or a support) by `objective(obj, cutoff)`, exact when below
+    `cutoff` and otherwise some value at or above it, each key at most
+    once. It keeps the best value with its object and label, and scores
+    nothing once that reaches the lower bound: every later value is at
+    least the distance, so neither the upper bound nor its witness could
+    change.
+    """
+
+    def __init__(self, lower, objective):
+        self.lower, self.objective = lower, objective
+        self.scored = set()
+        self.value, self.best, self.label = math.inf, None, ""
+
+    def score(self, key, obj, label, cutoff=math.inf):
+        """The value of `obj`, or None when `key` was scored before or the
+        bracket is closed. Only a value below `cutoff` is exact, so only
+        one below both it and the best becomes the best."""
+        if key in self.scored or self.value <= self.lower:
+            return None
+        self.scored.add(key)
+        value = self.objective(obj, cutoff)
+        if value < min(cutoff, self.value):
+            self.value, self.best, self.label = value, obj, label
+        return value
+
+    def descend(self, obj, value, moves, steps: int) -> None:
+        """First-improvement local search from `obj`, of value `value`:
+        move to the first neighbour in moves(obj), (key, obj, label)
+        triples in a canonical order, that improves by more than 1e-15,
+        until `steps` neighbours are scored, none improves, or the
+        bracket closes. A neighbour scored before costs no step. The
+        margin keeps the search from chasing rounding noise: with a
+        strict comparison, the dconc upper of path:5:1/path:6:1 rises
+        from 0.2667 to 0.3333 at 6 of seeds 1-10 (and falls to 0.2333
+        at 2)."""
+        while steps > 0 and self.value > self.lower:
+            for key, trial, label in moves(obj):
+                if key in self.scored:
+                    continue
+                steps -= 1
+                cutoff = value - 1e-15
+                trial_value = self.score(key, trial, label, cutoff)
+                if trial_value < cutoff:
+                    obj, value = trial, trial_value
+                    break
+                if steps == 0:
+                    return
+            else:
+                return
+
+    def bracket(self, lower_witness: str) -> Bracket:
+        closed = self.value <= self.lower
+        return Bracket(
+            lower=_closed(self.lower, self.value),
+            upper=self.value,
+            lower_witness=lower_witness,
+            upper_witness=self.label + (", bracket closed" if closed else ""),
+        )
+
+
+def _cycle_moves(pi, label):
+    """Mass-cycle moves: for two support entries (i, j) and (k, l) in
+    distinct rows and columns, shift the smaller mass onto (i, l) and
+    (k, j)."""
+    rows, cols = np.nonzero(pi > 0)
+    for a, b in product(range(len(rows)), repeat=2):
+        i, j, k, l = rows[a], cols[a], rows[b], cols[b]
+        if i != k and j != l:
+            trial = pi.copy()
+            t = min(pi[i, j], pi[k, l])
+            trial[i, j] -= t
+            trial[k, l] -= t
+            trial[i, l] += t
+            trial[k, j] += t
+            yield trial.tobytes(), trial, label
+
+
 def dconc_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None) -> Bracket:
     """Bracket for the observable distance between X and Y.
 
-    The lower bound comes first, and the search stops once the upper
-    bound reaches it: candidate scoring ends at the first candidate at
-    or below it, and the local search is skipped or ended.
+    The lower bound comes first. The upper bound is the best coupling of
+    a _Search: the candidate couplings, scored in full by dconc_pi, then
+    a mass-cycle local search from each of the best two, with half of
+    LOCAL_SEARCH_STEPS each. The witness names the candidate, and says
+    "after local search" when the local search found the winner.
     """
     cfg = config or SearchConfig()
     if _oriented(X, Y):
         return dconc_bracket(Y, X, cfg)
     lower = lower_bound(X, Y)
-    scored = []
-    for name, pi in _candidate_couplings(X, Y, cfg):
-        val = dconc_pi(X, Y, pi)
-        scored.append((val, name, pi))
-        if val <= lower:
-            break
-    scored.sort(key=lambda t: t[0])
-    best_val, best_name, _ = scored[0]
-    budget = max(1, cfg.local_search_steps // 2)
-    for val, name, pi in scored[:2]:
-        if best_val <= lower:
-            break
-        _, improved = _pairwise_rebalance(
-            pi, lambda p, cutoff: _dconc_value(X, Y, p, cutoff), val, budget, lower
-        )
-        if improved < best_val:
-            best_val, best_name = improved, name
-    return Bracket(
-        lower=_closed(lower, best_val),
-        upper=best_val,
-        lower_witness=lower.describe(),
-        upper_witness=f"coupling {best_name}" + (", bracket closed" if best_val <= lower else " after local search"),
-    )
+    search = _Search(lower, lambda pi, cut: dconc_pi(X, Y, pi) if cut == math.inf else _dconc_value(X, Y, pi, cut))
+    candidates = _candidate_couplings(X, Y, cfg)
+    scored = [(search.score(pi.tobytes(), pi, f"coupling {name}"), name, pi) for name, pi in candidates]
+    for value, name, pi in sorted((t for t in scored if t[0] is not None), key=lambda t: t[0])[:2]:
+        moves = partial(_cycle_moves, label=f"coupling {name} after local search")
+        search.descend(pi, value, moves, max(1, LOCAL_SEARCH_STEPS // 2))
+    return search.bracket(lower.describe())
 
 
 def box_objective(X: FiniteGDS, Y: FiniteGDS, pi, S) -> float:
@@ -532,64 +556,29 @@ def _pair_scores(X, Y, pairs):
     return scores
 
 
-class _SupportSearch:
-    """Box values of supports S, each scored once, under a coupling that
-    puts all its mass on S or else under S's max-flow coupling
-    (stats._support_flow); it keeps the best, and scores nothing once
-    that reaches the lower bound."""
-
-    def __init__(self, X, Y, lower):
-        self.X, self.Y, self.lower = X, Y, lower
-        self.scored = set()
-        self.value, self.support, self.label = math.inf, (), ""
-
-    def score(self, pairs, label, pi=None):
-        """The value of the new support `pairs` (sorted): in full under
-        pi, or under its max-flow coupling when below the best; None when
-        scored before or when the search is closed."""
-        if pairs in self.scored or self.value <= self.lower:
-            return None
-        self.scored.add(pairs)
-        X, Y = self.X, self.Y
-        if pi is None:
-            value = _box_value(X, Y, _support_flow(X.masses, Y.masses, pairs), pairs, self.value)
-        else:
-            value = box_objective(X, Y, pi, pairs)
-        if value < self.value:
-            self.value, self.support, self.label = value, pairs, label
-        return value
-
-    def descend(self, steps: int) -> None:
-        """First-improvement local search from the best support: move to
-        the first new support, one pair dropped or added, that scores
-        better, within `steps` scorings."""
-        nx, ny = self.X.n_points, self.Y.n_points
-        while steps > 0 and self.value > self.lower:
-            S, have = self.support, set(self.support)
-            drops = (S[:k] + S[k + 1:] for k in range(len(S)) if len(S) > 1)
-            adds = (tuple(sorted(S + ((i, j),))) for i in range(nx) for j in range(ny) if (i, j) not in have)
-            for trial in chain(drops, adds):
-                if trial in self.scored:
-                    continue
-                steps -= 1
-                self.score(trial, f"max-flow coupling, {len(trial)} pairs after local search")
-                if self.support is trial:
-                    break
-                if steps == 0:
-                    return
-            else:
-                return
+def _support_moves(obj, nx: int, ny: int):
+    """The supports one pair away from the support S of obj = (S, pi), to
+    score under their max-flow couplings: each with one pair dropped,
+    then each with one added."""
+    S, have = obj[0], set(obj[0])
+    drops = (S[:k] + S[k + 1:] for k in range(len(S)) if len(S) > 1)
+    adds = (tuple(sorted(S + ((i, j),))) for i in range(nx) for j in range(ny) if (i, j) not in have)
+    for trial in chain(drops, adds):
+        yield trial, (trial, None), f"max-flow coupling, {len(trial)} pairs after local search"
 
 
 def box_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None) -> Bracket:
     """Bracket for the box distance between X and Y.
 
-    Upper bound: the least box value over supports S, each scored once
-    under a coupling that puts the most mass any coupling can on S, so
-    the witness is S with that coupling (_SupportSearch). The supports
-    searched are the candidate couplings' own; for the best three of
-    those, their singletons and greedy discard sweeps over per-pair
-    residuals; then a local search from the best support. Lower bound:
+    Upper bound: the least box value over supports S (sorted pair
+    tuples), each scored once by a _Search, under a coupling that puts
+    all its mass on S or else under one that puts the most mass any
+    coupling can on S (a max-flow, stats._support_flow), so the witness
+    is S with that coupling. The supports searched are the candidate
+    couplings' own, scored in full by box_objective; for the best three
+    of those, their singletons and greedy discard sweeps over per-pair
+    residuals; then a local search from the best support that adds or
+    drops one pair, within LOCAL_SEARCH_STEPS scorings. Lower bound:
     lower_bound(X, Y, box=True). As in dconc_bracket, the search stops
     once the upper bound reaches it.
     """
@@ -597,20 +586,22 @@ def box_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None) 
     if _oriented(X, Y):
         return box_bracket(Y, X, cfg)
     lower = lower_bound(X, Y, box=True)
-    search = _SupportSearch(X, Y, lower)
-    ranked = []
+
+    def objective(obj, cutoff):
+        S, pi = obj
+        if pi is not None:
+            return box_objective(X, Y, pi, S)
+        return _box_value(X, Y, _support_flow(X.masses, Y.masses, S), S, cutoff)
+
+    search = _Search(lower, objective)
+    scored = []
     for name, pi in _candidate_couplings(X, Y, cfg):
         pairs = tuple(_support_pairs(pi))
-        val = search.score(pairs, f"coupling {name}, full support", pi)
-        if val is not None:
-            ranked.append((val, name, pi, pairs))
-        if search.value <= lower:
-            break
-    ranked.sort(key=lambda t: t[0])
-    for _, name, pi, pairs in ranked[:3]:
+        scored.append((search.score(pairs, (pairs, pi), f"coupling {name}, full support"), name, pi, pairs))
+    for _, name, pi, pairs in sorted((t for t in scored if t[0] is not None), key=lambda t: t[0])[:3]:
         if len(pairs) <= 64:
             for p in pairs:
-                search.score((p,), f"max-flow coupling, singleton {p}")
+                search.score((p,), ((p,), None), f"max-flow coupling, singleton {p}", search.value)
         # greedy peel: repeatedly drop the worst-aligned pair (the lightest
         # of tied ones under pi), re-scoring against alignments optimized
         # on the surviving support
@@ -621,14 +612,11 @@ def box_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None) 
             scores = _pair_scores(X, Y, keep)
             worst = np.flatnonzero(scores == scores.max())
             keep.pop(int(worst[np.argmin([pi[keep[t]] for t in worst])]))
-            search.score(tuple(keep), f"max-flow coupling, {len(keep)} pairs of coupling {name}")
-    search.descend(cfg.local_search_steps)
+            S = tuple(keep)
+            search.score(S, (S, None), f"max-flow coupling, {len(S)} pairs of coupling {name}", search.value)
+    moves = partial(_support_moves, nx=X.n_points, ny=Y.n_points)
+    search.descend(search.best, search.value, moves, LOCAL_SEARCH_STEPS)
     witness = lower.describe()
     if isinstance(lower, OdLowerBound):
         witness += " (observable distance lower-bounds box)"
-    return Bracket(
-        lower=_closed(lower, search.value),
-        upper=search.value,
-        lower_witness=witness,
-        upper_witness=search.label + (", bracket closed" if search.value <= lower else ""),
-    )
+    return search.bracket(witness)

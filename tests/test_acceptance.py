@@ -29,7 +29,7 @@ from oracles import (
     random_clip,
 )
 
-FAST_CFG = SearchConfig(coupling_candidates=3, local_search_steps=20)
+CFG = SearchConfig()
 
 
 def test_criterion_1_two_point_observable_diameter():
@@ -138,7 +138,7 @@ def test_criterion_3_inequality_suite():
                         violations += 1
 
         # (d) od transfer at delta just above the certified upper bound
-        delta = dconc_bracket(X, Y, FAST_CFG).upper + 1e-9
+        delta = dconc_bracket(X, Y, CFG).upper + 1e-9
         for kappa in kappas:
             if kappa + delta >= 1.0:
                 continue
@@ -154,7 +154,7 @@ def test_criterion_3_inequality_suite():
 
 
 def test_criterion_4_bracket_certification():
-    cfg = SearchConfig(coupling_candidates=3, local_search_steps=20)
+    cfg = SearchConfig()
     X1 = gk.validate_gds([0, 1], [[0.0, 1.0]], gk.TB_FAMILY, [0.5, 0.5])
     X2 = gk.validate_gds([0, 1], [[0.0, 2.0]], gk.TB_FAMILY, [0.5, 0.5])
     dc = dconc_bracket(X1, X2, cfg)
@@ -168,8 +168,8 @@ def test_criterion_4_bracket_certification():
     for _ in range(100):
         A = dyadic_gds(rng, max_n=5, max_gens=2)
         B = dyadic_gds(rng, max_n=5, max_gens=2)
-        d = dconc_bracket(A, B, FAST_CFG)
-        b = box_bracket(A, B, FAST_CFG)
+        d = dconc_bracket(A, B, CFG)
+        b = box_bracket(A, B, CFG)
         assert d.lower <= d.upper + 1e-9
         assert b.lower <= b.upper + 1e-9
 
@@ -178,8 +178,8 @@ def test_criterion_4_bracket_certification():
         A = measurement(Z, MeasurementSpec((0,), 2.0))
         B = measurement(Z, MeasurementSpec(tuple(range(Z.n_generators)), 3.0))
         N, M = A.n_generators, B.n_generators
-        b = box_bracket(A, B, FAST_CFG)
-        d = dconc_bracket(A, B, FAST_CFG)
+        b = box_bracket(A, B, CFG)
+        d = dconc_bracket(A, B, CFG)
         assert b.lower <= (N + M) * d.upper + 1e-9
 
     print("ACCEPTANCE 4 PASS: brackets [0.5, 0.5] pinned; 100 pairs consistent; measurement bound holds")
@@ -232,7 +232,7 @@ def test_criterion_7_staircase_series():
         direct = sum(series_weight(N) for N in range(L + 1, L + 420))
         assert series_tail(L) == pytest.approx(direct, abs=1e-15)
 
-    cfg = SearchConfig(coupling_candidates=2, local_search_steps=10, level_budget=8)
+    cfg = SearchConfig(level_budget=8)
     X = gk.validate_gds([0, 1], [[0.0, 1.0]], gk.TB_FAMILY, [0.5, 0.5])
     sb = staircase_distance(X, X, 2, cfg)
     lo, hi = sb.interval

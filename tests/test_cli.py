@@ -222,6 +222,14 @@ class TestDistanceCommands:
         assert exc.value.code == 2
         assert "--kappa-grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["dconc", "box", "staircase"])
+    def test_negative_seed_exit_2(self, two_point_files, capsys, command):
+        # numpy's default_rng raised ValueError on the seed: a traceback
+        # with status 1
+        code, out, err = run([command, *two_point_files, "--seed", "-1"], capsys)
+        assert (code, out) == (2, "")
+        assert "seed must be nonnegative" in err
+
     def test_box_json(self, two_point_files, capsys):
         code, out, _ = run(["box", two_point_files[0], two_point_files[1]], capsys)
         assert code == 0

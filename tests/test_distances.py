@@ -27,7 +27,7 @@ from gdskit.distances import (
     dconc_pi,
     lower_bound,
 )
-from gdskit.errors import EmptySupport, MarginalMismatch
+from gdskit.errors import EmptySupport, MarginalMismatch, ValidationError
 from gdskit.laws import LawLowerBound, orbit_law_distance
 from gdskit.stats import _support_flow
 from gdskit.transforms import MeasurementSpec, measurement
@@ -50,7 +50,7 @@ from oracles import (
 )
 
 GRID = tuple([0.01] + [round(0.05 * i, 2) for i in range(1, 10)])
-CFG = SearchConfig(coupling_candidates=4, local_search_steps=15)
+CFG = SearchConfig()
 
 
 def two_point(n, family=gk.TB_FAMILY):
@@ -325,6 +325,62 @@ class TestDconcBracket:
             assert br.lower <= br.upper + 1e-9
             assert 0.0 <= br.lower and br.upper <= 1.0 + 1e-12
 
+    @staticmethod
+    def searched_pairs():
+        """T and TB pairs of up to 5 points, on many of which the local
+        search runs until its budget is spent."""
+        rng = np.random.default_rng(5)
+        for k in range(40):
+            family = (gk.TB_FAMILY, gk.T_FAMILY)[k % 2]
+            X = dyadic_gds(rng, max_n=5, max_gens=2, family=family)
+            yield X, dyadic_gds(rng, max_n=5, max_gens=2, family=family)
+
+    def test_no_coupling_scored_twice(self, monkeypatch):
+        # the local search re-scored couplings that it, the other local
+        # search or the candidate list had scored before
+        value = distances._dconc_value
+        keys = []
+        def recorded(X, Y, pi, cutoff):
+            keys.append(np.asarray(pi).tobytes())
+            return value(X, Y, pi, cutoff)
+
+        monkeypatch.setattr(distances, "_dconc_value", recorded)
+        searched = 0
+        for X, Y in self.searched_pairs():
+            keys.clear()
+            dconc_bracket(X, Y)
+            assert len(set(keys)) == len(keys)
+            searched += len(keys) > 20
+        assert searched >= 5
+
+    def test_witness_names_the_local_search_only_when_it_won(self):
+        # the witness said "after local search" on candidates the search
+        # never improved, and dropped it when the search closed the bracket
+        won = 0
+        for X, Y in self.searched_pairs():
+            br = dconc_bracket(X, Y)
+            A, B = (Y, X) if distances._oriented(X, Y) else (X, Y)
+            label = br.upper_witness.removesuffix(", bracket closed")
+            name = label.removeprefix("coupling ").removesuffix(" after local search")
+            # replay: the named candidate's value, which the search beat or is
+            candidate = dconc_pi(A, B, dict(_candidate_couplings(A, B, SearchConfig()))[name])
+            if label.endswith(" after local search"):
+                won += 1
+                assert br.upper < candidate
+            else:
+                assert br.upper == candidate
+        assert won >= 5
+
+
+class TestSearchConfig:
+    def test_rejects_negative_seed_and_level_budget(self):
+        # a negative seed reached numpy's default_rng, which raised ValueError
+        with pytest.raises(ValidationError, match="seed"):
+            SearchConfig(seed=-1)
+        with pytest.raises(ValidationError, match="level budget"):
+            SearchConfig(level_budget=0)
+        assert SearchConfig(seed=0) == SearchConfig()
+
 
 class TestBoxObjective:
     def test_diagonal_full_support_zero(self):
@@ -433,11 +489,14 @@ class TestIncumbentCutoff:
                 assert repr(fast) == repr(full)
 
     def test_fewer_orbit_calls_on_pinned_pair(self, monkeypatch):
-        X = gk.validate_gds(range(4), [[0, 1, 2, 3], [0, 2, 4, 6], [3, 0, 1, 2]], gk.TB_FAMILY, [0.25] * 4)
-        Y = gk.validate_gds(range(4), [[0, 1, 2, 3], [1, 0, 3, 2], [0, 4, 0, 4]], gk.TB_FAMILY, [0.25] * 4)
+        X = gk.validate_gds(range(4), [[0, 1, 2, 3], [0, 2, 4, 6], [3, 0, 1, 2]], gk.TB_FAMILY, [0.125, 0.25, 0.25, 0.375])
+        Y = gk.validate_gds(range(4), [[0, 1, 2, 3], [1, 0, 3, 2], [0, 4, 0, 4]], gk.TB_FAMILY, [0.25, 0.125, 0.375, 0.25])
         # the law bound closes the dconc bracket at its first candidate, and
         # a closed bracket runs no local search; the od bound alone keeps
-        # both searches open, so that the cutoffs have trials to cut
+        # both searches open, so that the cutoffs have trials to cut. The
+        # masses differ: with equal ones every mass-cycle move from a
+        # permutation is another permutation, all of them candidates, and
+        # the dconc local search has no new coupling to score
         monkeypatch.setattr(distances, "law_lower", lambda X, Y, box, start: start)
         for name, bracket in (("dist_to_orbit", dconc_bracket), ("dist_to_orbit_sup", box_bracket)):
             counts = []
@@ -737,7 +796,7 @@ class TestLawBound:
                     else:
                         assert abs(got - want) <= 1e-12
 
-    def test_box_form_below_exact_box(self):
+    def test_box_form_below_exact_box(self, monkeypatch):
         rng = np.random.default_rng(137)
         for family in FAMILIES[:4]:
             for _ in range(5):
@@ -747,9 +806,12 @@ class TestLawBound:
                 for A, B in ((X, Y), tuple(non_dyadic)):
                     exact = exact_box_oracle(A, B)
                     assert lower_bound(A, B, box=True) <= exact + 1e-12
-                    # every box upper is the box value of a coupling and a support
-                    for config in (CFG, SearchConfig()):
-                        assert box_bracket(A, B, config).upper >= exact - 1e-12
+                    # every box upper is the box value of a coupling and a support,
+                    # under a small search budget and under the default one
+                    for candidates, steps in ((4, 15), (8, 40)):
+                        monkeypatch.setattr(distances, "COUPLING_CANDIDATES", candidates)
+                        monkeypatch.setattr(distances, "LOCAL_SEARCH_STEPS", steps)
+                        assert box_bracket(A, B).upper >= exact - 1e-12
 
     def test_dconc_form_below_coupling_values(self):
         rng = np.random.default_rng(139)

@@ -16,7 +16,7 @@ from gdskit.staircase import (
 from gdskit.transforms import enumerate_measurements
 from oracles import canonical_form, dyadic_gds
 
-CFG = SearchConfig(coupling_candidates=3, local_search_steps=10, level_budget=8)
+CFG = SearchConfig(level_budget=8)
 
 
 def two_point(n, family=gk.TB_FAMILY):
@@ -74,7 +74,7 @@ class TestStaircaseLevel:
         rng = np.random.default_rng(11)
         gens = np.vstack([np.arange(5.0) + rng.uniform(-0.2, 0.2, 5) for _ in range(12)])
         X = gk.validate_gds(range(5), gens, gk.TB_FAMILY, np.full(5, 0.2))
-        cfg = SearchConfig(coupling_candidates=1, local_search_steps=0, level_budget=2, seed=4)
+        cfg = SearchConfig(level_budget=2, seed=4)
         seen = []
         monkeypatch.setattr(staircase, "level_hausdorff", lambda a, b, c: seen.append(a) or gk.Bracket(0.0, 0.0))
         staircase_distance(X, X, 2, cfg)

@@ -277,7 +277,7 @@ class TestProhorov:
         env = {**os.environ, "PYTHONPATH": str(pathlib.Path(gk.__file__).parents[1])}
         code = (
             "import sys, gdskit as gk, gdskit.cli\n"
-            "cfg = gk.SearchConfig(coupling_candidates=2)\n"
+            "cfg = gk.SearchConfig()\n"
             "for family in ('B', 'TB', 'lip1:4'):\n"
             "    tag = gk.FamilyTag.parse(family)\n"
             "    X = gk.validate_gds([0, 1, 2], [[0.0, 1.0, 3.0]], tag, [0.25, 0.25, 0.5])\n"

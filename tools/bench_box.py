@@ -10,14 +10,17 @@ set to one side's `src/` and to the working tree's `perfbench/`, whose
 
 Jobs:
 - `uppers` (once per side): the box brackets of the `bracket` workload
-  at seeds 1 to --seeds, under the default `SearchConfig` and under a
-  doubled budget (16 candidate couplings, 80 local-search steps). Per
-  bracket it keeps the lower and upper bound, and under the default
-  budget it counts the supports scored (`distances._box_value` calls),
-  the distinct ones among them, the repeats (at the parent, scorings
-  of a support already scored in the same bracket; in the working
-  tree, the supports proposed to `_SupportSearch.score` again, which it
-  skips) and the moves of the support local search.
+  at seeds 1 to --seeds, under the default search budget and under a
+  doubled one (16 candidate couplings, 80 local-search steps: the
+  module constants `COUPLING_CANDIDATES` and `LOCAL_SEARCH_STEPS`, set
+  in the child process, or in a tree that predates them the
+  `SearchConfig` fields of those names). Per bracket it keeps the lower
+  and upper bound, and under the default budget it counts the supports
+  scored (`distances._box_value` calls), the distinct ones among them,
+  the repeats (scorings of a support already scored in the same
+  bracket, plus, in a tree with `distances._Search`, the supports
+  proposed to `_Search.score` again, which it skips) and the moves of
+  the support local search (counted only in a tree with `_Search`).
 - `pass bracket`, `pass measurements`: one untimed pass of the
   workload's tasks at seed 1, then three timed ones; `wall_s` is the
   median pass and `peak_rss_mb` the process's `ru_maxrss` after them.
@@ -77,32 +80,41 @@ if job == "uppers":
         return value(X, Y, pi, S, cutoff)
 
     distances._box_value = scoring
-    search = getattr(distances, "_SupportSearch", None)
+    search = getattr(distances, "_Search", None)
     if search is not None:
         score, descend, descending = search.score, search.descend, [False]
 
-        def counted_score(self, pairs, *args):
-            brackets[-1]["repeats"] += pairs in self.scored
-            value = score(self, pairs, *args)
-            brackets[-1]["moves"] += descending[0] and self.support is pairs
+        def counted_score(self, key, obj, *args):
+            brackets[-1]["repeats"] += key in self.scored
+            value = score(self, key, obj, *args)
+            brackets[-1]["moves"] += descending[0] and self.best is obj
             return value
 
-        def counted_descend(self, steps):
+        def counted_descend(self, *args):
             descending[0] = True
             try:
-                descend(self, steps)
+                descend(self, *args)
             finally:
                 descending[0] = False
 
         search.score, search.descend = counted_score, counted_descend
+
+    def budget(scale):
+        # the search budget `scale` times the default: the module
+        # constants, or a SearchConfig in a tree that predates them
+        if not hasattr(distances, "COUPLING_CANDIDATES"):
+            return distances.SearchConfig(coupling_candidates=8 * scale, local_search_steps=40 * scale)
+        distances.COUPLING_CANDIDATES, distances.LOCAL_SEARCH_STEPS = 8 * scale, 40 * scale
+        return None
+
     out = {}
     for seed in range(1, int(arg) + 1):
         tasks = [t for t in workloads.build("bracket", seed, tempfile.mkdtemp()) if t.label.startswith("box")]
-        for budget, cfg in (("default", None), ("doubled", distances.SearchConfig(coupling_candidates=16, local_search_steps=80))):
-            config[0] = cfg
+        for name, scale in (("default", 1), ("doubled", 2)):
+            config[0] = budget(scale)
             brackets.clear()
             run(tasks)
-            out.setdefault(budget, []).extend(
+            out.setdefault(name, []).extend(
                 {"seed": seed, "label": t.label, **b, "distinct": len(set(b["scored"])), "scored": len(b["scored"])}
                 for t, b in zip(tasks, brackets)
             )
