@@ -16,9 +16,9 @@ import math
 
 import numpy as np
 
-# Guard for comparisons against accumulated probability masses. Mass sums
-# carry rounding noise well below this; genuine breakpoints in test data
-# are far above it.
+# Guard for comparisons against accumulated probability masses, and for a
+# ProbVector's total (core). Mass sums carry rounding noise well below
+# this; genuine breakpoints in test data are far above it.
 MASS_GUARD = 1e-12
 
 # Entries per row block. A row kernel's temporaries are a small multiple
@@ -132,15 +132,13 @@ def _run_end_indices(sorted_rows: np.ndarray) -> np.ndarray:
 def kf_rows(diffs: np.ndarray, masses: np.ndarray) -> np.ndarray:
     """Row-wise Ky Fan value of nonnegative difference profiles.
 
-    For each row d, returns the smallest eps >= 0 with
+    For each row d of an (R, n) array, returns the smallest eps >= 0 with
     mass({d > eps}) <= eps. Exact over the finite candidate set
     {0} | {d_i} | {tail masses}; no grid is involved. Rows are scored in
     blocks of about BLOCK_ENTRIES entries, so for n columns the scratch
     memory is about 10 * max(BLOCK_ENTRIES, n) doubles for any row count.
     """
     diffs = np.asarray(diffs, dtype=float)
-    if diffs.ndim == 1:
-        diffs = diffs[None, :]
     masses = np.asarray(masses, dtype=float)
     return row_blocks(lambda s: _kf_block(diffs[s], masses), *diffs.shape)
 
@@ -166,8 +164,8 @@ def _kf_block(diffs, masses):
 def window_tradeoff_values(deltas: np.ndarray, masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise exact translation-orbit Ky Fan distance and optimal shift.
 
-    For each row delta, min over shifts c of KF(delta - c) equals the
-    minimum over support windows [delta_i, delta_j] of
+    For each row delta of an (R, n) array, min over shifts c of
+    KF(delta - c) equals the minimum over support windows [delta_i, delta_j] of
     max(width / 2, 1 - window mass), attained at c = the window
     midpoint. Returns (values, shifts); ties are broken toward the
     smallest midpoint. A row scores n(n+1)/2 windows; rows are scored in
@@ -175,8 +173,6 @@ def window_tradeoff_values(deltas: np.ndarray, masses: np.ndarray) -> tuple[np.n
     small multiple of max(BLOCK_ENTRIES, n(n+1)/2) doubles.
     """
     deltas = np.asarray(deltas, dtype=float)
-    if deltas.ndim == 1:
-        deltas = deltas[None, :]
     masses = np.asarray(masses, dtype=float)
     n_rows, n = deltas.shape
     return row_blocks(lambda s: _window_block(deltas[s], masses), n_rows, n * (n + 1) // 2)

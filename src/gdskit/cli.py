@@ -207,8 +207,8 @@ def cmd_staircase(args) -> int:
 def cmd_domination(args) -> int:
     X = _load(args.file1, args)
     Y = _load(args.file2, args)
-    budget = args.budget if args.budget is not None else 5000
-    verdict = check_domination(X, Y, tol=args.tol, budget=budget)
+    budget = {} if args.budget is None else {"budget": args.budget}
+    verdict = check_domination(X, Y, tol=args.tol, **budget)
     print(
         json.dumps(
             {

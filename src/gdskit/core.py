@@ -14,6 +14,10 @@ consists of 1-Lipschitz maps, composing generators with family members
 never changes the induced metric; the (possibly infinite) composed
 family is therefore never materialized.
 
+ProbVector is the one check of a probability vector, DiscreteMeasureR's
+masses included; MARGINAL_TOL is the one tolerance for masses that must
+agree, as a coupling's marginals and the masses a point map pulls back.
+
 All types are immutable after construction and every operation is a
 pure function, so values can be shared freely across threads.
 """
@@ -25,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import BLOCK_ENTRIES, block_slices
+from ._kernels import BLOCK_ENTRIES, MASS_GUARD, block_slices
 from .errors import (
     DimensionMismatch,
     IndistinctPoints,
@@ -35,8 +39,8 @@ from .errors import (
     ZeroWeight,
 )
 
-MASS_TOL = 1e-12
 METRIC_TOL = 1e-9
+MARGINAL_TOL = 1e-9
 
 _FAMILY_KINDS = ("id", "T", "B", "TB", "lip1")
 
@@ -117,8 +121,8 @@ def _readonly(arr) -> np.ndarray:
 class ProbVector:
     """A fully supported probability vector.
 
-    Every weight must be strictly positive and the total must equal 1
-    within MASS_TOL.
+    Every weight must be finite and strictly positive, and the total
+    must equal 1 within MASS_GUARD.
     """
 
     weights: np.ndarray
@@ -131,7 +135,7 @@ class ProbVector:
             raise InvalidWeights("weights must be finite")
         if np.any(w <= 0.0):
             raise ZeroWeight("all weights must be strictly positive (full support)")
-        if abs(float(w.sum()) - 1.0) > MASS_TOL:
+        if abs(float(w.sum()) - 1.0) > MASS_GUARD:
             raise InvalidWeights(f"weights sum to {float(w.sum())!r}, expected 1")
         object.__setattr__(self, "weights", w)
 
@@ -147,8 +151,8 @@ class ProbVector:
 class DiscreteMeasureR:
     """A finitely supported probability measure on the real line.
 
-    Atom values are strictly increasing; masses are positive and sum
-    to 1 within MASS_TOL.
+    Atom values are finite and strictly increasing; the masses must
+    form a ProbVector.
     """
 
     values: np.ndarray
@@ -161,16 +165,10 @@ class DiscreteMeasureR:
             raise DimensionMismatch("values and masses must be matching 1-d arrays")
         if not np.all(np.isfinite(v)):
             raise ValidationError("atom values must be finite")
-        if not np.all(np.isfinite(m)):
-            raise InvalidWeights("atom masses must be finite")
         if np.any(np.diff(v) <= 0.0):
             raise ValidationError("atom values must be strictly increasing")
-        if np.any(m <= 0.0):
-            raise ZeroWeight("atom masses must be strictly positive")
-        if abs(float(m.sum()) - 1.0) > MASS_TOL:
-            raise InvalidWeights(f"masses sum to {float(m.sum())!r}, expected 1")
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "masses", m)
+        object.__setattr__(self, "masses", ProbVector(m).weights)
 
     @property
     def atoms(self) -> list[tuple[float, float]]:

@@ -9,12 +9,11 @@ is not tractable exactly; every reported value is therefore a Bracket:
   first-improvement local search. Both start from a fixed list of
   candidate couplings, each matrix once (_candidate_couplings).
   dconc_bracket scores each and improves the best two by mass-cycle
-  moves. The box witness is a support S with a coupling that puts the
-  most mass any coupling can on S (a bipartite max-flow,
-  stats._support_flow): box_bracket searches supports, which the
-  candidate couplings propose and a local search that adds or drops one
-  pair refines. COUPLING_CANDIDATES and LOCAL_SEARCH_STEPS are the
-  search budgets;
+  moves. box_bracket searches supports only, the candidate couplings'
+  and then those one pair away, each under its max-flow coupling
+  (stats._support_flow), which puts the most mass any coupling can on
+  it; the witness is the best support with that coupling.
+  COUPLING_CANDIDATES and LOCAL_SEARCH_STEPS are the search budgets;
 * the lower bound is certified, and is the larger of two bounds, which
   the lower witness names:
   - the observable-diameter transfer bound: whenever od(X; -(kappa +
@@ -53,7 +52,7 @@ from itertools import chain, permutations, product
 import numpy as np
 
 from ._kernels import block_slices, linear_assignment, sorted_unique
-from .core import FiniteGDS, ProbVector
+from .core import MARGINAL_TOL, FiniteGDS, ProbVector
 from .errors import (
     ComputationError,
     EmptySupport,
@@ -63,9 +62,8 @@ from .errors import (
 )
 from .families import dist_to_orbit, dist_to_orbit_sup
 from .laws import law_lower
-from .stats import _nw_corner, _support_flow
+from .stats import _hausdorff, _nw_corner, _support_flow
 
-MARGINAL_TOL = 1e-9
 # equal-size pairs of at most this many points also try, as couplings,
 # the permutations that match their masses
 PERMUTATION_CAP = 4
@@ -182,31 +180,6 @@ def _dconc_value(X, Y, pi, cutoff) -> float:
         lambda g, f: dist_to_orbit(g, f, X.family, mu).value,
         cutoff,
     )
-
-
-def _hausdorff(fx, gy, forward, backward, cutoff=math.inf) -> float:
-    """max(max_f min_g forward(f, g), max_g min_f backward(g, f)).
-
-    An inner minimum stops as soon as it is at or below the running
-    maximum, since that row can no longer raise it, and the forward
-    maximum carries into the backward pass. Both only skip values that
-    cannot change the result, so it is bit for bit the full scan's.
-    The scan also stops once the running maximum reaches `cutoff` and
-    returns it. So the result is the full scan's whenever that is below
-    `cutoff`, and at least `cutoff` otherwise.
-    """
-    best = -math.inf
-    for rows, cols, dist in ((fx, gy, forward), (gy, fx, backward)):
-        for a in rows:
-            low = math.inf
-            for b in cols:
-                low = min(low, dist(a, b))
-                if low <= best:
-                    break
-            best = max(best, low)
-            if best >= cutoff:
-                return best
-    return best
 
 
 class OdLowerBound(float):
@@ -556,52 +529,49 @@ def _pair_scores(X, Y, pairs):
     return scores
 
 
-def _support_moves(obj, nx: int, ny: int):
-    """The supports one pair away from the support S of obj = (S, pi), to
-    score under their max-flow couplings: each with one pair dropped,
-    then each with one added."""
-    S, have = obj[0], set(obj[0])
+def _support_moves(S, nx: int, ny: int):
+    """The supports one pair away from the support S: each with one pair
+    dropped, then each with one added."""
+    have = set(S)
     drops = (S[:k] + S[k + 1:] for k in range(len(S)) if len(S) > 1)
     adds = (tuple(sorted(S + ((i, j),))) for i in range(nx) for j in range(ny) if (i, j) not in have)
     for trial in chain(drops, adds):
-        yield trial, (trial, None), f"max-flow coupling, {len(trial)} pairs after local search"
+        yield trial, trial, f"max-flow coupling, {len(trial)} pairs after local search"
 
 
 def box_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None) -> Bracket:
     """Bracket for the box distance between X and Y.
 
     Upper bound: the least box value over supports S (sorted pair
-    tuples), each scored once by a _Search, under a coupling that puts
-    all its mass on S or else under one that puts the most mass any
-    coupling can on S (a max-flow, stats._support_flow), so the witness
-    is S with that coupling. The supports searched are the candidate
-    couplings' own, scored in full by box_objective; for the best three
-    of those, their singletons and greedy discard sweeps over per-pair
-    residuals; then a local search from the best support that adds or
-    drops one pair, within LOCAL_SEARCH_STEPS scorings. Lower bound:
-    lower_bound(X, Y, box=True). As in dconc_bracket, the search stops
-    once the upper bound reaches it.
+    tuples), each scored once by a _Search under a coupling that puts
+    the most mass any coupling can on S (a max-flow,
+    stats._support_flow), so the witness is S with that coupling. The
+    supports searched are the candidate couplings' own, scored in full
+    by box_objective; for the best three of those, their singletons and
+    greedy discard sweeps over per-pair residuals; then a local search
+    from the best support that adds or drops one pair, within
+    LOCAL_SEARCH_STEPS scorings. Lower bound: lower_bound(X, Y,
+    box=True). As in dconc_bracket, the search stops once the upper
+    bound reaches it.
     """
     cfg = config or SearchConfig()
     if _oriented(X, Y):
         return box_bracket(Y, X, cfg)
     lower = lower_bound(X, Y, box=True)
 
-    def objective(obj, cutoff):
-        S, pi = obj
-        if pi is not None:
-            return box_objective(X, Y, pi, S)
-        return _box_value(X, Y, _support_flow(X.masses, Y.masses, S), S, cutoff)
+    def objective(S, cutoff):
+        pi = _support_flow(X.masses, Y.masses, S)
+        return box_objective(X, Y, pi, S) if cutoff == math.inf else _box_value(X, Y, pi, S, cutoff)
 
     search = _Search(lower, objective)
     scored = []
     for name, pi in _candidate_couplings(X, Y, cfg):
         pairs = tuple(_support_pairs(pi))
-        scored.append((search.score(pairs, (pairs, pi), f"coupling {name}, full support"), name, pi, pairs))
+        scored.append((search.score(pairs, pairs, f"coupling {name}, full support"), name, pi, pairs))
     for _, name, pi, pairs in sorted((t for t in scored if t[0] is not None), key=lambda t: t[0])[:3]:
         if len(pairs) <= 64:
             for p in pairs:
-                search.score((p,), ((p,), None), f"max-flow coupling, singleton {p}", search.value)
+                search.score((p,), (p,), f"max-flow coupling, singleton {p}", search.value)
         # greedy peel: repeatedly drop the worst-aligned pair (the lightest
         # of tied ones under pi), re-scoring against alignments optimized
         # on the surviving support
@@ -613,7 +583,7 @@ def box_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None) 
             worst = np.flatnonzero(scores == scores.max())
             keep.pop(int(worst[np.argmin([pi[keep[t]] for t in worst])]))
             S = tuple(keep)
-            search.score(S, (S, None), f"max-flow coupling, {len(S)} pairs of coupling {name}", search.value)
+            search.score(S, S, f"max-flow coupling, {len(S)} pairs of coupling {name}", search.value)
     moves = partial(_support_moves, nx=X.n_points, ny=Y.n_points)
     search.descend(search.best, search.value, moves, LOCAL_SEARCH_STEPS)
     witness = lower.describe()

@@ -6,11 +6,11 @@ the series over levels of Hausdorff box distances with weights
 1 / (2 N 2^N). The pyramid of X realizes the same level-N measurement
 sets as X itself, so this series is also the pyramid metric estimate.
 
-Truncation at level L leaves a tail bounded in closed form. When the
-family contains translations, every per-level Hausdorff term is at most
-1 (a singleton support with a translated witness keeps the box
-objective below 1); identity and clip-only families instead get a tail
-computed from the largest observed feature magnitude.
+Truncation at level L leaves a tail, which _tail bounds from above.
+When both families contain translations, every per-level Hausdorff term
+is at most 1 (a singleton support with a translated witness keeps the
+box objective below 1); other families cap it by the largest observed
+feature magnitude.
 
 Sampled (non-exhaustive) levels bias the member sets in no controlled
 direction, so their Hausdorff bracket keeps lower = 0 and is flagged an
@@ -36,12 +36,29 @@ def series_weight(N: int) -> float:
 
 
 def series_tail(L: int) -> float:
-    """Closed form of sum_{N > L} 1 / (2 N 2^N).
+    """sum_{N > L} 1 / (2 N 2^N), never below its exact value (_tail)."""
+    return _tail(L, lambda N: 1.0)
 
-    Uses sum_{N >= 1} x^N / N = -log(1 - x) at x = 1/2.
+
+def _tail(L: int, cap) -> float:
+    """sum_{N > L} cap(N) / (2 N 2^N), never below its exact value, for
+    caps with cap(N) >= 0 and cap(N) / N not growing with N.
+
+    math.fsum adds the terms t_N from N = L + 1 on; the first at most
+    2^-61 of t_{L+1} is doubled instead, as the terms from it on sum to
+    at most that. A term carries at most two roundings to nearest (cap,
+    and cap / 2N; scaling by 2^-N is exact) and the sum one more, so it
+    is at least 1 - 3 * 2^-53 of the exact tail, and scaling by
+    1 + 2^-50 lifts it above. No closed form (log 2 - ...) / 2: a
+    difference of nearly equal numbers, it can fall below the tail.
     """
-    partial = sum(0.5**N / N for N in range(1, L + 1))
-    return 0.5 * (math.log(2.0) - partial)
+    terms, N = [], L
+    while True:
+        N += 1
+        t = math.ldexp(cap(N) / (2.0 * N), -N)
+        if terms and t <= 2.0**-61 * terms[0]:
+            return math.fsum(terms + [2.0 * t]) * (1.0 + 2.0**-50)
+        terms.append(t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,20 +155,6 @@ def _per_level_cap(X: FiniteGDS, Y: FiniteGDS, N: int) -> float:
     return 2.0 * (mx + my)
 
 
-def _tail_bound(X: FiniteGDS, Y: FiniteGDS, L: int) -> float:
-    if X.family.contains_translations and Y.family.contains_translations:
-        return series_tail(L)
-    total = 0.0
-    N = L + 1
-    while True:
-        term = series_weight(N) * _per_level_cap(X, Y, N)
-        total += term
-        if term < 1e-18 and N > L + 4:
-            break
-        N += 1
-    return total
-
-
 def staircase_distance(
     X: FiniteGDS, Y: FiniteGDS, L: int, config: SearchConfig | None = None
 ) -> SeriesBracket:
@@ -159,7 +162,7 @@ def staircase_distance(
 
     partial sums the per-level Hausdorff uppers with level weights;
     lower_partial sums the certified level lowers. The tail beyond L is
-    bounded in closed form.
+    bounded by _tail.
     """
     if L < 1:
         raise InvalidSpec("truncation level must be at least 1")
@@ -176,7 +179,7 @@ def staircase_distance(
         estimate = estimate or br.estimate
     return SeriesBracket(
         partial=partial,
-        tail_bound=_tail_bound(X, Y, L),
+        tail_bound=_tail(L, lambda N: _per_level_cap(X, Y, N)),
         levels_used=L,
         lower_partial=lower,
         estimate=estimate,

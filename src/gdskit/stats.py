@@ -4,6 +4,9 @@ Partial diameter and Levy mean act on DiscreteMeasureR; the Ky Fan
 metric compares two feature value lists under a common weight vector;
 the Prohorov distance compares two measures on the line. All of them
 are computed exactly over finite candidate sets, no grids involved.
+
+One Hausdorff scan, _hausdorff, serves `hausdorff` on a distance table
+and the dconc and box objectives (distances.py) on orbit distances.
 """
 from __future__ import annotations
 
@@ -198,15 +201,39 @@ def prohorov(mu: DiscreteMeasureR, nu: DiscreteMeasureR) -> float:
     return breaks.least(0.0, float(breaks.v[-1] - breaks.v[0]), d_lo, deficiency)
 
 
-def hausdorff(A, B, dist) -> float:
-    """Hausdorff distance between two index sets under a distance table.
+def _hausdorff(fx, gy, forward, backward, cutoff=np.inf) -> float:
+    """max(max_f min_g forward(f, g), max_g min_f backward(g, f)), over
+    the members f of fx and g of gy.
 
-    max over a of min over b of dist[a][b], symmetrized.
+    An inner minimum stops as soon as it is at or below the running
+    maximum, since that row can no longer raise it, and the forward
+    maximum carries into the backward pass. Both only skip values that
+    cannot change the result, so it is bit for bit the full scan's.
+    The scan also stops once the running maximum reaches `cutoff` and
+    returns it. So the result is the full scan's whenever that is below
+    `cutoff`, and at least `cutoff` otherwise.
     """
+    best = -np.inf
+    for rows, cols, dist in ((fx, gy, forward), (gy, fx, backward)):
+        for a in rows:
+            low = np.inf
+            for b in cols:
+                low = min(low, dist(a, b))
+                if low <= best:
+                    break
+            best = max(best, low)
+            if best >= cutoff:
+                return best
+    return best
+
+
+def hausdorff(A, B, dist) -> float:
+    """Hausdorff distance between two index sets under a distance table:
+    _hausdorff over a in A and b in B of dist[a][b], symmetrized."""
     A = list(A)
     B = list(B)
     if not A or not B:
         raise EmptySet("both sets must be nonempty")
-    dist = np.asarray(dist, dtype=float)
-    sub = dist[np.ix_(A, B)]
-    return float(max(sub.min(axis=1).max(), sub.min(axis=0).max()))
+    table = np.asarray(dist, dtype=float)[np.ix_(A, B)].tolist()
+    rows, cols = range(len(A)), range(len(B))
+    return float(_hausdorff(rows, cols, lambda a, b: table[a][b], lambda b, a: table[a][b]))

@@ -20,12 +20,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import FiniteGDS, ProbVector, point_classes
+from .core import MARGINAL_TOL, FiniteGDS, ProbVector, point_classes
 from .errors import EmptyG, InvalidSpec
 from .families import dist_to_orbit
 from .maps import ClipMap
-
-MASS_MATCH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -167,7 +165,7 @@ class _MapSearch:
             if y >= 0:
                 remaining[y] += xm[i]
             y += 1
-            while y < len(remaining) and remaining[y] < xm[i] - MASS_MATCH_TOL:
+            while y < len(remaining) and remaining[y] < xm[i] - MARGINAL_TOL:
                 y += 1
             if y == len(remaining):
                 assign[i] = -1
@@ -181,7 +179,7 @@ class _MapSearch:
             assign[i] = y
             if i + 1 < len(xm):
                 i += 1
-            elif all(abs(r) <= MASS_MATCH_TOL for r in remaining):
+            elif all(abs(r) <= MARGINAL_TOL for r in remaining):
                 yield tuple(assign)
 
 

@@ -115,6 +115,35 @@ class TestBasicCommands:
         assert (code, out) == (2, "")
         assert f"generator index {index} out of range for 2 generators" in err
 
+    @pytest.mark.parametrize("grid", ["0.5:0.5:0.1", "0.6:0.2:0.1"])
+    @pytest.mark.parametrize("command", ["odiam", "sweep"])
+    def test_kappa_grid_needs_a_below_b(self, two_point_files, capsys, command, grid):
+        argv = ["odiam", two_point_files[0]] if command == "odiam" else ["sweep", "--recipe", "two_point:1"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--kappa-grid", grid])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert "kappa grid needs a < b and positive step" in err
+
+    def test_gen_without_out_prints_sizes(self, capsys):
+        code, out, _ = run(["gen", "hamming_cube:3"], capsys)
+        assert code == 0
+        assert json.loads(out) == {"points": 8, "generators": 8}
+
+    def test_round_values_merges_points(self, tmp_path, capsys):
+        # the first two points differ only in the third decimal: rounded
+        # to one decimal they are one point carrying both masses
+        path = tmp_path / "near.json"
+        path.write_text(
+            '{"points": [0, 1, 2], "weights": [0.25, 0.25, 0.5], "family": "TB",'
+            ' "features": {"generators": [[0.0, 0.004, 1.0]]}}'
+        )
+        assert run(["validate", str(path)], capsys)[:2] == (0, "ok: 3 points, 1 generators, family TB\n")
+        code, out, _ = run(["validate", str(path), "--round-values", "1"], capsys)
+        assert (code, out) == (0, "ok: 2 points, 1 generators, family TB\n")
+        assert run(["pdiam", str(path), "--alpha", "0.75"], capsys)[:2] == (0, "0.996\n")
+        assert run(["pdiam", str(path), "--alpha", "0.75", "--round-values", "1"], capsys)[:2] == (0, "1.0\n")
+
     def test_infinite_float_options_allowed(self, two_point_files, tmp_path, capsys):
         code, out, _ = run(["covnum", two_point_files[0], "--eps", "inf"], capsys)
         assert code == 0 and json.loads(out)["value"] == 1
@@ -264,6 +293,19 @@ class TestDistanceCommands:
         code, _, _ = run(["domination", *two_point_files, "--tol", "0"], capsys)
         assert code == 0
         assert seen == [0.0]
+
+    def test_domination_budget_passed_only_when_given(self, two_point_files, capsys, monkeypatch):
+        # with no --budget, check_domination runs at its own default
+        seen = []
+
+        def fake_check_domination(X, Y, tol, **kwargs):
+            seen.append(kwargs)
+            return DominationVerdict("Dominates", witness_map=(0, 1))
+
+        monkeypatch.setattr("gdskit.cli.check_domination", fake_check_domination)
+        assert run(["domination", *two_point_files], capsys)[0] == 0
+        assert run(["domination", *two_point_files, "--budget", "7"], capsys)[0] == 0
+        assert seen == [{}, {"budget": 7}]
 
     def test_budget_only_on_series_and_domination(self, two_point_files):
         # no bracket search reads a level budget

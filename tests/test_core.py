@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -46,6 +47,14 @@ class TestValidateGds:
             gk.validate_gds([0, 1], [[0.0, 1.0, 2.0]], gk.TB_FAMILY, [0.5, 0.5])
         with pytest.raises(DimensionMismatch):
             gk.validate_gds([0, 1], [[0.0, 1.0]], gk.TB_FAMILY, [0.25, 0.25, 0.5])
+
+    @pytest.mark.parametrize("masses", [[0.5, np.nan], [0.5, np.inf], [1.0, 0.0], [0.5, -0.5], [0.6, 0.6]])
+    def test_atom_masses_checked_as_a_prob_vector(self, masses):
+        # a measure's masses fail exactly as the same weights do
+        with pytest.raises(ValidationError) as want:
+            gk.ProbVector(masses)
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$"):
+            gk.DiscreteMeasureR([0.0, 1.0], masses)
 
     def test_weights_must_sum_to_one(self):
         with pytest.raises(InvalidWeights):

@@ -772,6 +772,22 @@ class TestSupportFlow:
                     )
                     assert best <= box_objective(X, Y, pi, S)
 
+    def test_box_search_scores_supports_under_their_flow(self, monkeypatch):
+        # every box scoring, a candidate's full support included, runs on
+        # the support's max-flow coupling: the search holds supports only
+        real, seen = distances._box_value, []
+
+        def scoring(X, Y, pi, S, cutoff):
+            seen.append(np.array_equal(pi, _support_flow(X.masses, Y.masses, S)))
+            return real(X, Y, pi, S, cutoff)
+
+        monkeypatch.setattr(distances, "_box_value", scoring)
+        rng = np.random.default_rng(167)
+        for family in FAMILIES:
+            for _ in range(4):
+                box_bracket(dyadic_gds(rng, max_n=4, family=family), dyadic_gds(rng, max_n=4, family=family), CFG)
+        assert seen and all(seen)
+
 
 class TestLawBound:
     def test_engine_matches_rational_oracle(self):
@@ -922,6 +938,57 @@ class TestLawBound:
                         row = [orbit_law_distance(f, gk.pushforward(g, other.mu), "TB", box) for g in other.generators]
                         assert row[bound.partner] == min(row) == float(bound)
         assert cut > 0
+
+    def test_budget_spent_inside_a_generator(self, monkeypatch):
+        # a generator that passes the check made before it begins but
+        # spends the budget in its bisections adds nothing: the bound and
+        # its witness are those of the generators searched in full before
+        # it, and the bound is at most the one with no budget limit
+        real = laws._OrbitSearch.unrouted
+        budgets, stopped = [], []
+
+        def unrouted(self, eps):
+            budgets.append(self.budget)
+            try:
+                return real(self, eps)
+            except laws._OverBudget:
+                stopped.append(self.a)
+                raise
+
+        monkeypatch.setattr(laws._OrbitSearch, "unrouted", unrouted)
+        rng = np.random.default_rng(173)
+        inside, unlimited = 0, laws.LAW_BUDGET
+        for _ in range(12):
+            X = dyadic_gds(rng, max_n=4, max_gens=3, family=gk.TB_FAMILY)
+            Y = dyadic_gds(rng, max_n=4, max_gens=3, family=gk.TB_FAMILY)
+            # generators in search order, each with its least distance to
+            # an orbit of the other side, the partner found at it
+            order = []
+            for side, (own, other) in enumerate(((X, Y), (Y, X))):
+                for i, f in enumerate(own.generators):
+                    law = gk.pushforward(f, own.mu)
+                    order.append((side, i, law.values, [gk.pushforward(g, other.mu) for g in other.generators], law))
+            for box in (False, True):
+                monkeypatch.setattr(laws, "LAW_BUDGET", unlimited)
+                budgets.clear()
+                full = float(laws.law_lower(X, Y, box, 0.0))
+                spent = unlimited - budgets[-1][0]
+                for budget in np.linspace(0, spent, 24).astype(int).tolist():
+                    monkeypatch.setattr(laws, "LAW_BUDGET", budget)
+                    stopped.clear()
+                    bound = laws.law_lower(X, Y, box, 0.0)
+                    matches = [k for k, t in enumerate(order) if stopped and np.array_equal(t[2], stopped[0])]
+                    if len(matches) != 1:
+                        continue
+                    inside += 1
+                    rows = [[orbit_law_distance(law, g, "TB", box) for g in targets] for *_, targets, law in order[: matches[0]]]
+                    best = max((min(row) for row in rows), default=0.0)
+                    assert float(bound) == max(best, 0.0) and bound <= full
+                    if best > 0.0:
+                        k = [min(row) for row in rows].index(best)
+                        assert (bound.sides[0], bound.generator) == (("X", "Y")[order[k][0]], order[k][1])
+                        assert rows[k][bound.partner] == best
+        assert inside > 0
 
     def test_witness_names_the_row_that_sets_the_bound(self, monkeypatch):
         # X generator 0 meets Y generator 1 at 0.2, X generator 1 meets

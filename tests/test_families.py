@@ -592,6 +592,33 @@ class TestCovering:
                 assert cx.exact and cy.exact
                 assert cx.value <= cy.value
 
+    def test_greedy_cover_above_twelve_generators(self):
+        # above 12 generators the count is a greedy set cover: at least the
+        # least cover, and within the greedy factor H(largest set) of it
+        from gdskit.families import directed_orbit_matrix
+
+        rng = np.random.default_rng(59)
+        for m in (13, 14, 15, 16):
+            gens = rng.integers(0, 8, size=(m, 5)) / 4.0
+            X = gk.FiniteGDS(tuple(range(5)), gens, gk.TB_FAMILY, gk.ProbVector(dyadic_masses(rng, 5)))
+            d = directed_orbit_matrix(X.generators, X.family, X.mu)
+            for eps in np.quantile(d[d > 0], [0.2, 0.5]):
+                covers = d < eps
+                res = gk.covering_number(X, eps)
+                least = exact_cover_oracle(covers)
+                largest = int(covers.sum(axis=0).max())
+                assert not res.exact
+                assert least <= res.value <= min(m, least * sum(1.0 / k for k in range(1, largest + 1)))
+
+    def test_greedy_cover_finds_separated_orbits(self):
+        # 15 generators, three translates each of five features whose
+        # orbits lie far apart: the greedy cover takes one per orbit
+        base = np.array([[0.0, 1.0, 2.0, 3.0], [3.0, 2.0, 1.0, 0.0], [0.0, 3.0, 0.0, 3.0], [3.0, 0.0, 3.0, 0.0], [0.0, 0.0, 3.0, 3.0]])
+        gens = np.vstack([row + shift for row in base for shift in (0.0, 1.0, -2.0)])
+        X = gk.validate_gds(range(4), gens, gk.T_FAMILY, [0.25] * 4)
+        assert gk.covering_number(X, 0.1) == gk.CoveringResult(5, False)
+        assert gk.capacity(X.generators, 0.1, X.family, X.mu) == gk.CapacityResult(5, False)
+
 
 class TestCapacity:
     def test_single_rep(self):
@@ -633,6 +660,23 @@ class TestCapacity:
 
             s = symmetric_orbit_matrix(X.generators, X.family, X.mu)
             assert capa.value == exact_capacity_oracle(s, eps)
+
+    def test_greedy_capacity_above_twelve_representatives(self):
+        # above 12 representatives the count is a greedy scan: an
+        # eps-discrete set, so at most the largest one, and a maximal one,
+        # so at least m / (1 + the most representatives near one)
+        from gdskit.families import symmetric_orbit_matrix
+
+        rng = np.random.default_rng(61)
+        mu = gk.ProbVector(dyadic_masses(rng, 5))
+        for m in (13, 14, 15, 16):
+            reps = rng.integers(0, 8, size=(m, 5)) / 4.0
+            s = symmetric_orbit_matrix(reps, gk.TB_FAMILY, mu)
+            for eps in np.quantile(s[s > 0], [0.2, 0.5]):
+                res = gk.capacity(reps, eps, gk.TB_FAMILY, mu)
+                near = int(((s <= eps).sum(axis=1) - 1).max())
+                assert not res.exact
+                assert m / (1 + near) <= res.value <= exact_capacity_oracle(s, eps)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptySet):

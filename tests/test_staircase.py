@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,6 +43,54 @@ class TestSeries:
 
     def test_tail_after_two_levels_bound(self):
         assert series_tail(2) < 2.0**-3
+
+    def test_tail_never_below_exact(self, monkeypatch):
+        # the closed form (log 2 - sum_{N <= L} 2^-N / N) / 2 read
+        # 0.03407359027997264 at L = 2, 1.7 ulps below the exact
+        # 0.0340735902799726547, and 1.1e-16 from L = 50 on, against an
+        # exact 8.5e-18 there
+        with localcontext() as ctx:
+            ctx.prec = 60
+            ln2 = Decimal(2).ln()
+
+        def exact_tail(K):
+            # sum_{N > K} 1 / (2 N 2^N) to 50 digits
+            with localcontext() as ctx:
+                ctx.prec = 60
+                head = sum(Decimal(1) / (N * Decimal(2) ** N) for N in range(1, K + 1))
+                return Fraction((ln2 - head) / 2)
+
+        def gds(family, top):
+            return gk.validate_gds([0, 1], [[0.0, top]], family, [0.5, 0.5])
+
+        pairs = {
+            "T": (gds(gk.T_FAMILY, 3.0), gds(gk.TB_FAMILY, 0.5)),
+            "id": (gds(gk.ID_FAMILY, 2.5), gds(gk.ID_FAMILY, 0.3)),
+            "B": (gds(gk.B_FAMILY, 4.25), gds(gk.TB_FAMILY, 0.1)),
+            "mixed": (gds(gk.T_FAMILY, 0.7), gds(gk.B_FAMILY, 3.3)),
+        }
+        from gdskit import staircase
+
+        # the tail alone: the levels' brackets are not needed
+        monkeypatch.setattr(staircase, "level_hausdorff", lambda a, b, c: gk.Bracket(0.0, 0.0))
+        for kind, (X, Y) in pairs.items():
+            mx, my = (Fraction(float(np.max(np.abs(Z.generators)))) for Z in (X, Y))
+
+            def cap(N):
+                # the caps in exact arithmetic: constant from N = 5 on
+                if kind == "T":
+                    return Fraction(1)
+                if kind == "B":
+                    return 2 * max(min(N, mx), min(N, my))
+                return 2 * (min(N, mx) + min(N, my))
+
+            for L in range(1, 61):
+                K = max(L, 5)
+                exact = sum(cap(N) / (2 * N * 2**N) for N in range(L + 1, K + 1)) + cap(K) * exact_tail(K)
+                tail = staircase_distance(X, Y, L, CFG).tail_bound
+                assert exact <= Fraction(tail) <= exact * (1 + Fraction(1, 2**47)), (kind, L)
+                if kind == "T":
+                    assert tail == series_tail(L)
 
 
 class TestStaircaseLevel:

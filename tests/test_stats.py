@@ -331,3 +331,14 @@ class TestHausdorff:
     def test_empty_rejected(self):
         with pytest.raises(EmptySet):
             gk.hausdorff([], [0], np.zeros((1, 1)))
+
+    def test_table_scan_matches_whole_table_minima(self):
+        # the one Hausdorff scan, on a table, is bit for bit the maximum
+        # of the row and column minima, ties and repeated indices included
+        rng = np.random.default_rng(71)
+        for _ in range(200):
+            d = rng.integers(0, 6, size=(7, 7)) / rng.choice([1.0, 3.0, 7.0])
+            A = rng.integers(0, 7, size=int(rng.integers(1, 6))).tolist()
+            B = rng.integers(0, 7, size=int(rng.integers(1, 6))).tolist()
+            sub = d[np.ix_(A, B)]
+            assert gk.hausdorff(A, B, d) == max(sub.min(axis=1).max(), sub.min(axis=0).max())
