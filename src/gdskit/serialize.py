@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 
 import numpy as np
 
@@ -112,13 +111,14 @@ def gds_to_obj(X: FiniteGDS) -> dict:
 
 
 def parse_gds(path: str) -> FiniteGDS:
-    if not os.path.exists(path):
-        raise SchemaError("", f"no such file: {path}")
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError("", f"invalid JSON: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise SchemaError("", f"invalid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        # an OSError's own text repeats the path; its strerror does not
+        raise SchemaError("", f"cannot read {path}: {getattr(exc, 'strerror', None) or exc}") from exc
     return gds_from_obj(obj)
 
 

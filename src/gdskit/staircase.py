@@ -31,8 +31,9 @@ from .transforms import enumerate_measurements
 
 
 def series_weight(N: int) -> float:
-    """Level weight 1 / (2 N 2^N)."""
-    return 1.0 / (2.0 * N * 2.0**N)
+    """Level weight 1 / (2 N 2^N). Scaling by 2^-N is exact above the
+    subnormal range and, unlike 2.0**N, never overflows."""
+    return math.ldexp(1.0 / (2.0 * N), -N)
 
 
 def series_tail(L: int) -> float:

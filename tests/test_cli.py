@@ -47,6 +47,19 @@ class TestBasicCommands:
         assert code == 2
         assert "/weights" in err
 
+    @pytest.mark.parametrize("kind", ["directory", "not_utf8", "missing"])
+    def test_unreadable_file_exit_2(self, tmp_path, capsys, kind):
+        # a directory ended in an IsADirectoryError traceback and a file
+        # that is not UTF-8 in a UnicodeDecodeError one, both exit 1
+        path = tmp_path / "in.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not_utf8":
+            path.write_bytes(b'{"points": ["\xff"]}')
+        code, out, err = run(["validate", str(path)], capsys)
+        assert (code, out) == (2, "")
+        assert err.count(str(path)) == 1
+
     def test_non_finite_file_exit_2(self, tmp_path, capsys):
         # a NaN weight with an Infinity feature printed od = -inf, and a NaN
         # feature printed nan

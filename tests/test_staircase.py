@@ -31,6 +31,14 @@ class TestSeries:
         assert series_weight(2) == 1 / 16
         assert series_weight(3) == 1 / 48
 
+    def test_weight_past_two_to_the_1023(self):
+        # 2.0**N overflowed from N = 1 024 on; below the subnormal range
+        # the weight is the quotient it always was
+        for N in range(1, 1014):
+            assert series_weight(N) == 1.0 / (2.0 * N * 2.0**N)
+        for N in (1024, 1100):
+            assert math.isfinite(series_weight(N)) and series_weight(N) >= 0.0
+
     def test_weight_sum_identity(self):
         # sum over N of weight(N) * 2N = sum 2^-N = 1
         total = sum(series_weight(N) * 2 * N for N in range(1, 200))
