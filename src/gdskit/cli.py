@@ -18,9 +18,9 @@ import time
 
 import numpy as np
 
-from .core import FamilyTag, pushforward
+from .core import TB_FAMILY, FamilyTag, pushforward
 from .distances import SearchConfig, box_bracket, dconc_bracket
-from .errors import ComputationError, GdsError, ValidationError
+from .errors import GdsError, ValidationError
 from .obsdiam import observable_diameter, od_profile
 from .serialize import parse_gds, serialize_gds
 from .spaces import SpaceRecipe, generate_space
@@ -30,10 +30,6 @@ from .transforms import MeasurementSpec, check_domination, measurement, quotient
 
 # the most kappas a --kappa-grid may list; each costs one od evaluation
 MAX_KAPPAS = 10_000
-
-
-def _family(text: str) -> FamilyTag:
-    return FamilyTag.parse(text)
 
 
 def _number(text: str) -> float:
@@ -116,8 +112,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    recipe = SpaceRecipe.parse(args.recipe, family=_family(args.family))
-    X = generate_space(recipe)
+    X = generate_space(SpaceRecipe.parse(args.recipe, FamilyTag.parse(args.family)))
     if args.out:
         serialize_gds(X, args.out)
     else:
@@ -181,7 +176,7 @@ def cmd_covnum(args) -> int:
     from .families import covering_number
 
     X = _load(args.file, args)
-    family = _family(args.family) if args.family else None
+    family = FamilyTag.parse(args.family) if args.family else None
     res = covering_number(X, args.eps, family)
     print(json.dumps({"value": res.value, "exact": res.exact}))
     return 0
@@ -222,7 +217,7 @@ def cmd_domination(args) -> int:
     return 4 if verdict.status == "Unknown" else 0
 
 
-def sweep(recipes, kappas, family: FamilyTag | None = None):
+def sweep(recipes, kappas, family: FamilyTag = TB_FAMILY):
     """Observable-diameter sweep over recipes and a kappa grid.
 
     Returns CSV text with columns (recipe, param, kappa, od,
@@ -237,9 +232,7 @@ def sweep(recipes, kappas, family: FamilyTag | None = None):
         raise ValidationError("at least one kappa is required")
     rows = []
     for rec in recipes:
-        recipe = rec if isinstance(rec, SpaceRecipe) else SpaceRecipe.parse(
-            rec, family=family or FamilyTag.parse("TB")
-        )
+        recipe = SpaceRecipe.parse(rec, family)
         X = generate_space(recipe)
         for kappa in sorted(kappas):
             t0 = time.perf_counter()
@@ -257,7 +250,7 @@ def sweep(recipes, kappas, family: FamilyTag | None = None):
 
 def cmd_sweep(args) -> int:
     kappas = args.kappa_grid or (args.kappa,)
-    _emit(sweep(args.recipe, kappas, family=_family(args.family)), args.out)
+    _emit(sweep(args.recipe, kappas, family=FamilyTag.parse(args.family)), args.out)
     return 0
 
 
@@ -282,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func="cmd_validate")
 
     p = sub.add_parser("gen", help="generate a standard space")
-    p.add_argument("recipe", help="two_point:<d> | hamming_cube:<k>[:by_k] | path:<n>:<step> | random_cloud:<n>:<dim>:<metric>:<seed>")
+    p.add_argument("recipe", help="two_point:<d> | hamming_cube:<k>[:by_k] | path:<n>:<step> | random_cloud:<n>:<dim>:<linf|l2>:<seed> | file:<path>")
     p.add_argument("--family", default="TB", help="id | T | B | TB | lip1")
     p.add_argument("--out", default=None)
     p.set_defaults(func="cmd_gen")
@@ -375,10 +368,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ComputationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except GdsError as exc:  # pragma: no cover - catch-all for new error kinds
+    except GdsError as exc:  # ComputationError and any other kind
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -94,4 +94,4 @@ class SchemaError(ValidationError):
 
     def __init__(self, pointer, message):
         self.pointer = pointer
-        super().__init__(f"{pointer}: {message}")
+        super().__init__(f"{pointer}: {message}" if pointer else message)

@@ -287,7 +287,15 @@ def _lip1_cover(f, g, stretch, w):
     return cover
 
 
-class _KyFan:
+class _Metric:
+    def best(self, f, g, maps):
+        """(value, map) of the map that brings g nearest f, the first on a tie."""
+        vals = self.rows(np.abs(f[None, :] - np.vstack([p.apply(g) for p in maps])))
+        j = int(np.argmin(vals))
+        return float(vals[j]), maps[j]
+
+
+class _KyFan(_Metric):
     """Ky Fan scorers under the weights w. A clip radius is accepted at
     eps when it leaves weight at most eps farther than eps."""
 
@@ -324,9 +332,7 @@ class _KyFan:
         breaks = breaks[: np.searchsorted(breaks, t_vals[0], side="right") + 1]
         found = _first_accepted(breaks, _tb_cover(fs, ds, self.w[order]), self)
         maps = [ClipMap.translation(t_shifts[0])] + [build() for _, build in found]
-        vals = self.rows(np.abs(f[None, :] - np.vstack([p.apply(g) for p in maps])))
-        j = int(np.argmin(vals))
-        return float(vals[j]), maps[j]
+        return self.best(f, g, maps)
 
     def lip1(self, f, g):
         """Exact lip1 orbit distance, as (value, map): the first
@@ -336,12 +342,10 @@ class _KyFan:
         stretch = np.abs(f[:, None] - f[None, :]) - np.abs(g[:, None] - g[None, :])
         breaks = sorted_unique(np.maximum(stretch, 0.0) / 2.0)
         maps = [build() for _, build in _first_accepted(breaks, _lip1_cover(f, g, stretch, self.w), self)]
-        vals = self.rows(np.abs(f[None, :] - np.vstack([p.apply(g) for p in maps])))
-        j = int(np.argmin(vals))
-        return float(vals[j]), maps[j]
+        return self.best(f, g, maps)
 
 
-class _Sup:
+class _Sup(_Metric):
     """Sup-norm scorers over n points. Every point weighs 1 in the clip
     sweep, and a radius is accepted at eps only when it leaves no point
     farther than eps."""
@@ -379,7 +383,7 @@ class _Sup:
         else:
             c = (d[above > top].max() + d[under > top].min()) / 2.0
             p = ClipMap(float(c), float(f.min() + top / 2.0), float(f.max() - top / 2.0))
-        return float(np.max(np.abs(f - p.apply(g)))), p
+        return self.best(f, g, [p])
 
     def lip1(self, f, g):
         """Exact lip1 orbit distance, as (value, map): by McShane's
@@ -387,7 +391,7 @@ class _Sup:
         the central extension over every point reaches.
         """
         p = _mcshane(f, g, np.arange(f.size))
-        return float(np.max(np.abs(f - p.apply(g)))), p
+        return self.best(f, g, [p])
 
 
 def _orbit_distance(f, g, family: FamilyTag, metric) -> OrbitDistanceResult:

@@ -1,8 +1,9 @@
 """Standard space recipes for experiments and the CLI.
 
-Metric-based kinds (two-point, Hamming cube, path, random cloud) embed
-their distance matrix through distance-to-point features
-(`embed_mm_space`), as `observable_diameter_hss` does.
+A recipe is a kind and its fields, `kind:field:...`. `_KINDS` holds each
+metric-based kind's field types, array size and matrix function; the
+matrix is embedded through distance-to-point features (`embed_mm_space`),
+as `observable_diameter_hss` does. `file:<path>` reads a data-set file.
 """
 from __future__ import annotations
 
@@ -19,71 +20,44 @@ MAX_POINTS = 4096
 
 @dataclass(frozen=True)
 class SpaceRecipe:
+    """A recipe kind, its fields and the family of the data set it
+    generates. Each field is read with its kind's cast in `_KINDS`, from
+    text or a value, and must fit its rule; a file's one field is its path."""
+
     kind: str
-    d: float | None = None
-    k: int | None = None
-    normalize_by_k: bool = False
-    n: int | None = None
-    step: float | None = None
-    dim: int | None = None
-    metric: str = "linf"
-    seed: int | None = None
-    path: str | None = None
+    fields: tuple
     family: FamilyTag = TB_FAMILY
 
+    def __post_init__(self):
+        if self.kind == "file":
+            return
+        if self.kind not in _KINDS:
+            raise ValidationError(f"unknown recipe kind {self.kind!r}")
+        rules, casts, oks = zip(*_KINDS[self.kind][0])
+        least = sum(not rule.startswith("[") for rule in rules)
+        try:
+            fields = tuple(cast(v) for cast, v in zip(casts, self.fields))
+            if not (least <= len(self.fields) <= len(rules) and all(ok(v) for ok, v in zip(oks, fields))):
+                raise ValueError(self.fields)
+        except ValueError as exc:
+            text = ":".join([self.kind, *map(str, self.fields)])
+            raise ValidationError(f"bad recipe {text!r}: expected {self.kind}{''.join(rules)}") from exc
+        object.__setattr__(self, "fields", fields)
+
     def label(self) -> str:
-        if self.kind == "two_point":
-            return f"two_point:{self.d:g}"
-        if self.kind == "hamming_cube":
-            suffix = ":by_k" if self.normalize_by_k else ""
-            return f"hamming_cube:{self.k}{suffix}"
-        if self.kind == "path":
-            return f"path:{self.n}:{self.step:g}"
-        if self.kind == "random_cloud":
-            return f"random_cloud:{self.n}:{self.dim}:{self.metric}:{self.seed}"
-        return f"file:{self.path}"
+        """The recipe text, with floats in `g` format."""
+        return ":".join([self.kind, *(f"{v:g}" if isinstance(v, float) else str(v) for v in self.fields)])
 
     @property
     def param(self) -> float:
-        if self.kind == "two_point":
-            return float(self.d)
-        if self.kind == "hamming_cube":
-            return float(self.k)
-        if self.kind in ("path", "random_cloud"):
-            return float(self.n)
-        return 0.0
+        """The first field, or 0.0 for a file."""
+        return 0.0 if self.kind == "file" else float(self.fields[0])
 
     @classmethod
     def parse(cls, text: str, family: FamilyTag = TB_FAMILY) -> "SpaceRecipe":
-        """Parse compact recipe strings:
-
-        two_point:<d>, hamming_cube:<k>[:by_k], path:<n>:<step>,
-        random_cloud:<n>:<dim>:<linf|l2>:<seed>, file:<path>.
-        """
-        parts = text.split(":")
-        kind = parts[0]
-        try:
-            if kind == "two_point":
-                return cls(kind, d=float(parts[1]), family=family)
-            if kind == "hamming_cube":
-                by_k = len(parts) > 2 and parts[2] == "by_k"
-                return cls(kind, k=int(parts[1]), normalize_by_k=by_k, family=family)
-            if kind == "path":
-                return cls(kind, n=int(parts[1]), step=float(parts[2]), family=family)
-            if kind == "random_cloud":
-                return cls(
-                    kind,
-                    n=int(parts[1]),
-                    dim=int(parts[2]),
-                    metric=parts[3],
-                    seed=int(parts[4]),
-                    family=family,
-                )
-            if kind == "file":
-                return cls(kind, path=":".join(parts[1:]), family=family)
-        except (IndexError, ValueError) as exc:
-            raise ValidationError(f"bad recipe {text!r}") from exc
-        raise ValidationError(f"unknown recipe kind {kind!r}")
+        """Parse `kind:field:...`; a file's path is all the text after `file:`."""
+        kind, _, rest = text.partition(":")
+        return cls(kind, (rest,) if kind == "file" else tuple(rest.split(":")), family)
 
 
 def hamming_cube_matrix(k: int, normalize_by_k: bool) -> np.ndarray:
@@ -99,62 +73,84 @@ def hamming_cube_matrix(k: int, normalize_by_k: bool) -> np.ndarray:
     return D
 
 
-def generate_space(recipe: SpaceRecipe) -> FiniteGDS:
-    """Instantiate a recipe; deterministic per recipe and seed."""
-    if recipe.kind == "two_point":
-        if recipe.d is None or recipe.d <= 0:
-            raise ValidationError("two_point needs a positive separation")
-        D = np.array([[0.0, recipe.d], [recipe.d, 0.0]])
-    elif recipe.kind == "hamming_cube":
-        if recipe.k is None or recipe.k < 1:
-            raise ValidationError("hamming_cube needs k >= 1")
-        if (1 << recipe.k) > MAX_POINTS:
-            raise TooLarge(f"2^{recipe.k} points exceed the cap of {MAX_POINTS}")
-        D = hamming_cube_matrix(recipe.k, recipe.normalize_by_k)
-    elif recipe.kind == "path":
-        if recipe.n is None or recipe.n < 2 or recipe.step is None or recipe.step <= 0:
-            raise ValidationError("path needs n >= 2 points and a positive step")
-        if recipe.n > MAX_POINTS:
-            raise TooLarge(f"{recipe.n} points exceed the cap of {MAX_POINTS}")
-        idx = np.arange(recipe.n, dtype=float)
-        D = np.subtract.outer(idx, idx)
-        np.abs(D, out=D)
-        D *= recipe.step
-    elif recipe.kind == "random_cloud":
-        if recipe.seed is None:
-            raise ValidationError("random_cloud requires a seed")
-        if recipe.n is None or recipe.n < 2 or recipe.dim is None or recipe.dim < 1:
-            raise ValidationError("random_cloud needs n >= 2 and dim >= 1")
-        if recipe.n > MAX_POINTS:
-            raise TooLarge(f"{recipe.n} points exceed the cap of {MAX_POINTS}")
-        rng = np.random.default_rng(recipe.seed)
-        # dyadic coordinates keep all pairwise distances exact
-        pts = rng.integers(0, 1025, size=(recipe.n, recipe.dim)) / 1024.0
-        if recipe.metric not in ("linf", "l2"):
-            raise ValidationError(f"unknown cloud metric {recipe.metric!r}")
+def _path_matrix(n: int, step: float) -> np.ndarray:
+    idx = np.arange(n, dtype=float)
+    D = np.subtract.outer(idx, idx)
+    np.abs(D, out=D)
+    D *= step
+    return D
 
-        # in row blocks: one (n, n, dim) difference tensor would hold dim
-        # times the matrix
-        D = np.empty((recipe.n, recipe.n))
-        zeros = 0
-        for rows in block_slices(recipe.n, pts.size):
-            diff = pts[rows, None, :] - pts[None, :, :]
-            if recipe.metric == "linf":
-                np.abs(diff).max(axis=2, out=D[rows])
-            else:
-                np.sqrt((diff**2).sum(axis=2), out=D[rows])
-            zeros += np.count_nonzero(D[rows] == 0.0)
-        # re-draw coincident points deterministically is overkill; reject
-        # instead. The diagonal is exactly zero, so any further zero is a
-        # coincident pair.
-        if zeros > recipe.n:
-            raise ValidationError("seed produced coincident points; pick another seed")
-    elif recipe.kind == "file":
+
+def _cloud_matrix(n: int, dim: int, metric: str, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    # dyadic coordinates keep all pairwise distances exact
+    pts = rng.integers(0, 1025, size=(n, dim)) / 1024.0
+
+    # in row blocks: one (n, n, dim) difference tensor would hold dim
+    # times the matrix
+    D = np.empty((n, n))
+    zeros = 0
+    for rows in block_slices(n, pts.size):
+        diff = pts[rows, None, :] - pts[None, :, :]
+        if metric == "linf":
+            np.abs(diff).max(axis=2, out=D[rows])
+        else:
+            np.sqrt((diff**2).sum(axis=2), out=D[rows])
+        zeros += np.count_nonzero(D[rows] == 0.0)
+    # re-draw coincident points deterministically is overkill; reject
+    # instead. The diagonal is exactly zero, so any further zero is a
+    # coincident pair.
+    if zeros > n:
+        raise ValidationError("seed produced coincident points; pick another seed")
+    return D
+
+
+# kind -> (fields, entries, build). A field is (rule, cast, ok): its
+# grammar, bracketed when optional (trailing fields only), its type and
+# its range. entries(*fields) counts the entries of the largest array
+# that build(*fields), which returns the distance matrix, fills.
+_KINDS = {
+    "two_point": (
+        ((":<d > 0>", float, lambda d: d > 0),),
+        lambda d: 4,
+        lambda d: np.array([[0.0, d], [d, 0.0]]),
+    ),
+    # a cube past 64 dimensions is far over any cap; 4^64 stands in for it
+    "hamming_cube": (
+        ((":<k >= 1>", int, lambda k: k >= 1), ("[:by_k]", str, lambda s: s == "by_k")),
+        lambda k, by_k=None: 4 ** min(k, 64),
+        lambda k, by_k=None: hamming_cube_matrix(k, by_k is not None),
+    ),
+    "path": (
+        ((":<n >= 2>", int, lambda n: n >= 2), (":<step > 0>", float, lambda s: s > 0)),
+        lambda n, step: n * n,
+        _path_matrix,
+    ),
+    # the n x dim coordinates may hold no more entries than the matrix
+    "random_cloud": (
+        (
+            (":<n >= 2>", int, lambda n: n >= 2),
+            (":<dim >= 1>", int, lambda dim: dim >= 1),
+            (":<linf|l2>", str, lambda m: m in ("linf", "l2")),
+            (":<seed >= 0>", int, lambda seed: seed >= 0),
+        ),
+        lambda n, dim, metric, seed: n * max(n, dim),
+        _cloud_matrix,
+    ),
+}
+
+
+def generate_space(recipe: SpaceRecipe) -> FiniteGDS:
+    """Instantiate a recipe; deterministic per recipe and seed. One that
+    needs larger arrays than a `MAX_POINTS`-point matrix is refused first."""
+    if recipe.kind == "file":
         from .serialize import parse_gds
 
-        return parse_gds(recipe.path)
-    else:
-        raise ValidationError(f"unknown recipe kind {recipe.kind!r}")
+        return parse_gds(recipe.fields[0])
+    _, entries, build = _KINDS[recipe.kind]
+    if entries(*recipe.fields) > MAX_POINTS**2:
+        raise TooLarge(f"{recipe.label()} needs larger arrays than a {MAX_POINTS}-point matrix, the cap")
+    D = build(*recipe.fields)
     # read-only and owned, so the data set keeps this array, not a copy
     D.setflags(write=False)
     return embed_mm_space(D, ProbVector.uniform(D.shape[0]), recipe.family)

@@ -236,6 +236,15 @@ def check_domination(
 
 def rounded(X: FiniteGDS, decimals: int) -> tuple[FiniteGDS, np.ndarray]:
     """Round generator values and quotient away points that coincide
-    afterwards. Returns the rounded data set and the point map."""
-    rows = np.round(X.generators, decimals)
+    afterwards; returns the rounded data set and the point map. Python's
+    exact `round` serves where np.round's 10^decimals scaling overflows,
+    and |decimals| > 400 act as 400. InvalidSpec: a value past every float."""
+    decimals = min(max(decimals, -400), 400)
+    with np.errstate(all="ignore"):
+        rows = np.round(X.generators, decimals)
+    lost = ~np.isfinite(rows)  # generator values are finite
+    try:
+        rows[lost] = [round(float(x), decimals) for x in X.generators[lost]]
+    except OverflowError as exc:
+        raise InvalidSpec(f"values rounded to {decimals} decimals pass the largest float") from exc
     return quotient(X, rows)

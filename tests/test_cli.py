@@ -2,6 +2,10 @@ import csv
 import gc
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -59,6 +63,21 @@ class TestBasicCommands:
         code, out, err = run(["validate", str(path)], capsys)
         assert (code, out) == (2, "")
         assert err.count(str(path)) == 1
+
+    @pytest.mark.parametrize(
+        "kind, start", [("directory", "error: cannot read"), ("not_json", "error: invalid JSON")], ids=["directory", "not_json"]
+    )
+    def test_file_error_has_no_empty_pointer(self, tmp_path, capsys, kind, start):
+        # a file-level schema error has no JSON pointer, and printed
+        # "error: : cannot read ..."
+        path = tmp_path / "in.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.write_text("{not json")
+        code, _, err = run(["validate", str(path)], capsys)
+        assert code == 2
+        assert err.startswith(start)
 
     def test_non_finite_file_exit_2(self, tmp_path, capsys):
         # a NaN weight with an Infinity feature printed od = -inf, and a NaN
@@ -138,6 +157,29 @@ class TestBasicCommands:
         assert (exc.value.code, out) == (2, "")
         assert "kappa grid needs a < b and positive step" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "random_cloud:5:2:linf:-1"],
+            ["sweep", "--recipe", "random_cloud:5:2:linf:-1", "--kappa", "0.1"],
+            # numpy refused the 2 x 2^62 coordinate draw with a traceback
+            ["gen", "random_cloud:2:4611686018427387904:linf:1"],
+        ],
+        ids=["gen-negative-seed", "sweep-negative-seed", "gen-oversized-cloud"],
+    )
+    def test_bad_recipe_exit_2(self, capsys, argv):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    def test_cloud_at_the_coordinate_cap_runs(self):
+        # 64 x 262144 coordinates are the MAX_POINTS^2 entries of the
+        # largest matrix; in a fresh process, as it peaks near 420 MB
+        env = {**os.environ, "PYTHONPATH": str(pathlib.Path(cli.__file__).parents[1])}
+        argv = [sys.executable, "-m", "gdskit.cli", "gen", "random_cloud:64:262144:linf:1"]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (0, '{"points": 64, "generators": 64}\n')
+
     def test_gen_without_out_prints_sizes(self, capsys):
         code, out, _ = run(["gen", "hamming_cube:3"], capsys)
         assert code == 0
@@ -156,6 +198,16 @@ class TestBasicCommands:
         assert (code, out) == (0, "ok: 2 points, 1 generators, family TB\n")
         assert run(["pdiam", str(path), "--alpha", "0.75"], capsys)[:2] == (0, "0.996\n")
         assert run(["pdiam", str(path), "--alpha", "0.75", "--round-values", "1"], capsys)[:2] == (0, "1.0\n")
+
+    @pytest.mark.parametrize("decimals", ["400", "99999999999999999999"])
+    def test_round_values_past_every_power_of_ten(self, tmp_path, capsys, decimals):
+        # np.round overflowed at 400 decimals: RuntimeWarnings, then
+        # "generator values must be finite" for a valid file; 10^20 did
+        # not fit a C long and ended in an OverflowError traceback
+        path = str(tmp_path / "cube.json")
+        assert main(["gen", "hamming_cube:3", "--out", path]) == 0
+        code, out, err = run(["validate", path, "--round-values", decimals], capsys)
+        assert (code, out, err) == (0, "ok: 8 points, 8 generators, family TB\n", "")
 
     def test_infinite_float_options_allowed(self, two_point_files, tmp_path, capsys):
         code, out, _ = run(["covnum", two_point_files[0], "--eps", "inf"], capsys)

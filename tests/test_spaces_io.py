@@ -82,6 +82,33 @@ class TestRecipes:
         with pytest.raises(ValidationError, match="coincident"):
             generate_space(SpaceRecipe.parse("random_cloud:300:1:linf:1"))
 
+    @pytest.mark.parametrize("text", ["two_point:1:2", "path:4:1:extra", "hamming_cube:3:xyz", "hamming_cube:3:by_k:1"])
+    def test_extra_fields_rejected(self, text):
+        # fields past a kind's own were dropped, so the recipe built and
+        # its label was no longer its text
+        with pytest.raises(ValidationError):
+            SpaceRecipe.parse(text)
+
+    def test_negative_cloud_seed_rejected(self):
+        # numpy's default_rng raised a ValueError, which is no GdsError
+        with pytest.raises(ValidationError):
+            SpaceRecipe.parse("random_cloud:5:2:linf:-1")
+
+    @pytest.mark.parametrize("text", ["random_cloud:2:4611686018427387904:linf:1", "hamming_cube:9223372036854775808"])
+    def test_refused_before_allocating(self, text):
+        # numpy refused the 2 x 2^62 cloud coordinates with a ValueError
+        # (smaller draws were allocated), and Python the 2^(2^63) point
+        # count of the cube with a MemoryError
+        with pytest.raises(TooLarge):
+            generate_space(SpaceRecipe.parse(text))
+
+    def test_direct_construction_is_checked(self):
+        # fields given as values are read and checked as parse reads text
+        assert SpaceRecipe("path", (4, 0.5)) == SpaceRecipe.parse("path:4:0.5")
+        for kind, fields in (("path", (1, 0.5)), ("random_cloud", (5, 2, "linf", -1)), ("two_point", ())):
+            with pytest.raises(ValidationError):
+                SpaceRecipe(kind, fields)
+
     def test_labels_round_trip(self):
         for text in ("two_point:1", "hamming_cube:4:by_k", "path:5:0.25",
                      "random_cloud:4:2:linf:3"):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -271,3 +273,38 @@ class TestRounded:
         assert Y.n_points == 2
         assert qmap.tolist() == [0, 0, 1]
         assert Y.masses.tolist() == [0.5, 0.5]
+
+    # np.round scales by 10^decimals, so these turned finite values into
+    # inf or nan, with RuntimeWarnings, and the data set was refused
+    def test_large_value_survives(self):
+        X = gk.validate_gds([0, 1], [[0.0, 1e300]], gk.TB_FAMILY, [0.5, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            Y, _ = rounded(X, 10)
+        assert Y.generators.tolist() == [[0.0, 1e300]]
+
+    @pytest.mark.parametrize("decimals", [400, 10**20])
+    def test_decimals_past_every_double(self, decimals):
+        # 10^20 decimals do not fit np.round's C long: OverflowError
+        X = gk.validate_gds([0, 1, 2], [[-5.0, 0.25, 3e-300]], gk.TB_FAMILY, [0.25, 0.25, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(rounded(X, decimals)[0].generators, X.generators)
+            Y, qmap = rounded(X, -decimals)
+        assert Y.n_points == 1
+        assert qmap.tolist() == [0, 0, 0]
+
+    def test_rounding_past_the_largest_float_rejected(self):
+        # 1.7e308 to -308 decimals is 2e308, which no float holds
+        X = gk.validate_gds([0, 1], [[0.0, 1.7e308]], gk.TB_FAMILY, [0.5, 0.5])
+        with pytest.raises(InvalidSpec):
+            rounded(X, -308)
+
+    def test_finite_results_are_np_round(self):
+        rng = np.random.default_rng(41)
+        for decimals in range(-3, 6):
+            gens = rng.normal(size=(2, 12)) * 10.0 ** rng.integers(-4, 5, size=(2, 1))
+            gens[0] = np.arange(12)  # points stay distinct
+            X = gk.validate_gds(range(12), gens, gk.TB_FAMILY, np.full(12, 1 / 12))
+            Y, _ = rounded(X, decimals)
+            assert np.array_equal(Y.generators, quotient(X, np.round(gens, decimals))[0].generators)
