@@ -14,8 +14,8 @@ is not tractable exactly; every reported value is therefore a Bracket:
   (stats._support_flow), which puts the most mass any coupling can on
   it; the witness is the best support with that coupling.
   COUPLING_CANDIDATES and LOCAL_SEARCH_STEPS are the search budgets;
-* the lower bound is certified, and is the larger of two bounds, which
-  the lower witness names:
+* the lower bound is certified, and is the largest of three bounds
+  (the third for box only), which the lower witness names:
   - the observable-diameter transfer bound: whenever od(X; -(kappa +
     delta)) exceeds od(Y; -kappa) + 2 delta in either direction, delta
     cannot exceed the observable distance. It is the exact supremum
@@ -30,7 +30,15 @@ is not tractable exactly; every reported value is therefore a Bracket:
     generators f of either side, of the least eps at which some map p
     of the other family routes so from some generator g is a lower
     bound. It is exact over every orbit but lip1's (laws.py), and its
-    witness names the generator pair, eps and the reach t.
+    witness names the generator pair, eps and the reach t;
+  - the pairwise link-set bound, for box: a support of gap at most t =
+    eps / 2 lies inside a link set of every generator, the point pairs
+    that one map and one partner link within t, so box <= eps needs,
+    for every two generators, link sets whose intersection carries
+    coupling mass 1 - eps. The largest, over pairs of generators, of
+    the least such eps is a bound (laws.pairwise_lower); its witness
+    names the two generators, their partners and eps. It draws on what
+    the law bound leaves of the same LAW_BUDGET.
 
 Each bracket takes its lower bound first, and its search stops once the
 upper bound reaches it: every later candidate scores at least the
@@ -61,7 +69,7 @@ from .errors import (
     ValidationError,
 )
 from .families import dist_to_orbit, dist_to_orbit_sup
-from .laws import law_lower
+from .laws import LAW_BUDGET, law_lower, pairwise_lower
 from .stats import _hausdorff, _nw_corner, _support_flow
 
 # equal-size pairs of at most this many points also try, as couplings,
@@ -109,7 +117,9 @@ class Bracket:
     estimate: bool = False
 
     def __post_init__(self):
-        if self.lower > self.upper + 1e-9:
+        # a lower bound above its upper one is unsound: _closed lowers one
+        # that rounding alone puts above, so no allowance is made here
+        if self.lower > self.upper:
             raise ComputationError(
                 f"bracket inverted: lower {self.lower} > upper {self.upper}"
             )
@@ -268,15 +278,22 @@ def dconc_lower_via_od(X: FiniteGDS, Y: FiniteGDS, kappas=None) -> OdLowerBound:
 
 def lower_bound(X: FiniteGDS, Y: FiniteGDS, box: bool = False) -> float:
     """The certified lower bound of dconc_bracket (box: of box_bracket):
-    the larger of the od transfer bound and the law bound, which raises
-    it only when strictly above. The result is an OdLowerBound or a
-    LawLowerBound, whose describe() names the witness, and it does not
+    the largest of the od transfer bound, the law bound and, for box,
+    the pairwise link-set bound, each taken only when strictly above the
+    ones before it. The law and pairwise scans share LAW_BUDGET flow
+    steps. The result is an OdLowerBound, a LawLowerBound or a
+    PairLowerBound, whose describe() names the witness, and it does not
     depend on the argument order."""
     if _oriented(X, Y):
         return lower_bound(Y, X, box)
-    od = dconc_lower_via_od(X, Y)
-    law = law_lower(X, Y, box, float(od))
-    return law if law > od else od
+    best = dconc_lower_via_od(X, Y)
+    budget = [LAW_BUDGET]
+    law = law_lower(X, Y, box, float(best), budget)
+    best = law if law > best else best
+    if box:
+        pair = pairwise_lower(X, Y, float(best), budget)
+        best = pair if pair > best else best
+    return best
 
 
 def _canon_key(X: FiniteGDS):

@@ -12,21 +12,35 @@ is found by bisection over the breakpoints of the reach (_law_breaks),
 which are searched without being listed. law_lower takes the bound
 over the generators of two data sets, within a budget of flow steps,
 and distances.lower_bound compares it with the od transfer bound.
+
+The same vertex maps give the box form a second, pairwise bound
+(pairwise_lower). On points, a map and a partner generator link the
+point pairs (i, j) with |f_i - p(g_j)| <= t; a support of box gap at
+most t lies inside such a link set for every generator of either side.
+So for each two generators the maximal link sets are listed as boolean
+rows over the point pairs, in blocks of BLOCK_ENTRIES, and eps is ruled
+out when no two of them meet in a support that a coupling can give mass
+1 - eps (stats._support_flow). The bound is bisected over the
+breakpoints of _law_breaks from the law bound up, and its scans spend
+what the law bound left of the same LAW_BUDGET.
 """
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 
-from ._kernels import Differences, block_slices, sorted_unique
+from ._kernels import MASS_GUARD, Differences, block_slices, sorted_unique
 from .core import FiniteGDS, pushforward
+from .stats import _support_flow
 
 
-def _law_breaks(a, b, kind, per_eps):
-    """The eps, besides 0, at which the most mass that one map of `kind`
-    routes between the atoms a and b within t = eps * per_eps can
-    change, as differences of one set of values (_kernels.Differences).
+def _law_breaks(a, b, kind):
+    """Values v whose halved differences (v_q - v_p) / 2 hold every reach
+    t, besides 0, at which the most mass that one map of `kind` routes
+    between the atoms a and b within t can change. Differences(v, 2 *
+    per_eps) searches them as eps = t / per_eps.
 
     Under the vertex maps each atom of b sits at a position q - t, q or
     q + t, q a sum of atom values, and every test compares such a
@@ -34,15 +48,16 @@ def _law_breaks(a, b, kind, per_eps):
     where a difference of two such sums is t or 2 t: at |a_k - b_j|
     (id, B), |a_k| and (|a_i| -+ a_k) / 2 (B), (D - D') / 2 over pairs
     of differences D = a_k - b_j (T, TB), and (a_i - a_k) / 2 (TB).
-    Each is a difference of two values of the set taken below, which
-    holds some more; those only add steps to the bisection.
+    Each is a halved difference of two values of the set taken below,
+    doubled for id and B (exactly), which holds some more; those only
+    add steps to the bisection.
     """
     if kind == "id":
-        return Differences(sorted_unique(np.concatenate([a, b])), per_eps)
+        return 2.0 * sorted_unique(np.concatenate([a, b]))
     if kind == "B":
-        return Differences(sorted_unique(np.concatenate([a, b, a / 2.0, -a / 2.0, [0.0]])), per_eps)
+        return 2.0 * sorted_unique(np.concatenate([a, b, a / 2.0, -a / 2.0, [0.0]]))
     d = (a[:, None] - b[None, :]).ravel()
-    return Differences(sorted_unique(np.concatenate([d, a]) if kind == "TB" else d), 2.0 * per_eps)
+    return sorted_unique(np.concatenate([d, a]) if kind == "TB" else d)
 
 
 def _vertex_maps(a, b, t, kind):
@@ -79,8 +94,8 @@ def _reach(a, prefix, y, reach):
     )
 
 
-def _routed(a, prefix, b, wb, reach, c, lo, hi) -> float:
-    """The most mass any of the maps (c, lo, hi) routes from the atoms
+def _routed(a, prefix, b, wb, reach, c, lo, hi) -> np.ndarray:
+    """The most mass each of the maps (c, lo, hi) routes from the atoms
     b, masses wb, to the atoms a within reach; prefix holds the
     cumulative masses of a from 0.
 
@@ -98,7 +113,7 @@ def _routed(a, prefix, b, wb, reach, c, lo, hi) -> float:
         take = np.clip(stop - used, 0.0, w)
         used += take
         routed += take
-    return float(routed.max())
+    return routed
 
 
 def _tb_routed(a, prefix, b, wb, t, reach, eps, best) -> float:
@@ -167,22 +182,36 @@ def _tb_routed(a, prefix, b, wb, t, reach, eps, best) -> float:
 
 
 # flow steps (one map, or one shift and level, past one atom) that one
-# law_lower may spend, a few seconds of scans on one core: the law bound
-# of two data sets of 16 TB generators of 16 atoms spends 40-46 % of it
-# in either form, and with 29 to 32 atoms a side none is begun
+# lower bound may spend, a few seconds of scans on one core: the law
+# bound of two data sets of 16 TB generators of 16 atoms spends 40-46 %
+# of it in either form, and with 29 to 32 atoms a side none is begun.
+# The pairwise bound spends the rest: a step per map past one atom, per
+# point pair of a set built or of two sets met, per byte of two sets
+# compared, and per point pair and point of a max-flow
 LAW_BUDGET = 1 << 26
 
 
 class _OverBudget(Exception):
-    """law_lower's scans have spent LAW_BUDGET."""
+    """The scans of one lower_bound have spent LAW_BUDGET."""
+
+
+def _spend(budget, steps) -> None:
+    """Charge `steps` to budget, [flow steps left], before they run."""
+    budget[0] -= steps
+    if budget[0] < 0:
+        raise _OverBudget
+
+
+def _vertex_count(na, nb, kind) -> int:
+    """The most maps _vertex_maps lists for na and nb atoms."""
+    return {"id": 1, "B": na + 1, "T": na * nb, "TB": na * nb + na}[kind]
 
 
 def _scan_steps(na, nb, kind) -> int:
     """The most flow steps one test of eps takes on laws of na and nb
     atoms: _routed over the vertex maps, and for TB _tb_routed over
     every shift and level lo."""
-    vertex = {"id": 1, "B": na + 1, "T": na * nb, "TB": na * nb + na}[kind] * nb
-    return vertex + (na * nb * (na + nb) * (nb + 1) if kind == "TB" else 0)
+    return _vertex_count(na, nb, kind) * nb + (na * nb * (na + nb) * (nb + 1) if kind == "TB" else 0)
 
 
 class _OrbitSearch:
@@ -205,9 +234,9 @@ class _OrbitSearch:
         self.span = max(np.abs(self.a).max(), np.abs(self.b).max())
         self.kind = kind
         self.per_eps = 0.5 if box else 1.0
-        self.breaks = _law_breaks(self.a, self.b, kind, self.per_eps)
+        self.breaks = Differences(_law_breaks(self.a, self.b, kind), 2.0 * self.per_eps)
         self.tested = {}
-        self.budget = budget  # [flow steps left], shared by one law_lower
+        self.budget = budget  # [flow steps left], shared by one lower_bound
 
     def unrouted(self, eps) -> float:
         """1 - M(eps): exact where eps does not accept, and at most eps
@@ -217,10 +246,8 @@ class _OrbitSearch:
             t = eps * self.per_eps
             reach = t + 8.0 * math.ulp(8.0 * max(self.span, t))
             if self.budget is not None:
-                self.budget[0] -= _scan_steps(a.size, b.size, self.kind)
-                if self.budget[0] < 0:
-                    raise _OverBudget
-            routed = _routed(a, prefix, b, wb, reach, *_vertex_maps(a, b, t, self.kind))
+                _spend(self.budget, _scan_steps(a.size, b.size, self.kind))
+            routed = float(_routed(a, prefix, b, wb, reach, *_vertex_maps(a, b, t, self.kind)).max())
             if self.kind == "TB" and 1.0 - routed > eps:
                 routed = _tb_routed(a, prefix, b, wb, t, reach, eps, routed)
             self.tested[eps] = 1.0 - routed
@@ -282,7 +309,7 @@ class LawLowerBound(float):
         )
 
 
-def law_lower(X: FiniteGDS, Y: FiniteGDS, box: bool, start: float) -> float:
+def law_lower(X: FiniteGDS, Y: FiniteGDS, box: bool, start: float, budget=None) -> float:
     """The law bound of X and Y (box: its box form) when it is above
     `start`, as a LawLowerBound; otherwise `start`.
 
@@ -297,13 +324,14 @@ def law_lower(X: FiniteGDS, Y: FiniteGDS, box: bool, start: float) -> float:
     search that cannot lower it mostly costs one more test. lip1 orbits
     are not searched: a pass into a lip1 family adds nothing.
 
-    The tests share LAW_BUDGET flow steps, each charged its most before
-    it runs, and a generator is begun only when three tests against
-    every orbit would fit. Once the budget is spent, the search stops,
-    and the bound is the largest over the generators searched in full:
-    each of them bounds it.
+    The tests share `budget`, [flow steps left] (by default LAW_BUDGET),
+    each charged its most before it runs, and a generator is begun only
+    when three tests against every orbit would fit. Once the budget is
+    spent, the search stops, and the bound is the largest over the
+    generators searched in full: each of them bounds it.
     """
-    best, witness, budget = start, None, [LAW_BUDGET]
+    best, witness = start, None
+    budget = [LAW_BUDGET] if budget is None else budget
     try:
         for side, (own, other) in enumerate(((X, Y), (Y, X))):
             kind = other.family.kind
@@ -340,4 +368,297 @@ def law_lower(X: FiniteGDS, Y: FiniteGDS, box: bool, start: float) -> float:
     bound.generator, bound.partner = i, j
     bound.family = (Y, X)[side].family.kind
     bound.reach = best / 2.0 if box else best
+    return bound
+
+
+def _link_maps(a, b, t, kind):
+    """Blocks (c, lo, hi) of about BLOCK_ENTRIES maps x -> min(max(x +
+    c, lo), hi) whose link sets the pairwise bound lists: the vertex maps
+    (_vertex_maps) and, for TB, every shift-then-clip map that
+    _tb_routed scans, each shift c with every level lo in a - t, b + c
+    below every level hi in a + t, b + c. So some map here links every
+    set of pairs (a_k, b_j) that some one map of the family links within
+    t, and the sets here that lie inside no other are the family's
+    maximal link sets."""
+    c, lo, hi = _vertex_maps(a, b, t, kind)
+    for rows in block_slices(c.size, 1):
+        yield c[rows], lo[rows], hi[rows]
+    if kind != "TB":
+        return
+    shifts = sorted_unique(a[:, None] - t - b[None, :])
+    levels = a.size + b.size
+    for rows in block_slices(shifts.size, levels * levels):
+        c = shifts[rows, None]
+        lows = np.concatenate([np.broadcast_to(a - t, (c.size, a.size)), b + c], axis=1)[:, :, None]
+        highs = np.concatenate([np.broadcast_to(a + t, (c.size, a.size)), b + c], axis=1)[:, None, :]
+        keep = lows < highs
+        yield tuple(np.broadcast_to(x, keep.shape)[keep] for x in (c[:, :, None], lows, highs))
+
+
+class _LinkSets:
+    """The maximal link sets of the generators of X and Y, as boolean rows
+    over the point pairs (i, j) of X and Y, and the most coupling mass
+    on their pairwise intersections (pairwise_lower).
+
+    A generator is (side, index): side 0 is a generator f of X, linked
+    to the points of Y through the maps p of Y's family and a partner g,
+    a generator of Y, by |f_i - p(g_j)| <= t; side 1 the same with the
+    sides swapped. The sets of the running maximum's eps stay cached
+    while other eps are searched, and every scan is charged to budget.
+    """
+
+    def __init__(self, X: FiniteGDS, Y: FiniteGDS, budget):
+        self.X, self.Y, self.budget = X, Y, budget
+        self.shape = (X.n_points, Y.n_points)
+        self.span = max(np.abs(X.generators).max(), np.abs(Y.generators).max())
+        self.cache, self.keep = {}, None
+
+    def sides(self, gen):
+        """(values, own, other): gen's values and its data set, then the
+        data set of its partners."""
+        side, i = gen
+        own, other = (self.X, self.Y) if side == 0 else (self.Y, self.X)
+        return own.generators[i], own, other
+
+    def breaks(self, u, v) -> Differences:
+        """The eps at which the link sets of u or v can change, for any
+        partner (_law_breaks), at t = eps / 2."""
+        values = []
+        for gen in (u, v):
+            a, _, other = self.sides(gen)
+            values += [_law_breaks(a, b, other.family.kind) for b in other.generators]
+        return Differences(sorted_unique(np.concatenate(values)), 1.0)
+
+    def bound(self, masks) -> np.ndarray:
+        """For each row of masks, a bound on the most coupling mass on its
+        pairs: no point carries more than its own mass or than the mass
+        of the points it is paired with."""
+        mx, my = self.X.masses, self.Y.masses
+        m = masks.reshape(-1, *self.shape)
+        return np.minimum(np.minimum(m @ my, mx).sum(axis=1), np.minimum(mx @ m, my).sum(axis=1))
+
+    def flow(self, mask) -> float:
+        """The most coupling mass on the pairs of mask (stats._support_flow)."""
+        nx, ny = self.shape
+        _spend(self.budget, nx * ny * (nx + ny))
+        rows, cols = np.nonzero(mask.reshape(self.shape))
+        pi = _support_flow(self.X.masses, self.Y.masses, zip(rows.tolist(), cols.tolist()))
+        return float(pi[rows, cols].sum())
+
+    def of(self, gen, eps, floor):
+        """(masks, partners, top): the maximal link sets of gen at t = eps
+        / 2 that can carry coupling mass floor, up to MASS_GUARD, the
+        partner that links each, and the most mass a set left out can."""
+        key = (gen, eps, floor)
+        if key not in self.cache:
+            self.cache = {k: sets for k, sets in self.cache.items() if k[1] in (eps, self.keep)}
+            self.cache[key] = self._maximal(gen, eps, floor)
+        return self.cache[key]
+
+    def _maximal(self, gen, eps, floor):
+        a, own, other = self.sides(gen)
+        kind, width = other.family.kind, self.shape[0] * self.shape[1]
+        t = eps / 2.0
+        reach = t + 8.0 * math.ulp(8.0 * max(self.span, t))
+        by_a = np.argsort(a, kind="stable")
+        a_up, prefix = a[by_a], np.concatenate([[0.0], np.cumsum(own.masses[by_a])])
+        packed, partners, top = [], [], 0.0
+        for p, b in enumerate(other.generators):
+            clips = a.size * b.size * (a.size + b.size) ** 2 if kind == "TB" else 0
+            _spend(self.budget, (_vertex_count(a.size, b.size, kind) + clips) * b.size)
+            by_b = np.argsort(b, kind="stable")
+            b_up, wb = b[by_b], other.masses[by_b]
+            for c, lo, hi in _link_maps(a, b, t, kind):
+                # the mass a map routes (_routed) is the most coupling mass
+                # on its link set, so only sets that could reach floor are built
+                mass = _routed(a_up, prefix, b_up, wb, reach, c, lo, hi)
+                ok = mass >= floor - MASS_GUARD
+                if not ok.all():
+                    top = max(top, float(mass[~ok].max()))
+                c, lo, hi = c[ok], lo[ok], hi[ok]
+                _spend(self.budget, c.size * width)
+                for rows in block_slices(c.size, width):
+                    pos = np.minimum(np.maximum(b + c[rows, None], lo[rows, None]), hi[rows, None])
+                    links = np.abs(a[:, None] - pos[:, None, :]) <= reach
+                    links = links if gen[0] == 0 else links.transpose(0, 2, 1)
+                    packed.append(np.packbits(links.reshape(-1, width), axis=1))
+                    partners.append(np.full(len(links), p))
+        # each set once, as bytes, largest first
+        packed = np.concatenate(packed)
+        _, first = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))), return_index=True)
+        first = first[np.argsort(-np.bitwise_count(packed[first]).sum(axis=1), kind="stable")]
+        packed, partners = packed[first], np.concatenate(partners)[first]
+        # a set inside another adds nothing: its intersections lie inside
+        # the other's. Any larger set lies before it, so a set is kept when
+        # it lies inside none of the sets kept before its block or in it
+        def inside(x, y):
+            return ~(x[:, None, :] & ~y[None, :, :]).any(axis=2)
+
+        keep = np.zeros(len(packed), dtype=bool)
+        for rows in block_slices(len(packed), 64 * packed.shape[1]):
+            block, kept = packed[rows], packed[keep]
+            _spend(self.budget, block.size * (len(block) + len(kept)))
+            within = inside(block, block)
+            within[np.diag_indices(len(block))] = False
+            out = within.any(axis=1)
+            for part in block_slices(len(kept), block.size):
+                out |= inside(block, kept[part]).any(axis=1)
+            keep[rows] = ~out
+        masks = np.unpackbits(packed[keep], axis=1, count=width).astype(bool)
+        return masks, partners[keep], top
+
+    def scan(self, u, v, eps, floor):
+        """(most, partners): a bound on the most coupling mass on A & A'
+        over the link sets A of u and A' of v at t = eps / 2, exact when
+        that is at least floor, and the partners of the pair that gives
+        it (None for a set left out). The scan stops at the first pair
+        with mass at least 1 - eps.
+
+        Pairs are taken in blocks of about BLOCK_ENTRIES entries, each
+        in order of bound, most first. A pair's max-flow is run only
+        when its bound is at least floor and above the most found so
+        far; the others count with their bound.
+        """
+        (mu, pu, top_u), (mv, pv, top_v) = self.of(u, eps, floor), self.of(v, eps, floor)
+        most, partners = max(top_u, top_v), None
+        _spend(self.budget, mu.size * len(mv))
+        for rows in block_slices(len(mu), mv.size):
+            both = mu[rows, None, :] & mv[None, :, :]
+            ub = self.bound(both)
+            for at in np.argsort(-ub, kind="stable"):
+                if ub[at] <= most:
+                    break
+                pair = int(pu[rows][at // len(mv)]), int(pv[at % len(mv)])
+                if ub[at] < floor - MASS_GUARD:
+                    most, partners = float(ub[at]), pair
+                    break
+                mass = self.flow(both.reshape(ub.size, -1)[at])
+                if mass > most:
+                    most, partners = mass, pair
+                    if 1.0 - mass <= eps:
+                        return most, partners
+        return most, partners
+
+
+class _PairSearch:
+    """The least eps at which, at t = eps / 2, some link set A of the
+    generator u and A' of v carry coupling mass at least 1 - eps on
+    their intersection: the most mass on A & A' does not fall as t
+    grows and changes only at the breakpoints of u and v (_LinkSets.
+    breaks), so eps accepts when 1 - most(eps) <= eps, as in
+    _OrbitSearch. A test that fails counts some pairs with their bound,
+    so its unrouted mass may be low, which can only lower the value;
+    once the bisection ends, the failing test it ends on is rerun exact
+    where that mass decides the value.
+    """
+
+    def __init__(self, sets: _LinkSets, u, v):
+        self.sets, self.u, self.v = sets, u, v
+        self.failed, self.accepted = {}, {}  # eps -> (unrouted, partners)
+
+    def unrouted(self, eps) -> float:
+        most, partners = self.sets.scan(self.u, self.v, eps, 1.0 - eps)
+        unrouted = 1.0 - most
+        (self.accepted if unrouted <= eps else self.failed)[eps] = (unrouted, partners)
+        return unrouted
+
+    def least(self, best: float):
+        """(value, partners) when the value is above `best`, the partners
+        of the link sets that reach it; otherwise (best, None)."""
+        lo, u_lo = best, self.unrouted(best)
+        if u_lo <= best:
+            return best, None
+        # listed only after a first test charged the budget for the maps:
+        # a partner adds about as many break values as it has maps
+        breaks = self.sets.breaks(self.u, self.v)
+        # gallop up from best, so that most tests run at small eps, whose
+        # link sets are few, before the bisection between the last two
+        step, hi = (1.0 - best) / 16.0, 1.0
+        while lo + step < 1.0:
+            u = self.unrouted(lo + step)
+            if u <= lo + step:
+                hi = lo + step
+                break
+            lo, u_lo, step = lo + step, u, 2.0 * step
+        breaks.least(lo, hi, u_lo, self.unrouted)
+        lo, hi = max(self.failed), min(self.accepted, default=1.0)
+        if self.failed[lo][0] >= hi:
+            return float(hi), self.accepted.get(hi, (None, None))[1]
+        most, partners = self.sets.scan(self.u, self.v, lo, 1.0 - hi)
+        return float(min(hi, 1.0 - most)), partners
+
+
+class PairLowerBound(float):
+    """A certified lower bound on the box distance from two generators
+    (pairwise_lower): below it, at reach t = eps / 2, no link set of the
+    generator `first` and none of `second`, each (side, index), carry
+    coupling mass 1 - eps on their intersection. At eps = the bound,
+    link sets from the other side's generators `partners`, in the same
+    order, do; they are None at eps = 1, which every pair of sets meets.
+    When `spent`, the budget ran out, and the bound is the largest eps
+    that the pair's search ruled out."""
+
+    first: tuple = ("X", 0)
+    second: tuple = ("Y", 0)
+    partners: tuple | None = None
+    spent: bool = False
+    reach: float = 0.0
+
+    def describe(self) -> str:
+        (s1, i1), (s2, i2) = self.first, self.second
+        text = f"pairwise link-set bound at {s1} generator {i1} and {s2} generator {i2}"
+        if self.spent:
+            text += ", budget spent"
+        elif self.partners is not None:
+            other = {"X": "Y", "Y": "X"}
+            text += f" against {other[s1]} generator {self.partners[0]} and {other[s2]} generator {self.partners[1]}"
+        return f"{text}: eps={float(self)!r}, t={self.reach!r}"
+
+
+def pairwise_lower(X: FiniteGDS, Y: FiniteGDS, start: float, budget) -> float:
+    """The pairwise (level 2) box bound of X and Y when it is above
+    `start`, as a PairLowerBound; otherwise `start`.
+
+    A support S has gap at most t = eps / 2 exactly when, for every
+    generator of either side, some map of the other family and some
+    partner link every pair of S (a link set A holds S). So box <= eps
+    needs, for every two generators u and v, link sets A of u and A' of
+    v with F(A & A') >= 1 - eps, F the most coupling mass on a support
+    (stats._support_flow), which only grows with the support. The
+    largest, over pairs of generators, of the least eps at which that
+    holds (_PairSearch) is a lower bound; each pair is first tested at
+    the running maximum, and searched only when it fails there. A
+    generator whose partners have a lip1 family is left out (its link
+    sets are not those of a few maps).
+
+    The scans share `budget`, [flow steps left]. Once it is spent, the
+    bound is the largest eps ruled out: the largest over the pairs
+    searched in full, or the largest failing test of the pair being
+    searched.
+    """
+    sets = _LinkSets(X, Y, budget)
+    gens = [
+        (side, i)
+        for side, (own, other) in enumerate(((X, Y), (Y, X)))
+        if other.family.kind != "lip1"
+        for i in range(own.n_generators)
+    ]
+    best, witness, search = start, None, None
+    try:
+        for u, v in combinations(gens, 2):
+            sets.keep = best
+            search = _PairSearch(sets, u, v)
+            value, partners = search.least(best)
+            if value > best:
+                best, witness = value, (u, v, partners, False)
+    except _OverBudget:
+        ruled_out = float(max(search.failed, default=best)) if search else best
+        if ruled_out > best:
+            best, witness = ruled_out, (search.u, search.v, None, True)
+    if witness is None:
+        return start
+    u, v, partners, spent = witness
+    bound = PairLowerBound(best)
+    bound.first, bound.second = (("X", "Y")[u[0]], u[1]), (("X", "Y")[v[0]], v[1])
+    bound.partners, bound.spent, bound.reach = partners, spent, best / 2.0
     return bound

@@ -105,6 +105,14 @@ def _cloud_matrix(n: int, dim: int, metric: str, seed: int) -> np.ndarray:
     return D
 
 
+def _integer(v) -> int:
+    """An integer field: text as int() reads it, and a number only when
+    it is integral, so that 4.7 points is refused rather than cut to 4."""
+    if not isinstance(v, (str, int, np.integer)) and not float(v).is_integer():
+        raise ValueError(v)
+    return int(v)
+
+
 # kind -> (fields, entries, build). A field is (rule, cast, ok): its
 # grammar, bracketed when optional (trailing fields only), its type and
 # its range. entries(*fields) counts the entries of the largest array
@@ -117,22 +125,22 @@ _KINDS = {
     ),
     # a cube past 64 dimensions is far over any cap; 4^64 stands in for it
     "hamming_cube": (
-        ((":<k >= 1>", int, lambda k: k >= 1), ("[:by_k]", str, lambda s: s == "by_k")),
+        ((":<k >= 1>", _integer, lambda k: k >= 1), ("[:by_k]", str, lambda s: s == "by_k")),
         lambda k, by_k=None: 4 ** min(k, 64),
         lambda k, by_k=None: hamming_cube_matrix(k, by_k is not None),
     ),
     "path": (
-        ((":<n >= 2>", int, lambda n: n >= 2), (":<step > 0>", float, lambda s: s > 0)),
+        ((":<n >= 2>", _integer, lambda n: n >= 2), (":<step > 0>", float, lambda s: s > 0)),
         lambda n, step: n * n,
         _path_matrix,
     ),
     # the n x dim coordinates may hold no more entries than the matrix
     "random_cloud": (
         (
-            (":<n >= 2>", int, lambda n: n >= 2),
-            (":<dim >= 1>", int, lambda dim: dim >= 1),
+            (":<n >= 2>", _integer, lambda n: n >= 2),
+            (":<dim >= 1>", _integer, lambda dim: dim >= 1),
             (":<linf|l2>", str, lambda m: m in ("linf", "l2")),
-            (":<seed >= 0>", int, lambda seed: seed >= 0),
+            (":<seed >= 0>", _integer, lambda seed: seed >= 0),
         ),
         lambda n, dim, metric, seed: n * max(n, dim),
         _cloud_matrix,

@@ -769,6 +769,69 @@ def law_bound_oracle(a, wa, b, wb, kind, box):
     return breaks[0] if lo == 0 else min(breaks[lo], unrouted(breaks[lo - 1]))
 
 
+def pairwise_bound_oracle(X, Y):
+    """The pairwise (level 2) box bound of X and Y in Fractions, for id,
+    T, B and TB: the largest, over two generators u and v of either side
+    whose partners' family is not lip1, of the least eps at which some
+    link set A of u and A' of v carry max-flow mass F(A & A') >= 1 - eps
+    at t = eps / 2, or 0 with fewer than two such generators; meant for
+    at most 3 points a side.
+
+    A link set is the point pairs that one map of the whole vertex
+    arrangement (_law_positions, on point values) and one partner link
+    within t, and F comes from Hall's theorem. Acceptance grows with eps
+    and the sets change only at t = |s - s'| or |s - s'| / 2 for s, s'
+    among 0, +-a_k, +-b_j and a_i - b_j + b_l over u, v and their
+    partners, so the value is found by bisection as in law_bound_oracle.
+    """
+    wx = [Fraction(float(m)) for m in X.masses]
+    wy = [Fraction(float(m)) for m in Y.masses]
+    gens = [
+        (side, [Fraction(float(x)) for x in row], other)
+        for side, (own, other) in enumerate(((X, Y), (Y, X)))
+        if other.family.kind != "lip1"
+        for row in own.generators
+    ]
+
+    def link_sets(gen, t):
+        side, a, other = gen
+        out = set()
+        for row in other.generators:
+            b = [Fraction(float(y)) for y in row]
+            for pos in _law_positions(a, b, t, other.family.kind):
+                linked = [(k, j) for k in range(len(a)) for j in range(len(b)) if abs(a[k] - pos[j]) <= t]
+                out.add(frozenset(linked if side == 0 else [(j, k) for k, j in linked]))
+        return out
+
+    def unrouted(u, v, eps):
+        most = Fraction(0)
+        for A in link_sets(u, eps / 2):
+            for B in link_sets(v, eps / 2):
+                S = A & B
+                most = max(most, _hall_flow(wx, wy, [{i for i, j in S if j == col} for col in range(len(wy))]))
+        return 1 - most
+
+    best = Fraction(0)
+    for u, v in combinations(gens, 2):
+        sums = {Fraction(0)}
+        for _, a, other in (u, v):
+            for row in other.generators:
+                b = [Fraction(float(y)) for y in row]
+                sums |= set(a) | {-x for x in a} | set(b) | {-y for y in b}
+                sums |= {x - y + z for x in a for y in b for z in b}
+        cuts = {abs(s - r) / d for s in sums for r in sums for d in (1, 2)}
+        breaks = sorted({2 * e for e in cuts if 2 * e < 1} | {Fraction(1)})
+        lo, hi = 0, len(breaks) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if unrouted(u, v, breaks[mid]) <= breaks[mid]:
+                hi = mid
+            else:
+                lo = mid + 1
+        best = max(best, breaks[0] if lo == 0 else min(breaks[lo], unrouted(u, v, breaks[lo - 1])))
+    return best
+
+
 def exact_box_oracle(X, Y):
     """The box distance of X and Y by exhaustion, for at most 8 point
     pairs: each nonempty support S scores max(1 - most coupling mass on

@@ -3,6 +3,7 @@ throwaway git repository."""
 import importlib.util
 import json
 import pathlib
+import shlex
 import shutil
 import subprocess
 import sys
@@ -138,6 +139,19 @@ class TestSmoke:
         n = report["metrics"]["n.value"]
         assert (n["parent"], n["change"], n["change_wins"]) == ([3.0, 3.0], [3.0, 3.0], 0)
         assert "n.value" in capsys.readouterr().out
+
+    def test_repeated_command_keeps_every_report(self, repo, tmp_path):
+        # reports were keyed by command line alone, so a second paired run
+        # of a command replaced the first one in the --out file
+        log, out = tmp_path / "order.log", tmp_path / "BENCH_t.json"
+        out.write_text(json.dumps({"python3 other.py": {"command": ["python3", "other.py"]}}) + "\n")
+        cmd = self.child(log, "print(json.dumps({'correct': True, 'metrics': {'n': {'value': 3, 'unit': '1'}}}))")
+        for _ in range(3):
+            assert bench_pair.main(["--parent", "HEAD", "--out", str(out), "--", *cmd]) == 0
+        reports = json.loads(out.read_text())
+        line = shlex.join(cmd)
+        assert list(reports) == ["python3 other.py", line, f"{line} #2", f"{line} #3"]
+        assert all(reports[key]["command"] == cmd for key in list(reports)[1:])
 
     @pytest.mark.parametrize("tail, shown", [
         ("import sys; print('boom', file=sys.stderr); sys.exit(3)", "exit 3\nboom"),

@@ -27,8 +27,8 @@ from gdskit.distances import (
     dconc_pi,
     lower_bound,
 )
-from gdskit.errors import EmptySupport, MarginalMismatch, ValidationError
-from gdskit.laws import LawLowerBound, orbit_law_distance
+from gdskit.errors import ComputationError, EmptySupport, MarginalMismatch, ValidationError
+from gdskit.laws import LawLowerBound, PairLowerBound, orbit_law_distance
 from gdskit.stats import _support_flow
 from gdskit.transforms import MeasurementSpec, measurement
 from oracles import (
@@ -46,6 +46,7 @@ from oracles import (
     od_lower_exact,
     od_steps_exact,
     od_steps_loop,
+    pairwise_bound_oracle,
     rational_gds,
 )
 
@@ -497,7 +498,8 @@ class TestIncumbentCutoff:
         # masses differ: with equal ones every mass-cycle move from a
         # permutation is another permutation, all of them candidates, and
         # the dconc local search has no new coupling to score
-        monkeypatch.setattr(distances, "law_lower", lambda X, Y, box, start: start)
+        monkeypatch.setattr(distances, "law_lower", lambda X, Y, box, start, budget: start)
+        monkeypatch.setattr(distances, "pairwise_lower", lambda X, Y, start, budget: start)
         for name, bracket in (("dist_to_orbit", dconc_bracket), ("dist_to_orbit_sup", box_bracket)):
             counts = []
             for cutoff in (True, False):
@@ -615,6 +617,13 @@ class TestCandidates:
     def test_bracket_inversion_guard(self):
         with pytest.raises(Exception):
             Bracket(lower=0.5, upper=0.1)
+
+    def test_any_inverted_bracket_is_refused(self):
+        # no allowance: a lower bound above its upper one, by however
+        # little, is unsound and fails loudly
+        with pytest.raises(ComputationError):
+            Bracket(0.5 + 1e-10, 0.5)
+        assert Bracket(0.5, 0.5).lower == 0.5
 
 
 def tie_heavy_costs(rng, count, max_n):
@@ -846,7 +855,7 @@ class TestLawBound:
 
     def test_brackets_stay_ordered_and_witnessed(self):
         rng = np.random.default_rng(149)
-        closed = law_won = 0
+        closed = law_won = pair_won = 0
         for family in FAMILIES:
             for _ in range(8):
                 X = dyadic_gds(rng, max_n=4, max_gens=2, family=family)
@@ -870,9 +879,19 @@ class TestLawBound:
                         # the named generator's least value over every partner is the bound
                         assert row[bound.partner] == min(row) == float(bound)
                         assert bound.reach == (float(bound) / 2 if box else float(bound))
+                    elif isinstance(bound, PairLowerBound):
+                        pair_won += 1
+                        assert box and family != LIP1 and not bound.spent
+                        assert bound > max(dconc_lower_via_od(X, Y), laws.law_lower(X, Y, box, 0.0))
+                        # replay: the named pair of generators, searched alone, gives the bound
+                        first, second = (Y, X) if distances._oriented(X, Y) else (X, Y)
+                        u, v = [(("X", "Y").index(side), i) for side, i in (bound.first, bound.second)]
+                        search = laws._PairSearch(laws._LinkSets(first, second, [laws.LAW_BUDGET]), u, v)
+                        assert search.least(0.0)[0] == float(bound)
+                        assert bound.reach == float(bound) / 2
                     else:
                         assert isinstance(bound, OdLowerBound)
-        assert closed > 0 and law_won > 0
+        assert closed > 0 and law_won > 0 and pair_won > 0
 
     def test_searched_breakpoints_match_the_listed_ones(self, monkeypatch):
         # the differences of v are found by searchsorted without listing
@@ -1014,3 +1033,77 @@ class TestLawBound:
         assert float(bound) == 0.3
         assert (bound.sides, bound.generator, bound.partner) == (("X", "Y"), 1, 0)
 
+
+
+class TestPairwiseBound:
+    """laws.pairwise_lower: the box bound from the link sets of two
+    generators at a time."""
+
+    def test_engine_matches_rational_oracle(self):
+        # masses k/7 and k/11, which floats only approximate; a map missing
+        # from the engine's list would put it above the oracle
+        for family in FAMILIES[:4]:
+            rng = np.random.default_rng(181)
+            for _ in range(4 if family == gk.TB_FAMILY else 5):
+                X, Y = (
+                    gk.validate_gds(range(Z.n_points), Z.generators, family, rational_masses(rng, Z.n_points))
+                    for Z in small_pair(rng, family, shapes=((2, 2), (2, 3), (3, 2), (1, 3)))
+                )
+                want = float(pairwise_bound_oracle(X, Y))
+                got = laws.pairwise_lower(X, Y, 0.0, [laws.LAW_BUDGET])
+                assert abs(float(got) - want) <= 1e-12, (family, X, Y)
+
+    def test_between_law_bound_and_exact_box(self):
+        rng = np.random.default_rng(191)
+        raised = 0
+        for family in FAMILIES[:4]:
+            for _ in range(5):
+                X, Y = small_pair(rng, family)
+                rational = (gk.validate_gds(range(Z.n_points), Z.generators, family, rational_masses(rng, Z.n_points)) for Z in (X, Y))
+                for A, B in ((X, Y), tuple(rational)):
+                    law = float(laws.law_lower(A, B, True, 0.0))
+                    pair = float(laws.pairwise_lower(A, B, 0.0, [laws.LAW_BUDGET]))
+                    exact = exact_box_oracle(A, B)
+                    assert law <= pair + 1e-12 and pair <= exact + 1e-12
+                    assert lower_bound(A, B, box=True) <= exact + 1e-12
+                    raised += pair > law + 1e-12
+        assert raised > 0
+
+    def test_lip1_keeps_od_and_law_bounds(self):
+        rng = np.random.default_rng(193)
+        for _ in range(6):
+            X = dyadic_gds(rng, max_n=4, max_gens=2, family=LIP1)
+            Y = dyadic_gds(rng, max_n=4, max_gens=2, family=LIP1)
+            bound = lower_bound(X, Y, box=True)
+            assert not isinstance(bound, PairLowerBound)
+            assert float(bound) == max(float(dconc_lower_via_od(X, Y)), float(laws.law_lower(X, Y, True, 0.0)))
+            assert laws.pairwise_lower(X, Y, 0.125, [laws.LAW_BUDGET]) == 0.125
+
+    def test_one_budget_for_both_scans(self, monkeypatch):
+        # the law and pairwise scans draw on one LAW_BUDGET: with none,
+        # the box bound is the od bound
+        rng = np.random.default_rng(199)
+        pairs = ((dyadic_gds(rng, max_n=4, max_gens=2), dyadic_gds(rng, max_n=4, max_gens=2)) for _ in range(20))
+        X, Y = next((X, Y) for X, Y in pairs if isinstance(lower_bound(X, Y, box=True), PairLowerBound))
+        monkeypatch.setattr(distances, "LAW_BUDGET", 0)
+        assert lower_bound(X, Y, box=True) == dconc_lower_via_od(X, Y)
+
+    def test_spent_budget_keeps_what_was_ruled_out(self):
+        # once the budget is spent, the bound is the largest eps ruled out:
+        # at most the full bound, and named as spent when the pair being
+        # searched gives it
+        rng = np.random.default_rng(197)
+        cut = spent = 0
+        for _ in range(8):
+            X = dyadic_gds(rng, max_n=4, max_gens=2, family=gk.TB_FAMILY)
+            Y = dyadic_gds(rng, max_n=4, max_gens=2, family=gk.TB_FAMILY)
+            budget = [laws.LAW_BUDGET]
+            full = float(laws.pairwise_lower(X, Y, 0.0, budget))
+            for steps in np.linspace(0, laws.LAW_BUDGET - budget[0], 12).astype(int).tolist():
+                bound = laws.pairwise_lower(X, Y, 0.0, [steps])
+                assert 0.0 <= bound <= full
+                cut += bound < full
+                if isinstance(bound, PairLowerBound) and bound.spent:
+                    spent += 1
+                    assert "budget spent" in bound.describe()
+        assert cut > 0 and spent > 0

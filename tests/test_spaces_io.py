@@ -109,6 +109,21 @@ class TestRecipes:
             with pytest.raises(ValidationError):
                 SpaceRecipe(kind, fields)
 
+    @pytest.mark.parametrize("kind, fields, text", [
+        ("path", (4.7, 0.5), "path:4.7:0.5"),
+        ("random_cloud", (5, 2, "linf", 7.9), "random_cloud:5:2:linf:7.9"),
+        ("hamming_cube", (np.float64(3.5),), "hamming_cube:3.5"),
+    ])
+    def test_fractional_integer_field_rejected(self, kind, fields, text):
+        # an integer field took int() of a number, so 4.7 points built 4
+        # and a cloud seed of 7.9 drew seed 7's cloud
+        with pytest.raises(ValidationError, match=f"bad recipe '{text}'"):
+            SpaceRecipe(kind, fields)
+
+    def test_integral_number_in_integer_field(self):
+        assert SpaceRecipe("path", (4.0, 0.5)) == SpaceRecipe.parse("path:4:0.5")
+        assert SpaceRecipe("random_cloud", (5, np.float64(2.0), "linf", 7)).fields == (5, 2, "linf", 7)
+
     def test_labels_round_trip(self):
         for text in ("two_point:1", "hamming_cube:4:by_k", "path:5:0.25",
                      "random_cloud:4:2:linf:3"):

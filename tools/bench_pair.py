@@ -39,7 +39,9 @@ bound. Each metric gets a verdict:
 
 A child that exits nonzero or prints "correct": false stops the driver
 with exit 1. The report is printed as one line per metric; --out adds it
-to a JSON file under the command line, next to the reports the file holds.
+to a JSON object of reports, keeping those the file holds. A report is
+keyed by its command line, and a repeat of a command by the command line
+and ` #2`, ` #3` and so on.
 """
 from __future__ import annotations
 
@@ -218,9 +220,18 @@ def main(argv=None) -> int:
     if args.out:
         out = Path(args.out)
         reports = json.loads(out.read_text()) if out.is_file() else {}
-        reports[shlex.join(cmd)] = report
-        out.write_text(json.dumps(reports, indent=1) + "\n")
+        out.write_text(json.dumps(add_report(reports, shlex.join(cmd), report), indent=1) + "\n")
     return 0
+
+
+def add_report(reports: dict, line: str, report: dict) -> dict:
+    """reports with report added under line, or under `line #k` for the
+    least k >= 2 not yet taken: no report is replaced."""
+    key, k = line, 1
+    while key in reports:
+        k += 1
+        key = f"{line} #{k}"
+    return {**reports, key: report}
 
 
 if __name__ == "__main__":
