@@ -9,10 +9,12 @@ is not tractable exactly; every reported value is therefore a Bracket:
   first-improvement local search. Both start from a fixed list of
   candidate couplings, each matrix once (_candidate_couplings).
   dconc_bracket scores each and improves the best two by mass-cycle
-  moves. box_bracket searches supports only, the candidate couplings'
-  and then those one pair away, each under its max-flow coupling
-  (stats._support_flow), which puts the most mass any coupling can on
-  it; the witness is the best support with that coupling.
+  moves. box_bracket searches supports only, each under its max-flow
+  coupling (stats._support_flow), which puts the most mass any coupling
+  can on it; the witness is the best support with that coupling. Its
+  first support is the one the link-set search below ends on, which
+  closes the bracket; where that search names none, the candidate
+  couplings' supports and then those one pair away follow.
   COUPLING_CANDIDATES and LOCAL_SEARCH_STEPS are the search budgets;
 * the lower bound is certified, and is the largest of three bounds
   (the third for box only), which the lower witness names:
@@ -31,22 +33,25 @@ is not tractable exactly; every reported value is therefore a Bracket:
     of the other family routes so from some generator g is a lower
     bound. It is exact over every orbit but lip1's (laws.py), and its
     witness names the generator pair, eps and the reach t;
-  - the pairwise link-set bound, for box: a support of gap at most t =
-    eps / 2 lies inside a link set of every generator, the point pairs
-    that one map and one partner link within t, so box <= eps needs,
-    for every two generators, link sets whose intersection carries
-    coupling mass 1 - eps. The largest, over pairs of generators, of
-    the least such eps is a bound (laws.pairwise_lower); its witness
-    names the two generators, their partners and eps. It draws on what
-    the law bound leaves of the same LAW_BUDGET.
+  - the link-set bounds, for box: a support of gap at most t = eps / 2
+    lies inside a link set of every generator, the point pairs that one
+    map and one partner link within t, so box <= eps exactly when one
+    link set of every generator can be chosen whose intersection
+    carries coupling mass 1 - eps. laws.pairwise_lower searches every
+    two generators, then all of them at once; the least such eps is a
+    bound, and its witness names the generators searched and eps. It
+    draws on what the law bound leaves of the same LAW_BUDGET.
 
 Each bracket takes its lower bound first, and its search stops once the
 upper bound reaches it: every later candidate scores at least the
 distance, so neither the upper bound nor its witness could change.
 
-The minimum over the coupling polytope is not known to be attained at
-the candidates searched here, so upper bounds are never claimed exact;
-all certification flows through the lower bound. Candidate generation
+For dconc, the minimum over the coupling polytope is not known to be
+attained at the candidates searched here, so its upper bounds are never
+claimed exact, and all certification flows through the lower bound. A
+box bracket is exact where it closes: when the link-set search over
+every generator of both sides finishes, its bound is the box distance
+(if that is at most 1) and its support meets it. Candidate generation
 is symmetrized, so brackets do not depend on the argument order, and
 all randomness comes from the seed in SearchConfig.
 """
@@ -279,21 +284,28 @@ def dconc_lower_via_od(X: FiniteGDS, Y: FiniteGDS, kappas=None) -> OdLowerBound:
 def lower_bound(X: FiniteGDS, Y: FiniteGDS, box: bool = False) -> float:
     """The certified lower bound of dconc_bracket (box: of box_bracket):
     the largest of the od transfer bound, the law bound and, for box,
-    the pairwise link-set bound, each taken only when strictly above the
-    ones before it. The law and pairwise scans share LAW_BUDGET flow
-    steps. The result is an OdLowerBound, a LawLowerBound or a
-    PairLowerBound, whose describe() names the witness, and it does not
-    depend on the argument order."""
+    the link-set bounds, each taken only when strictly above the ones
+    before it. The law and link-set scans share LAW_BUDGET flow steps.
+    The result is an OdLowerBound, a LawLowerBound, a PairLowerBound or
+    a SearchLowerBound, whose describe() names the witness, and it does
+    not depend on the argument order."""
     if _oriented(X, Y):
         return lower_bound(Y, X, box)
+    return _bounds(X, Y, box)[0]
+
+
+def _bounds(X, Y, box: bool):
+    """(lower_bound(X, Y, box), support) for X and Y in canonical order:
+    for box, the support that the link-set search over every generator
+    ends on when it finishes (laws.pairwise_lower), else None."""
     best = dconc_lower_via_od(X, Y)
     budget = [LAW_BUDGET]
     law = law_lower(X, Y, box, float(best), budget)
     best = law if law > best else best
-    if box:
-        pair = pairwise_lower(X, Y, float(best), budget)
-        best = pair if pair > best else best
-    return best
+    if not box:
+        return best, None
+    link = pairwise_lower(X, Y, float(best), budget)
+    return (link if link > best else best), getattr(link, "support", None)
 
 
 def _canon_key(X: FiniteGDS):
@@ -509,11 +521,14 @@ def _box_value(X, Y, pi, S, cutoff) -> float:
         raise EmptySupport("the support set must be nonempty")
     rows = np.array([i for i, _ in S])
     cols = np.array([j for _, j in S])
-    # the mass pi puts outside S, not 1 - pi(S): masses that sum to 1
-    # only up to rounding would leave a full support missing a little
+    # the mass pi puts outside S, and at least the masses' total less
+    # pi(S): pi's entries may sum a little below that total, which would
+    # put a value below the lower bound its support certifies. A full
+    # support still misses nothing, and a matching of equal masses, whose
+    # entries are the masses in row order, sums to their total exactly
     outside = np.ones(coupling.pi.shape, dtype=bool)
     outside[rows, cols] = False
-    missing = float(coupling.pi[outside].sum())
+    missing = max(float(coupling.pi[outside].sum()), float(X.masses.sum() - coupling.pi[rows, cols].sum()))
     if missing >= cutoff:
         return missing
     twice_gap = _hausdorff(
@@ -559,28 +574,45 @@ def _support_moves(S, nx: int, ny: int):
 def box_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None) -> Bracket:
     """Bracket for the box distance between X and Y.
 
-    Upper bound: the least box value over supports S (sorted pair
-    tuples), each scored once by a _Search under a coupling that puts
-    the most mass any coupling can on S (a max-flow,
-    stats._support_flow), so the witness is S with that coupling. The
-    supports searched are the candidate couplings' own, scored in full
-    by box_objective; for the best three of those, their singletons and
-    greedy discard sweeps over per-pair residuals; then a local search
-    from the best support that adds or drops one pair, within
-    LOCAL_SEARCH_STEPS scorings. Lower bound: lower_bound(X, Y,
-    box=True). As in dconc_bracket, the search stops once the upper
-    bound reaches it.
+    Lower bound: lower_bound(X, Y, box=True). Upper bound: the least box
+    value over supports S (sorted pair tuples), each scored once by a
+    _Search under a coupling that puts the most mass any coupling can on
+    S (a max-flow, stats._support_flow), so the witness is S with that
+    coupling. The first support scored is the one the link-set search
+    over every generator ends on (laws.pairwise_lower), when it
+    finished: its box value is the lower bound, up to rounding, so it
+    closes the bracket. Only a bracket still open searches on: the
+    candidate couplings' supports, scored in full by box_objective; for
+    the best three of those, their singletons and greedy discard sweeps
+    over per-pair residuals; then a local search from the best support
+    that adds or drops one pair, within LOCAL_SEARCH_STEPS scorings. As
+    in dconc_bracket, the search stops once the upper bound reaches the
+    lower.
     """
     cfg = config or SearchConfig()
     if _oriented(X, Y):
         return box_bracket(Y, X, cfg)
-    lower = lower_bound(X, Y, box=True)
+    lower, support = _bounds(X, Y, box=True)
 
     def objective(S, cutoff):
         pi = _support_flow(X.masses, Y.masses, S)
         return box_objective(X, Y, pi, S) if cutoff == math.inf else _box_value(X, Y, pi, S, cutoff)
 
     search = _Search(lower, objective)
+    if support is not None:
+        search.score(support, support, f"max-flow coupling, {len(support)} pairs of the link-set search")
+    if search.value > lower:
+        _search_supports(X, Y, cfg, search)
+    witness = lower.describe()
+    if isinstance(lower, OdLowerBound):
+        witness += " (observable distance lower-bounds box)"
+    return search.bracket(witness)
+
+
+def _search_supports(X, Y, cfg, search) -> None:
+    """box_bracket's search where the link-set search names no support
+    that closes the bracket: the candidates' supports, their singletons
+    and peels, then the local search."""
     scored = []
     for name, pi in _candidate_couplings(X, Y, cfg):
         pairs = tuple(_support_pairs(pi))
@@ -594,7 +626,7 @@ def box_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None) 
         # on the surviving support
         keep = list(pairs)
         for _ in range(min(len(pairs) - 1, 24)):
-            if search.value <= lower:
+            if search.value <= search.lower:
                 break
             scores = _pair_scores(X, Y, keep)
             worst = np.flatnonzero(scores == scores.max())
@@ -603,7 +635,3 @@ def box_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None) 
             search.score(S, S, f"max-flow coupling, {len(S)} pairs of coupling {name}", search.value)
     moves = partial(_support_moves, nx=X.n_points, ny=Y.n_points)
     search.descend(search.best, search.value, moves, LOCAL_SEARCH_STEPS)
-    witness = lower.describe()
-    if isinstance(lower, OdLowerBound):
-        witness += " (observable distance lower-bounds box)"
-    return search.bracket(witness)

@@ -13,16 +13,22 @@ which are searched without being listed. law_lower takes the bound
 over the generators of two data sets, within a budget of flow steps,
 and distances.lower_bound compares it with the od transfer bound.
 
-The same vertex maps give the box form a second, pairwise bound
+The same vertex maps give the box form link-set bounds
 (pairwise_lower). On points, a map and a partner generator link the
-point pairs (i, j) with |f_i - p(g_j)| <= t; a support of box gap at
-most t lies inside such a link set for every generator of either side.
-So for each two generators the maximal link sets are listed as boolean
-rows over the point pairs, in blocks of BLOCK_ENTRIES, and eps is ruled
-out when no two of them meet in a support that a coupling can give mass
-1 - eps (stats._support_flow). The bound is bisected over the
-breakpoints of _law_breaks from the law bound up, and its scans spend
-what the law bound left of the same LAW_BUDGET.
+point pairs (i, j) with |f_i - p(g_j)| <= t; a support has box gap at
+most t exactly when it lies inside such a link set for every generator
+of either side. So each generator's maximal link sets are listed as
+boolean rows over the point pairs, in blocks of BLOCK_ENTRIES, and eps
+is ruled out when no choice of one set for each of some generators
+meets in a support that a coupling can give mass 1 - eps
+(stats._support_flow). Every two generators are searched, then all of
+them at once, depth first. The bounds are bisected over the breakpoints
+of _law_breaks from the law bound up, and their scans spend what the
+law bound left of the same LAW_BUDGET. The search over every generator
+is exact: when it finishes, its bound is the box distance if that is
+at most 1, and the support it ends on is the upper witness of the box
+bracket, which then closes. Upper bounds elsewhere are never claimed
+exact.
 """
 from __future__ import annotations
 
@@ -31,7 +37,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._kernels import MASS_GUARD, Differences, block_slices, sorted_unique
+from ._kernels import BLOCK_ENTRIES, MASS_GUARD, Differences, block_slices, sorted_unique
 from .core import FiniteGDS, pushforward
 from .stats import _support_flow
 
@@ -185,9 +191,9 @@ def _tb_routed(a, prefix, b, wb, t, reach, eps, best) -> float:
 # lower bound may spend, a few seconds of scans on one core: the law
 # bound of two data sets of 16 TB generators of 16 atoms spends 40-46 %
 # of it in either form, and with 29 to 32 atoms a side none is begun.
-# The pairwise bound spends the rest: a step per map past one atom, per
-# point pair of a set built or of two sets met, per byte of two sets
-# compared, and per point pair and point of a max-flow
+# The link-set bounds spend the rest: a step per map past one atom, per
+# point pair of a set built or of a set met with an intersection, per
+# byte of two sets compared, and per point pair and point of a max-flow
 LAW_BUDGET = 1 << 26
 
 
@@ -420,11 +426,11 @@ class _LinkSets:
         own, other = (self.X, self.Y) if side == 0 else (self.Y, self.X)
         return own.generators[i], own, other
 
-    def breaks(self, u, v) -> Differences:
-        """The eps at which the link sets of u or v can change, for any
-        partner (_law_breaks), at t = eps / 2."""
+    def breaks(self, gens) -> Differences:
+        """The eps at which the link sets of any generator of gens can
+        change, for any partner (_law_breaks), at t = eps / 2."""
         values = []
-        for gen in (u, v):
+        for gen in gens:
             a, _, other = self.sides(gen)
             values += [_law_breaks(a, b, other.family.kind) for b in other.generators]
         return Differences(sorted_unique(np.concatenate(values)), 1.0)
@@ -483,14 +489,24 @@ class _LinkSets:
                     links = links if gen[0] == 0 else links.transpose(0, 2, 1)
                     packed.append(np.packbits(links.reshape(-1, width), axis=1))
                     partners.append(np.full(len(links), p))
-        # each set once, as bytes, largest first
         packed = np.concatenate(packed)
+        keep = self._outermost(packed)
+        masks = np.unpackbits(packed[keep], axis=1, count=width).astype(bool)
+        return masks, np.concatenate(partners)[keep], top
+
+    def _outermost(self, packed) -> np.ndarray:
+        """The indices of the rows of packed, sets as bytes, that lie
+        inside no other row, the first of equal rows, largest first.
+
+        A set inside another adds nothing to the search: its
+        intersections lie inside the other's. Any larger set lies before
+        it, so a set is kept when it lies inside none of the sets kept
+        before its block or in it.
+        """
         _, first = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))), return_index=True)
         first = first[np.argsort(-np.bitwise_count(packed[first]).sum(axis=1), kind="stable")]
-        packed, partners = packed[first], np.concatenate(partners)[first]
-        # a set inside another adds nothing: its intersections lie inside
-        # the other's. Any larger set lies before it, so a set is kept when
-        # it lies inside none of the sets kept before its block or in it
+        packed = packed[first]
+
         def inside(x, y):
             return ~(x[:, None, :] & ~y[None, :, :]).any(axis=2)
 
@@ -504,73 +520,121 @@ class _LinkSets:
             for part in block_slices(len(kept), block.size):
                 out |= inside(block, kept[part]).any(axis=1)
             keep[rows] = ~out
-        masks = np.unpackbits(packed[keep], axis=1, count=width).astype(bool)
-        return masks, partners[keep], top
+        return first[keep]
 
-    def scan(self, u, v, eps, floor):
-        """(most, partners): a bound on the most coupling mass on A & A'
-        over the link sets A of u and A' of v at t = eps / 2, exact when
-        that is at least floor, and the partners of the pair that gives
-        it (None for a set left out). The scan stops at the first pair
-        with mass at least 1 - eps.
+    def scan(self, gens, eps, floor):
+        """(most, found): a bound on the most coupling mass on A_1 & ... &
+        A_k over link sets A_i of the generators gens at t = eps / 2,
+        exact when that is at least floor, and (partners, mask) of an
+        intersection that has it, the partners in the order of gens (None
+        for a bound). The search stops at the first intersection with
+        mass at least 1 - eps.
 
-        Pairs are taken in blocks of about BLOCK_ENTRIES entries, each
-        in order of bound, most first. A pair's max-flow is run only
-        when its bound is at least floor and above the most found so
-        far; the others count with their bound.
+        Depth first over the generators, the one with fewest sets first:
+        a node is the intersection S of one set for each generator so
+        far, and its children are S & A over the next generator's sets A,
+        in blocks of about BLOCK_ENTRIES entries, each in order of bound,
+        most first. A child is passed over once its bound is at most the
+        most found so far. A child whose bound, or else whose max-flow
+        mass, is below floor is not entered but counts with that value,
+        which bounds every intersection inside it. The max-flow runs only
+        where the bound reaches floor, and not on the first generator's
+        own sets, whose mass _maximal has tested; a child equal to S has
+        S's mass. Below the first generator, a child inside another child
+        is dropped (_outermost), as all that lies below it lies below the
+        other, and a child met before at the same depth is skipped: what
+        lies below it was counted then. That memo holds about
+        BLOCK_ENTRIES bytes a depth.
         """
-        (mu, pu, top_u), (mv, pv, top_v) = self.of(u, eps, floor), self.of(v, eps, floor)
-        most, partners = max(top_u, top_v), None
-        _spend(self.budget, mu.size * len(mv))
-        for rows in block_slices(len(mu), mv.size):
-            both = mu[rows, None, :] & mv[None, :, :]
-            ub = self.bound(both)
-            for at in np.argsort(-ub, kind="stable"):
-                if ub[at] <= most:
-                    break
-                pair = int(pu[rows][at // len(mv)]), int(pv[at % len(mv)])
-                if ub[at] < floor - MASS_GUARD:
-                    most, partners = float(ub[at]), pair
-                    break
-                mass = self.flow(both.reshape(ub.size, -1)[at])
-                if mass > most:
-                    most, partners = mass, pair
-                    if 1.0 - mass <= eps:
-                        return most, partners
-        return most, partners
+        levels = sorted(((self.of(g, eps, floor), k) for k, g in enumerate(gens)), key=lambda t: len(t[0][0]))
+        width = self.shape[0] * self.shape[1]
+        room = max(1, BLOCK_ENTRIES // -(-width // 8))
+        seen = [set() for _ in levels]
+        most, found = max(sets[2] for sets, _ in levels), None
+
+        def visit(depth, S, mass, chosen) -> bool:
+            """Search below S, of max-flow mass `mass` (None: not run);
+            True once an intersection reaches 1 - eps."""
+            nonlocal most, found
+            (masks, partners, _), k = levels[depth]
+            last, size = depth == len(levels) - 1, np.count_nonzero(S)
+            for rows in block_slices(len(masks), width):
+                _spend(self.budget, masks[rows].size)
+                both = masks[rows] & S
+                ub = self.bound(both)
+                live = ub >= floor - MASS_GUARD
+                if not live.all():
+                    most = max(most, float(ub[~live].max()))
+                live = np.flatnonzero(live & (ub > most))
+                packed = np.packbits(both[live], axis=1)
+                if depth and live.size > 1:
+                    keep = self._outermost(packed)
+                    live, packed = live[keep], packed[keep]
+                for at in np.argsort(-ub[live], kind="stable"):
+                    row = live[at]
+                    if ub[row] <= most:
+                        break
+                    key = packed[at].tobytes()
+                    if key in seen[depth]:
+                        continue
+                    if len(seen[depth]) >= room:
+                        seen[depth].clear()
+                    seen[depth].add(key)
+                    child = both[row]
+                    m = mass if np.count_nonzero(child) == size else None
+                    if m is None and (depth or last):
+                        m = self.flow(child)
+                    if m is not None and m < floor - MASS_GUARD:
+                        most = max(most, m)
+                        continue
+                    step = chosen + ((k, int(partners[rows][row])),)
+                    if not last:
+                        if visit(depth + 1, child, m, step):
+                            return True
+                        continue
+                    if m > most:
+                        most, found = m, (tuple(p for _, p in sorted(step)), child)
+                    if 1.0 - m <= eps:
+                        return True
+            return False
+
+        visit(0, np.ones(width, dtype=bool), None, ())
+        return most, found
 
 
-class _PairSearch:
-    """The least eps at which, at t = eps / 2, some link set A of the
-    generator u and A' of v carry coupling mass at least 1 - eps on
-    their intersection: the most mass on A & A' does not fall as t
-    grows and changes only at the breakpoints of u and v (_LinkSets.
-    breaks), so eps accepts when 1 - most(eps) <= eps, as in
-    _OrbitSearch. A test that fails counts some pairs with their bound,
-    so its unrouted mass may be low, which can only lower the value;
-    once the bisection ends, the failing test it ends on is rerun exact
-    where that mass decides the value.
+class _LinkSearch:
+    """The least eps at which, at t = eps / 2, link sets of the
+    generators gens, one each, carry coupling mass at least 1 - eps on
+    their intersection: the most mass on such an intersection does not
+    fall as t grows and changes only at the breakpoints of gens
+    (_LinkSets.breaks), so eps accepts when 1 - most(eps) <= eps, as in
+    _OrbitSearch. A test that fails counts some intersections with their
+    bound, so its unrouted mass may be low, which can only lower the
+    value; once the bisection ends, the failing test it ends on is rerun
+    exact where that mass decides the value.
     """
 
-    def __init__(self, sets: _LinkSets, u, v):
-        self.sets, self.u, self.v = sets, u, v
-        self.failed, self.accepted = {}, {}  # eps -> (unrouted, partners)
+    def __init__(self, sets: _LinkSets, gens):
+        self.sets, self.gens = sets, gens
+        self.failed, self.accepted = {}, {}  # eps -> (unrouted, found)
 
     def unrouted(self, eps) -> float:
-        most, partners = self.sets.scan(self.u, self.v, eps, 1.0 - eps)
+        most, found = self.sets.scan(self.gens, eps, 1.0 - eps)
         unrouted = 1.0 - most
-        (self.accepted if unrouted <= eps else self.failed)[eps] = (unrouted, partners)
+        (self.accepted if unrouted <= eps else self.failed)[eps] = (unrouted, found)
         return unrouted
 
     def least(self, best: float):
-        """(value, partners) when the value is above `best`, the partners
-        of the link sets that reach it; otherwise (best, None)."""
+        """(value, found): the value when it is above `best`, and
+        otherwise `best`; found is (partners, mask) of an intersection
+        that reaches it (_LinkSets.scan), or None at eps = 1, which every
+        choice of sets meets."""
         lo, u_lo = best, self.unrouted(best)
         if u_lo <= best:
-            return best, None
+            return best, self.accepted[best][1]
         # listed only after a first test charged the budget for the maps:
         # a partner adds about as many break values as it has maps
-        breaks = self.sets.breaks(self.u, self.v)
+        breaks = self.sets.breaks(self.gens)
         # gallop up from best, so that most tests run at small eps, whose
         # link sets are few, before the bisection between the last two
         step, hi = (1.0 - best) / 16.0, 1.0
@@ -582,27 +646,36 @@ class _PairSearch:
             lo, u_lo, step = lo + step, u, 2.0 * step
         breaks.least(lo, hi, u_lo, self.unrouted)
         lo, hi = max(self.failed), min(self.accepted, default=1.0)
-        if self.failed[lo][0] >= hi:
-            return float(hi), self.accepted.get(hi, (None, None))[1]
-        most, partners = self.sets.scan(self.u, self.v, lo, 1.0 - hi)
-        return float(min(hi, 1.0 - most)), partners
+        if self.failed[lo][0] < hi:
+            most, found = self.sets.scan(self.gens, lo, 1.0 - hi)
+            if 1.0 - most < hi:
+                return float(1.0 - most), found
+        return float(hi), self.accepted.get(hi, (None, None))[1]
 
 
-class PairLowerBound(float):
-    """A certified lower bound on the box distance from two generators
-    (pairwise_lower): below it, at reach t = eps / 2, no link set of the
-    generator `first` and none of `second`, each (side, index), carry
-    coupling mass 1 - eps on their intersection. At eps = the bound,
-    link sets from the other side's generators `partners`, in the same
-    order, do; they are None at eps = 1, which every pair of sets meets.
-    When `spent`, the budget ran out, and the bound is the largest eps
-    that the pair's search ruled out."""
+class _LinkBound(float):
+    """A certified lower bound on the box distance from link sets at
+    reach t = eps / 2 (pairwise_lower). When `spent`, the budget ran out,
+    and the bound is the largest eps its search ruled out. `support`, a
+    sorted tuple of point pairs (i, j), is set when the search over every
+    generator finished at the bound: a coupling puts mass 1 - eps on it,
+    and its box gap is at most t."""
+
+    spent: bool = False
+    reach: float = 0.0
+    support: tuple | None = None
+
+
+class PairLowerBound(_LinkBound):
+    """A link-set bound from two generators: below it, no link set of
+    the generator `first` and none of `second`, each (side, index), carry
+    coupling mass 1 - eps on their intersection. At eps = the bound, link
+    sets from the other side's generators `partners`, in the same order,
+    do; they are None at eps = 1, which every pair of sets meets."""
 
     first: tuple = ("X", 0)
     second: tuple = ("Y", 0)
     partners: tuple | None = None
-    spent: bool = False
-    reach: float = 0.0
 
     def describe(self) -> str:
         (s1, i1), (s2, i2) = self.first, self.second
@@ -615,26 +688,49 @@ class PairLowerBound(float):
         return f"{text}: eps={float(self)!r}, t={self.reach!r}"
 
 
+class SearchLowerBound(_LinkBound):
+    """A link-set bound from all `generators` searched at once: below it,
+    no choice of one link set for each carries coupling mass 1 - eps on
+    its intersection. Over every generator of both sides, it is the box
+    distance when that is at most 1."""
+
+    generators: int = 0
+
+    def describe(self) -> str:
+        text = f"link-set search over {self.generators} generators"
+        if self.spent:
+            text += ", budget spent"
+        elif self.support is not None:
+            text += f", meeting in {len(self.support)} point pairs"
+        return f"{text}: eps={float(self)!r}, t={self.reach!r}"
+
+
 def pairwise_lower(X: FiniteGDS, Y: FiniteGDS, start: float, budget) -> float:
-    """The pairwise (level 2) box bound of X and Y when it is above
-    `start`, as a PairLowerBound; otherwise `start`.
+    """The link-set box bound of X and Y when it is above `start`, as a
+    PairLowerBound or a SearchLowerBound; otherwise `start`, or a
+    SearchLowerBound equal to it that carries a support.
 
     A support S has gap at most t = eps / 2 exactly when, for every
     generator of either side, some map of the other family and some
-    partner link every pair of S (a link set A holds S). So box <= eps
-    needs, for every two generators u and v, link sets A of u and A' of
-    v with F(A & A') >= 1 - eps, F the most coupling mass on a support
-    (stats._support_flow), which only grows with the support. The
-    largest, over pairs of generators, of the least eps at which that
-    holds (_PairSearch) is a lower bound; each pair is first tested at
-    the running maximum, and searched only when it fails there. A
-    generator whose partners have a lip1 family is left out (its link
-    sets are not those of a few maps).
+    partner link every pair of S (a link set A holds S). F, the most
+    coupling mass on a support (stats._support_flow), only grows with the
+    support. So box <= eps exactly when, for every generator, some link
+    set carries an intersection with F >= 1 - eps, and the least eps at
+    which some generators' sets do (_LinkSearch) is a lower bound.
 
-    The scans share `budget`, [flow steps left]. Once it is spent, the
-    bound is the largest eps ruled out: the largest over the pairs
-    searched in full, or the largest failing test of the pair being
-    searched.
+    Each two generators are searched first (level 2), and then all of
+    them at once, each search from the running maximum; with two
+    generators only the one search runs. When the search over every
+    generator of both sides finishes, the bound is the box distance if
+    that is at most 1, and the intersection S it ends on is the bound's
+    `support`: S under its max-flow coupling has box value at most the
+    bound, up to rounding. A generator whose partners have a lip1
+    family is left out (its link sets are not those of a few maps), and
+    then no support is named.
+
+    The searches share `budget`, [flow steps left]. Once it is spent, the
+    bound is the largest eps ruled out: the largest over the searches
+    that finished, or the largest failing test of the one that ran out.
     """
     sets = _LinkSets(X, Y, budget)
     gens = [
@@ -643,22 +739,34 @@ def pairwise_lower(X: FiniteGDS, Y: FiniteGDS, start: float, budget) -> float:
         if other.family.kind != "lip1"
         for i in range(own.n_generators)
     ]
-    best, witness, search = start, None, None
+    searches = list(combinations(gens, 2)) if len(gens) > 2 else []
+    searches += [tuple(gens)] if len(gens) > 1 else []
+    best, witness, search, found = start, None, None, None
     try:
-        for u, v in combinations(gens, 2):
+        for chosen in searches:
             sets.keep = best
-            search = _PairSearch(sets, u, v)
-            value, partners = search.least(best)
+            search = _LinkSearch(sets, chosen)
+            value, found = search.least(best)
             if value > best:
-                best, witness = value, (u, v, partners, False)
+                best, witness = value, (chosen, found, False)
     except _OverBudget:
-        ruled_out = float(max(search.failed, default=best)) if search else best
+        found = None
+        ruled_out = float(max(search.failed, default=best))
         if ruled_out > best:
-            best, witness = ruled_out, (search.u, search.v, None, True)
-    if witness is None:
+            best, witness = ruled_out, (search.gens, None, True)
+    support = None
+    if found is not None and found[1].any() and len(gens) == X.n_generators + Y.n_generators:
+        support = tuple(zip(*(ix.tolist() for ix in np.nonzero(found[1].reshape(sets.shape)))))
+    if witness is None and support is None:
         return start
-    u, v, partners, spent = witness
-    bound = PairLowerBound(best)
-    bound.first, bound.second = (("X", "Y")[u[0]], u[1]), (("X", "Y")[v[0]], v[1])
-    bound.partners, bound.spent, bound.reach = partners, spent, best / 2.0
+    chosen, at_best, spent = witness or (tuple(gens), None, False)
+    if len(chosen) == len(gens):
+        bound = SearchLowerBound(best)
+        bound.generators = len(gens)
+    else:
+        bound = PairLowerBound(best)
+        (s1, i1), (s2, i2) = chosen
+        bound.first, bound.second = (("X", "Y")[s1], i1), (("X", "Y")[s2], i2)
+        bound.partners = at_best[0] if at_best is not None else None
+    bound.spent, bound.reach, bound.support = spent, best / 2.0, support
     return bound

@@ -1,7 +1,7 @@
 import math
 import tracemalloc
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -28,7 +28,7 @@ from gdskit.distances import (
     lower_bound,
 )
 from gdskit.errors import ComputationError, EmptySupport, MarginalMismatch, ValidationError
-from gdskit.laws import LawLowerBound, PairLowerBound, orbit_law_distance
+from gdskit.laws import LawLowerBound, PairLowerBound, SearchLowerBound, orbit_law_distance
 from gdskit.stats import _support_flow
 from gdskit.transforms import MeasurementSpec, measurement
 from oracles import (
@@ -494,7 +494,9 @@ class TestIncumbentCutoff:
         Y = gk.validate_gds(range(4), [[0, 1, 2, 3], [1, 0, 3, 2], [0, 4, 0, 4]], gk.TB_FAMILY, [0.25, 0.125, 0.375, 0.25])
         # the law bound closes the dconc bracket at its first candidate, and
         # a closed bracket runs no local search; the od bound alone keeps
-        # both searches open, so that the cutoffs have trials to cut. The
+        # both searches open, so that the cutoffs have trials to cut.
+        # pairwise_lower also runs the link-set search over every
+        # generator, whose support would close the box bracket first. The
         # masses differ: with equal ones every mass-cycle move from a
         # permutation is another permutation, all of them candidates, and
         # the dconc local search has no new coupling to score
@@ -855,7 +857,7 @@ class TestLawBound:
 
     def test_brackets_stay_ordered_and_witnessed(self):
         rng = np.random.default_rng(149)
-        closed = law_won = pair_won = 0
+        closed = law_won = pair_won = search_won = 0
         for family in FAMILIES:
             for _ in range(8):
                 X = dyadic_gds(rng, max_n=4, max_gens=2, family=family)
@@ -886,12 +888,24 @@ class TestLawBound:
                         # replay: the named pair of generators, searched alone, gives the bound
                         first, second = (Y, X) if distances._oriented(X, Y) else (X, Y)
                         u, v = [(("X", "Y").index(side), i) for side, i in (bound.first, bound.second)]
-                        search = laws._PairSearch(laws._LinkSets(first, second, [laws.LAW_BUDGET]), u, v)
+                        search = laws._LinkSearch(laws._LinkSets(first, second, [laws.LAW_BUDGET]), (u, v))
                         assert search.least(0.0)[0] == float(bound)
                         assert bound.reach == float(bound) / 2
+                    elif isinstance(bound, SearchLowerBound):
+                        search_won += 1
+                        assert box and family != LIP1 and not bound.spent
+                        assert bound > max(dconc_lower_via_od(X, Y), laws.law_lower(X, Y, box, 0.0))
+                        assert bound.reach == float(bound) / 2
+                        # replay: the named support, under its max-flow coupling,
+                        # has box value the bound, and the bracket closes on it
+                        first, second = (Y, X) if distances._oriented(X, Y) else (X, Y)
+                        S = bound.support
+                        value = box_objective(first, second, _support_flow(first.masses, second.masses, S), S)
+                        assert value == br.upper and br.upper - br.lower <= 1e-15
+                        assert br.upper_witness.endswith("of the link-set search, bracket closed") or value > br.lower
                     else:
                         assert isinstance(bound, OdLowerBound)
-        assert closed > 0 and law_won > 0 and pair_won > 0
+        assert closed > 0 and law_won > 0 and pair_won > 0 and search_won > 0
 
     def test_searched_breakpoints_match_the_listed_ones(self, monkeypatch):
         # the differences of v are found by searchsorted without listing
@@ -1035,9 +1049,18 @@ class TestLawBound:
 
 
 
+def level_two(X, Y):
+    """The largest, over two generators of either side, of the least eps
+    at which their link sets meet in mass 1 - eps: the searches of
+    pairwise_lower's level 2 alone."""
+    sets = laws._LinkSets(X, Y, [laws.LAW_BUDGET])
+    gens = [(side, i) for side, Z in enumerate((X, Y)) for i in range(Z.n_generators)]
+    return max((laws._LinkSearch(sets, pair).least(0.0)[0] for pair in combinations(gens, 2)), default=0.0)
+
+
 class TestPairwiseBound:
     """laws.pairwise_lower: the box bound from the link sets of two
-    generators at a time."""
+    generators at a time, and then of all of them."""
 
     def test_engine_matches_rational_oracle(self):
         # masses k/7 and k/11, which floats only approximate; a map missing
@@ -1050,8 +1073,10 @@ class TestPairwiseBound:
                     for Z in small_pair(rng, family, shapes=((2, 2), (2, 3), (3, 2), (1, 3)))
                 )
                 want = float(pairwise_bound_oracle(X, Y))
+                assert abs(level_two(X, Y) - want) <= 1e-12, (family, X, Y)
+                # the search over every generator adds to the pairs' bound
                 got = laws.pairwise_lower(X, Y, 0.0, [laws.LAW_BUDGET])
-                assert abs(float(got) - want) <= 1e-12, (family, X, Y)
+                assert want - 1e-12 <= got <= exact_box_oracle(X, Y) + 1e-12, (family, X, Y)
 
     def test_between_law_bound_and_exact_box(self):
         rng = np.random.default_rng(191)
@@ -1075,7 +1100,7 @@ class TestPairwiseBound:
             X = dyadic_gds(rng, max_n=4, max_gens=2, family=LIP1)
             Y = dyadic_gds(rng, max_n=4, max_gens=2, family=LIP1)
             bound = lower_bound(X, Y, box=True)
-            assert not isinstance(bound, PairLowerBound)
+            assert not isinstance(bound, (PairLowerBound, SearchLowerBound))
             assert float(bound) == max(float(dconc_lower_via_od(X, Y)), float(laws.law_lower(X, Y, True, 0.0)))
             assert laws.pairwise_lower(X, Y, 0.125, [laws.LAW_BUDGET]) == 0.125
 
@@ -1107,3 +1132,147 @@ class TestPairwiseBound:
                     spent += 1
                     assert "budget spent" in bound.describe()
         assert cut > 0 and spent > 0
+
+
+def oracle_pair(rng, family):
+    """Two data sets of at most 8 point pairs: one or two generators of
+    values k/8, masses k/7 or k/sum(k), which floats only approximate."""
+    sets = []
+    shape = ((1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (1, 4), (4, 1), (2, 4), (4, 2), (1, 3), (3, 1))[int(rng.integers(11))]
+    for n in shape:
+        gens = int(rng.integers(1, 3))
+        while True:
+            G = rng.integers(-12, 13, size=(gens, n)) / 8
+            if len({tuple(col) for col in G.T}) == n:
+                break
+        if rng.random() < 0.5:
+            masses = (rng.multinomial(7 - n, np.full(n, 1.0 / n)) + 1) / 7
+        else:
+            k = rng.integers(1, 12, size=n)
+            masses = k / k.sum()
+        sets.append(gk.validate_gds(range(n), G, family, masses))
+    return sets
+
+
+# bracket workload pairs, values k/64 and masses k/1024: TB 4x2/5x1 at
+# seed 7, and TB 5x1/5x1 at seeds 2 and 7
+SEED7_TB_4x2_5x1 = (([[-48, 240, 232, -146], [-253, 88, -249, -102]], [95, 413, 386, 130]), ([[55, 207, 236, 36, -112]], [149, 48, 378, 193, 256]))
+TB_5x1_5x1 = (
+    (([[-22, -200, 87, 246, 207]], [250, 563, 73, 60, 78]), ([[245, 160, 59, 235, -212]], [73, 38, 150, 375, 388])),
+    (([[39, 130, 125, 159, 74]], [140, 289, 436, 2, 157]), ([[188, 66, -8, 150, 232]], [90, 146, 288, 218, 282])),
+)
+
+
+def workload_pair(pair):
+    return tuple(gk.validate_gds(range(len(m)), np.array(G) / 64, gk.TB_FAMILY, np.array(m) / 1024) for G, m in pair)
+
+
+class TestLinkSearch:
+    """pairwise_lower's search over every generator: an exact box value
+    when it finishes at most 1, and a support that closes the bracket."""
+
+    def test_closes_at_the_exact_box(self):
+        rng = np.random.default_rng(211)
+        closed = above_one = 0
+        for k in range(100):
+            family = FAMILIES[k % 4]
+            X, Y = oracle_pair(rng, family)
+            exact = exact_box_oracle(X, Y)
+            assert laws.pairwise_lower(X, Y, 0.0, [laws.LAW_BUDGET]) <= exact + 1e-12
+            br = box_bracket(X, Y, CFG)
+            assert br.lower <= exact + 1e-12 and br.upper >= exact - 1e-12, (X, Y)
+            if exact > 1.0:
+                above_one += 1
+                continue
+            assert br.upper - br.lower <= 1e-12 and abs(br.upper - exact) <= 1e-12, (X, Y)
+            closed += br.upper_witness.endswith("of the link-set search, bracket closed")
+        assert closed > 0 and above_one > 0
+
+    def test_pruned_branch_counts_its_bound(self):
+        # an intersection left out for its bound must count with it: else a
+        # failing test reads more mass unrouted than it has, and the bound
+        # read 0.38751220703125 here, above this support's box value
+        X, Y = workload_pair(SEED7_TB_4x2_5x1)
+        bound = lower_bound(X, Y, box=True)
+        assert isinstance(bound, SearchLowerBound) and float(bound) == 0.380859375
+        br = box_bracket(X, Y, CFG)
+        assert br.lower == br.upper == 0.380859375
+        assert br.upper_witness == "max-flow coupling, 2 pairs of the link-set search, bracket closed"
+
+    def test_spent_budget_keeps_the_largest_eps_ruled_out(self):
+        rng = np.random.default_rng(223)
+        spent = 0
+        for _ in range(6):
+            X = dyadic_gds(rng, max_n=4, max_gens=3, family=gk.TB_FAMILY)
+            Y = dyadic_gds(rng, max_n=4, max_gens=3, family=gk.TB_FAMILY)
+            budget = [laws.LAW_BUDGET]
+            full = laws.pairwise_lower(X, Y, 0.0, budget)
+            gens = tuple((side, i) for side, Z in enumerate((X, Y)) for i in range(Z.n_generators))
+            for steps in np.linspace(0, laws.LAW_BUDGET - budget[0], 16).astype(int).tolist():
+                bound = laws.pairwise_lower(X, Y, 0.0, [steps])
+                assert 0.0 <= bound <= full
+                if isinstance(bound, SearchLowerBound) and bound.spent:
+                    spent += 1
+                    assert bound.support is None and "budget spent" in bound.describe()
+                    # the search over every generator fails at the bound
+                    search = laws._LinkSearch(laws._LinkSets(X, Y, [laws.LAW_BUDGET]), gens)
+                    assert search.unrouted(float(bound)) > float(bound)
+        assert spent > 0
+
+    def test_spent_budget_runs_the_support_search(self, monkeypatch):
+        # with no budget for the link sets the bracket is that of the
+        # support search, and stays ordered around the exact value
+        rng = np.random.default_rng(227)
+        for k in range(12):
+            X, Y = oracle_pair(rng, FAMILIES[k % 4])
+            exact = exact_box_oracle(X, Y)
+            monkeypatch.setattr(distances, "LAW_BUDGET", 0)
+            br = box_bracket(X, Y, CFG)
+            monkeypatch.undo()
+            assert br.lower <= exact + 1e-12 and br.upper >= exact - 1e-12
+            assert "link-set search" not in br.upper_witness
+
+    def test_larger_budget_never_raises_a_box_upper(self, monkeypatch):
+        # twice the candidates and local-search steps raised the uppers of
+        # both TB 5x1/5x1 pairs (0.4912 to 0.5469, 0.5938 to 0.7168) while
+        # the support search decided them; an exact search does not depend
+        # on the budget
+        rng = np.random.default_rng(229)
+        pairs = [workload_pair(p) for p in TB_5x1_5x1]
+        for _ in range(10):
+            pairs.append(tuple(dyadic_gds(rng, max_n=6, max_gens=1, family=gk.TB_FAMILY) for _ in range(2)))
+        pairs = [(X, Y) for X, Y in pairs if X.n_points >= 4 and Y.n_points >= 4]
+        assert len(pairs) >= 6
+        default = [box_bracket(X, Y, CFG).upper for X, Y in pairs]
+        monkeypatch.setattr(distances, "COUPLING_CANDIDATES", 2 * distances.COUPLING_CANDIDATES)
+        monkeypatch.setattr(distances, "LOCAL_SEARCH_STEPS", 2 * distances.LOCAL_SEARCH_STEPS)
+        doubled = [box_bracket(X, Y, CFG).upper for X, Y in pairs]
+        assert all(b <= a for a, b in zip(default, doubled)), list(zip(default, doubled))
+
+
+class TestMissingMass:
+    def test_level_bracket_keeps_its_certified_lower(self):
+        # a level pair of the staircase of path:2:1 and path:3:1. The
+        # max-flow coupling of the support {(0, 0), (1, 1)} has entries
+        # summing to 1 - 5.6e-17, so the mass it puts outside read
+        # 0.16666666666666663, below the od bound 0.16666666666666674,
+        # and the bracket lowered that certified bound to it
+        X = gk.validate_gds([0, 1], [[0.0, 1.0]], gk.TB_FAMILY, [0.5, 0.5])
+        Y = gk.validate_gds([0, 1], [[0.0, 1.0]], gk.TB_FAMILY, [1 / 3, 2 / 3])
+        S = [(0, 0), (1, 1)]
+        pi = _support_flow(X.masses, Y.masses, S)
+        assert box_objective(X, Y, pi, S) >= X.masses.sum() - (pi[0, 0] + pi[1, 1])
+        br = box_bracket(X, Y, CFG)
+        assert br.lower == float(lower_bound(X, Y, box=True)) == br.upper
+
+    def test_missing_mass_is_never_below_the_total_less_pi_of_s(self):
+        rng = np.random.default_rng(233)
+        for _ in range(200):
+            nx, ny = (int(k) for k in rng.integers(1, 6, size=2))
+            mx, my = rational_masses(rng, nx), rational_masses(rng, ny)
+            X = gk.validate_gds(range(nx), [np.arange(nx) / 8], gk.TB_FAMILY, mx)
+            Y = gk.validate_gds(range(ny), [np.arange(ny) / 8], gk.TB_FAMILY, my)
+            S = random_support(rng, nx, ny)
+            pi = _support_flow(mx, my, S)
+            rows, cols = np.array(S).T
+            assert box_objective(X, Y, pi, S) >= mx.sum() - pi[rows, cols].sum()
