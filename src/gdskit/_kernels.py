@@ -7,8 +7,9 @@ counterparts, so the two always agree bit for bit:
 - kf_rows: stats.ky_fan, and every Ky Fan orbit distance;
 - pd_rows: stats.partial_diameter and obsdiam.observable_diameter;
 - window_tradeoff_values: the Ky Fan distance to a translation orbit;
-- Differences, the breakpoint search: stats.prohorov and the law
-  lower bound (laws.orbit_law_distance).
+- Differences, the breakpoint search: stats.prohorov, the law lower
+  bound (laws.orbit_law_distance) and the link-set search
+  (laws.link_lower).
 """
 from __future__ import annotations
 

@@ -33,14 +33,14 @@ is not tractable exactly; every reported value is therefore a Bracket:
     of the other family routes so from some generator g is a lower
     bound. It is exact over every orbit but lip1's (laws.py), and its
     witness names the generator pair, eps and the reach t;
-  - the link-set bounds, for box: a support of gap at most t = eps / 2
+  - the link-set bound, for box: a support of gap at most t = eps / 2
     lies inside a link set of every generator, the point pairs that one
     map and one partner link within t, so box <= eps exactly when one
     link set of every generator can be chosen whose intersection
-    carries coupling mass 1 - eps. laws.pairwise_lower searches every
-    two generators, then all of them at once; the least such eps is a
-    bound, and its witness names the generators searched and eps. It
-    draws on what the law bound leaves of the same LAW_BUDGET.
+    carries coupling mass 1 - eps. laws.link_lower searches all the
+    generators at once; the least such eps is a bound, and its witness
+    names how many generators it searched, eps and the support it ends
+    on. It draws on what the law bound leaves of the same LAW_BUDGET.
 
 Each bracket takes its lower bound first, and its search stops once the
 upper bound reaches it: every later candidate scores at least the
@@ -74,7 +74,7 @@ from .errors import (
     ValidationError,
 )
 from .families import dist_to_orbit, dist_to_orbit_sup
-from .laws import LAW_BUDGET, law_lower, pairwise_lower
+from .laws import LAW_BUDGET, law_lower, link_lower
 from .stats import _hausdorff, _nw_corner, _support_flow
 
 # equal-size pairs of at most this many points also try, as couplings,
@@ -284,10 +284,10 @@ def dconc_lower_via_od(X: FiniteGDS, Y: FiniteGDS, kappas=None) -> OdLowerBound:
 def lower_bound(X: FiniteGDS, Y: FiniteGDS, box: bool = False) -> float:
     """The certified lower bound of dconc_bracket (box: of box_bracket):
     the largest of the od transfer bound, the law bound and, for box,
-    the link-set bounds, each taken only when strictly above the ones
+    the link-set bound, each taken only when strictly above the ones
     before it. The law and link-set scans share LAW_BUDGET flow steps.
-    The result is an OdLowerBound, a LawLowerBound, a PairLowerBound or
-    a SearchLowerBound, whose describe() names the witness, and it does
+    The result is an OdLowerBound, a LawLowerBound or a
+    SearchLowerBound, whose describe() names the witness, and it does
     not depend on the argument order."""
     if _oriented(X, Y):
         return lower_bound(Y, X, box)
@@ -297,14 +297,14 @@ def lower_bound(X: FiniteGDS, Y: FiniteGDS, box: bool = False) -> float:
 def _bounds(X, Y, box: bool):
     """(lower_bound(X, Y, box), support) for X and Y in canonical order:
     for box, the support that the link-set search over every generator
-    ends on when it finishes (laws.pairwise_lower), else None."""
+    ends on when it finishes (laws.link_lower), else None."""
     best = dconc_lower_via_od(X, Y)
     budget = [LAW_BUDGET]
     law = law_lower(X, Y, box, float(best), budget)
     best = law if law > best else best
     if not box:
         return best, None
-    link = pairwise_lower(X, Y, float(best), budget)
+    link = link_lower(X, Y, float(best), budget)
     return (link if link > best else best), getattr(link, "support", None)
 
 
@@ -579,15 +579,15 @@ def box_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None) 
     _Search under a coupling that puts the most mass any coupling can on
     S (a max-flow, stats._support_flow), so the witness is S with that
     coupling. The first support scored is the one the link-set search
-    over every generator ends on (laws.pairwise_lower), when it
-    finished: its box value is the lower bound, up to rounding, so it
-    closes the bracket. Only a bracket still open searches on: the
-    candidate couplings' supports, scored in full by box_objective; for
-    the best three of those, their singletons and greedy discard sweeps
-    over per-pair residuals; then a local search from the best support
-    that adds or drops one pair, within LOCAL_SEARCH_STEPS scorings. As
-    in dconc_bracket, the search stops once the upper bound reaches the
-    lower.
+    over every generator ends on (laws.link_lower), when it finished:
+    its box value is the lower bound, up to rounding, so it closes the
+    bracket, and no other is scored. Where the search names no support,
+    the candidate couplings' supports follow, scored in full by
+    box_objective; for the best three of those, their singletons and
+    greedy discard sweeps over per-pair residuals; then a local search
+    from the best support that adds or drops one pair, within
+    LOCAL_SEARCH_STEPS scorings. As in dconc_bracket, the search stops
+    once the upper bound reaches the lower.
     """
     cfg = config or SearchConfig()
     if _oriented(X, Y):
@@ -601,7 +601,7 @@ def box_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None) 
     search = _Search(lower, objective)
     if support is not None:
         search.score(support, support, f"max-flow coupling, {len(support)} pairs of the link-set search")
-    if search.value > lower:
+    if support is None:
         _search_supports(X, Y, cfg, search)
     witness = lower.describe()
     if isinstance(lower, OdLowerBound):
@@ -610,9 +610,9 @@ def box_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None) 
 
 
 def _search_supports(X, Y, cfg, search) -> None:
-    """box_bracket's search where the link-set search names no support
-    that closes the bracket: the candidates' supports, their singletons
-    and peels, then the local search."""
+    """box_bracket's search where the link-set search names no support:
+    the candidates' supports, their singletons and peels, then the local
+    search."""
     scored = []
     for name, pi in _candidate_couplings(X, Y, cfg):
         pairs = tuple(_support_pairs(pi))

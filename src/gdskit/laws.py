@@ -13,27 +13,24 @@ which are searched without being listed. law_lower takes the bound
 over the generators of two data sets, within a budget of flow steps,
 and distances.lower_bound compares it with the od transfer bound.
 
-The same vertex maps give the box form link-set bounds
-(pairwise_lower). On points, a map and a partner generator link the
-point pairs (i, j) with |f_i - p(g_j)| <= t; a support has box gap at
-most t exactly when it lies inside such a link set for every generator
-of either side. So each generator's maximal link sets are listed as
-boolean rows over the point pairs, in blocks of BLOCK_ENTRIES, and eps
-is ruled out when no choice of one set for each of some generators
-meets in a support that a coupling can give mass 1 - eps
-(stats._support_flow). Every two generators are searched, then all of
-them at once, depth first. The bounds are bisected over the breakpoints
-of _law_breaks from the law bound up, and their scans spend what the
-law bound left of the same LAW_BUDGET. The search over every generator
-is exact: when it finishes, its bound is the box distance if that is
-at most 1, and the support it ends on is the upper witness of the box
-bracket, which then closes. Upper bounds elsewhere are never claimed
-exact.
+The same vertex maps give the box form a link-set bound (link_lower).
+On points, a map and a partner generator link the point pairs (i, j)
+with |f_i - p(g_j)| <= t; a support has box gap at most t exactly when
+it lies inside such a link set for every generator of either side. So
+each generator's maximal link sets are listed as boolean rows over the
+point pairs, in blocks of BLOCK_ENTRIES, and eps is ruled out when no
+choice of one set for each generator meets in a support that a coupling
+can give mass 1 - eps (stats._support_flow). One depth-first search
+over every generator bisects eps over the breakpoints of _law_breaks
+from the law bound up, and spends what the law bound left of the same
+LAW_BUDGET. It is exact: when it finishes, its bound is the box
+distance if that is at most 1, and the support it ends on is the upper
+witness of the box bracket, which then closes. Upper bounds elsewhere
+are never claimed exact.
 """
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 import numpy as np
 
@@ -191,7 +188,7 @@ def _tb_routed(a, prefix, b, wb, t, reach, eps, best) -> float:
 # lower bound may spend, a few seconds of scans on one core: the law
 # bound of two data sets of 16 TB generators of 16 atoms spends 40-46 %
 # of it in either form, and with 29 to 32 atoms a side none is begun.
-# The link-set bounds spend the rest: a step per map past one atom, per
+# The link-set search spends the rest: a step per map past one atom, per
 # point pair of a set built or of a set met with an intersection, per
 # byte of two sets compared, and per point pair and point of a max-flow
 LAW_BUDGET = 1 << 26
@@ -379,7 +376,7 @@ def law_lower(X: FiniteGDS, Y: FiniteGDS, box: bool, start: float, budget=None) 
 
 def _link_maps(a, b, t, kind):
     """Blocks (c, lo, hi) of about BLOCK_ENTRIES maps x -> min(max(x +
-    c, lo), hi) whose link sets the pairwise bound lists: the vertex maps
+    c, lo), hi) whose link sets the link-set bound lists: the vertex maps
     (_vertex_maps) and, for TB, every shift-then-clip map that
     _tb_routed scans, each shift c with every level lo in a - t, b + c
     below every level hi in a + t, b + c. So some map here links every
@@ -404,20 +401,18 @@ def _link_maps(a, b, t, kind):
 class _LinkSets:
     """The maximal link sets of the generators of X and Y, as boolean rows
     over the point pairs (i, j) of X and Y, and the most coupling mass
-    on their pairwise intersections (pairwise_lower).
+    on their intersections (link_lower).
 
     A generator is (side, index): side 0 is a generator f of X, linked
     to the points of Y through the maps p of Y's family and a partner g,
     a generator of Y, by |f_i - p(g_j)| <= t; side 1 the same with the
-    sides swapped. The sets of the running maximum's eps stay cached
-    while other eps are searched, and every scan is charged to budget.
+    sides swapped. Every scan is charged to budget.
     """
 
     def __init__(self, X: FiniteGDS, Y: FiniteGDS, budget):
         self.X, self.Y, self.budget = X, Y, budget
         self.shape = (X.n_points, Y.n_points)
         self.span = max(np.abs(X.generators).max(), np.abs(Y.generators).max())
-        self.cache, self.keep = {}, None
 
     def sides(self, gen):
         """(values, own, other): gen's values and its data set, then the
@@ -451,25 +446,18 @@ class _LinkSets:
         pi = _support_flow(self.X.masses, self.Y.masses, zip(rows.tolist(), cols.tolist()))
         return float(pi[rows, cols].sum())
 
-    def of(self, gen, eps, floor):
-        """(masks, partners, top): the maximal link sets of gen at t = eps
-        / 2 that can carry coupling mass floor, up to MASS_GUARD, the
-        partner that links each, and the most mass a set left out can."""
-        key = (gen, eps, floor)
-        if key not in self.cache:
-            self.cache = {k: sets for k, sets in self.cache.items() if k[1] in (eps, self.keep)}
-            self.cache[key] = self._maximal(gen, eps, floor)
-        return self.cache[key]
-
     def _maximal(self, gen, eps, floor):
+        """(masks, top): the maximal link sets of gen at t = eps / 2 that
+        can carry coupling mass floor, up to MASS_GUARD, and the most mass
+        a set left out can."""
         a, own, other = self.sides(gen)
         kind, width = other.family.kind, self.shape[0] * self.shape[1]
         t = eps / 2.0
         reach = t + 8.0 * math.ulp(8.0 * max(self.span, t))
         by_a = np.argsort(a, kind="stable")
         a_up, prefix = a[by_a], np.concatenate([[0.0], np.cumsum(own.masses[by_a])])
-        packed, partners, top = [], [], 0.0
-        for p, b in enumerate(other.generators):
+        packed, top = [], 0.0
+        for b in other.generators:
             clips = a.size * b.size * (a.size + b.size) ** 2 if kind == "TB" else 0
             _spend(self.budget, (_vertex_count(a.size, b.size, kind) + clips) * b.size)
             by_b = np.argsort(b, kind="stable")
@@ -488,11 +476,9 @@ class _LinkSets:
                     links = np.abs(a[:, None] - pos[:, None, :]) <= reach
                     links = links if gen[0] == 0 else links.transpose(0, 2, 1)
                     packed.append(np.packbits(links.reshape(-1, width), axis=1))
-                    partners.append(np.full(len(links), p))
         packed = np.concatenate(packed)
-        keep = self._outermost(packed)
-        masks = np.unpackbits(packed[keep], axis=1, count=width).astype(bool)
-        return masks, np.concatenate(partners)[keep], top
+        masks = np.unpackbits(packed[self._outermost(packed)], axis=1, count=width).astype(bool)
+        return masks, top
 
     def _outermost(self, packed) -> np.ndarray:
         """The indices of the rows of packed, sets as bytes, that lie
@@ -525,10 +511,9 @@ class _LinkSets:
     def scan(self, gens, eps, floor):
         """(most, found): a bound on the most coupling mass on A_1 & ... &
         A_k over link sets A_i of the generators gens at t = eps / 2,
-        exact when that is at least floor, and (partners, mask) of an
-        intersection that has it, the partners in the order of gens (None
-        for a bound). The search stops at the first intersection with
-        mass at least 1 - eps.
+        exact when that is at least floor, and the mask of an intersection
+        that has it (None for a bound). The search stops at the first
+        intersection with mass at least 1 - eps.
 
         Depth first over the generators, the one with fewest sets first:
         a node is the intersection S of one set for each generator so
@@ -546,17 +531,17 @@ class _LinkSets:
         lies below it was counted then. That memo holds about
         BLOCK_ENTRIES bytes a depth.
         """
-        levels = sorted(((self.of(g, eps, floor), k) for k, g in enumerate(gens)), key=lambda t: len(t[0][0]))
+        levels = sorted((self._maximal(g, eps, floor) for g in gens), key=lambda sets: len(sets[0]))
         width = self.shape[0] * self.shape[1]
         room = max(1, BLOCK_ENTRIES // -(-width // 8))
         seen = [set() for _ in levels]
-        most, found = max(sets[2] for sets, _ in levels), None
+        most, found = max(top for _, top in levels), None
 
-        def visit(depth, S, mass, chosen) -> bool:
+        def visit(depth, S, mass) -> bool:
             """Search below S, of max-flow mass `mass` (None: not run);
             True once an intersection reaches 1 - eps."""
             nonlocal most, found
-            (masks, partners, _), k = levels[depth]
+            masks, _ = levels[depth]
             last, size = depth == len(levels) - 1, np.count_nonzero(S)
             for rows in block_slices(len(masks), width):
                 _spend(self.budget, masks[rows].size)
@@ -587,18 +572,17 @@ class _LinkSets:
                     if m is not None and m < floor - MASS_GUARD:
                         most = max(most, m)
                         continue
-                    step = chosen + ((k, int(partners[rows][row])),)
                     if not last:
-                        if visit(depth + 1, child, m, step):
+                        if visit(depth + 1, child, m):
                             return True
                         continue
                     if m > most:
-                        most, found = m, (tuple(p for _, p in sorted(step)), child)
+                        most, found = m, child
                     if 1.0 - m <= eps:
                         return True
             return False
 
-        visit(0, np.ones(width, dtype=bool), None, ())
+        visit(0, np.ones(width, dtype=bool), None)
         return most, found
 
 
@@ -616,22 +600,25 @@ class _LinkSearch:
 
     def __init__(self, sets: _LinkSets, gens):
         self.sets, self.gens = sets, gens
-        self.failed, self.accepted = {}, {}  # eps -> (unrouted, found)
+        self.failed, self.accepted = {}, {}  # eps -> unrouted, eps -> found
 
     def unrouted(self, eps) -> float:
         most, found = self.sets.scan(self.gens, eps, 1.0 - eps)
         unrouted = 1.0 - most
-        (self.accepted if unrouted <= eps else self.failed)[eps] = (unrouted, found)
+        if unrouted <= eps:
+            self.accepted[eps] = found
+        else:
+            self.failed[eps] = unrouted
         return unrouted
 
     def least(self, best: float):
         """(value, found): the value when it is above `best`, and
-        otherwise `best`; found is (partners, mask) of an intersection
-        that reaches it (_LinkSets.scan), or None at eps = 1, which every
+        otherwise `best`; found is the mask of an intersection that
+        reaches it (_LinkSets.scan), or None at eps = 1, which every
         choice of sets meets."""
         lo, u_lo = best, self.unrouted(best)
         if u_lo <= best:
-            return best, self.accepted[best][1]
+            return best, self.accepted[best]
         # listed only after a first test charged the budget for the maps:
         # a partner adds about as many break values as it has maps
         breaks = self.sets.breaks(self.gens)
@@ -646,55 +633,28 @@ class _LinkSearch:
             lo, u_lo, step = lo + step, u, 2.0 * step
         breaks.least(lo, hi, u_lo, self.unrouted)
         lo, hi = max(self.failed), min(self.accepted, default=1.0)
-        if self.failed[lo][0] < hi:
+        if self.failed[lo] < hi:
             most, found = self.sets.scan(self.gens, lo, 1.0 - hi)
             if 1.0 - most < hi:
                 return float(1.0 - most), found
-        return float(hi), self.accepted.get(hi, (None, None))[1]
+        return float(hi), self.accepted.get(hi)
 
 
-class _LinkBound(float):
-    """A certified lower bound on the box distance from link sets at
-    reach t = eps / 2 (pairwise_lower). When `spent`, the budget ran out,
-    and the bound is the largest eps its search ruled out. `support`, a
-    sorted tuple of point pairs (i, j), is set when the search over every
-    generator finished at the bound: a coupling puts mass 1 - eps on it,
-    and its box gap is at most t."""
+class SearchLowerBound(float):
+    """A certified lower bound on the box distance from the link sets of
+    all `generators` at reach t = eps / 2 (link_lower): below it, no
+    choice of one link set for each carries coupling mass 1 - eps on its
+    intersection. Over every generator of both sides, it is the box
+    distance when that is at most 1. When `spent`, the budget ran out,
+    and the bound is the largest eps the search ruled out. `support`, a
+    sorted tuple of point pairs (i, j), is set when the search over
+    every generator finished at the bound: a coupling puts mass 1 - eps
+    on it, and its box gap is at most t."""
 
+    generators: int = 0
     spent: bool = False
     reach: float = 0.0
     support: tuple | None = None
-
-
-class PairLowerBound(_LinkBound):
-    """A link-set bound from two generators: below it, no link set of
-    the generator `first` and none of `second`, each (side, index), carry
-    coupling mass 1 - eps on their intersection. At eps = the bound, link
-    sets from the other side's generators `partners`, in the same order,
-    do; they are None at eps = 1, which every pair of sets meets."""
-
-    first: tuple = ("X", 0)
-    second: tuple = ("Y", 0)
-    partners: tuple | None = None
-
-    def describe(self) -> str:
-        (s1, i1), (s2, i2) = self.first, self.second
-        text = f"pairwise link-set bound at {s1} generator {i1} and {s2} generator {i2}"
-        if self.spent:
-            text += ", budget spent"
-        elif self.partners is not None:
-            other = {"X": "Y", "Y": "X"}
-            text += f" against {other[s1]} generator {self.partners[0]} and {other[s2]} generator {self.partners[1]}"
-        return f"{text}: eps={float(self)!r}, t={self.reach!r}"
-
-
-class SearchLowerBound(_LinkBound):
-    """A link-set bound from all `generators` searched at once: below it,
-    no choice of one link set for each carries coupling mass 1 - eps on
-    its intersection. Over every generator of both sides, it is the box
-    distance when that is at most 1."""
-
-    generators: int = 0
 
     def describe(self) -> str:
         text = f"link-set search over {self.generators} generators"
@@ -705,10 +665,10 @@ class SearchLowerBound(_LinkBound):
         return f"{text}: eps={float(self)!r}, t={self.reach!r}"
 
 
-def pairwise_lower(X: FiniteGDS, Y: FiniteGDS, start: float, budget) -> float:
+def link_lower(X: FiniteGDS, Y: FiniteGDS, start: float, budget) -> float:
     """The link-set box bound of X and Y when it is above `start`, as a
-    PairLowerBound or a SearchLowerBound; otherwise `start`, or a
-    SearchLowerBound equal to it that carries a support.
+    SearchLowerBound; otherwise `start`, or a SearchLowerBound equal to
+    it that carries a support.
 
     A support S has gap at most t = eps / 2 exactly when, for every
     generator of either side, some map of the other family and some
@@ -716,57 +676,37 @@ def pairwise_lower(X: FiniteGDS, Y: FiniteGDS, start: float, budget) -> float:
     coupling mass on a support (stats._support_flow), only grows with the
     support. So box <= eps exactly when, for every generator, some link
     set carries an intersection with F >= 1 - eps, and the least eps at
-    which some generators' sets do (_LinkSearch) is a lower bound.
+    which the generators' sets do is a lower bound.
 
-    Each two generators are searched first (level 2), and then all of
-    them at once, each search from the running maximum; with two
-    generators only the one search runs. When the search over every
-    generator of both sides finishes, the bound is the box distance if
-    that is at most 1, and the intersection S it ends on is the bound's
-    `support`: S under its max-flow coupling has box value at most the
-    bound, up to rounding. A generator whose partners have a lip1
-    family is left out (its link sets are not those of a few maps), and
-    then no support is named.
+    One search (_LinkSearch) runs from `start` over every generator
+    whose partners have a family other than lip1 (lip1 link sets are
+    not those of a few maps). When it finishes with no generator left
+    out, the bound is the box distance if that is at most 1, and the
+    intersection S it ends on is the bound's `support`: S under its
+    max-flow coupling has box value at most the bound, up to rounding.
 
-    The searches share `budget`, [flow steps left]. Once it is spent, the
-    bound is the largest eps ruled out: the largest over the searches
-    that finished, or the largest failing test of the one that ran out.
+    The search spends `budget`, [flow steps left]. Once it is spent, the
+    bound is the largest eps that a failing test ruled out.
     """
-    sets = _LinkSets(X, Y, budget)
-    gens = [
+    gens = tuple(
         (side, i)
         for side, (own, other) in enumerate(((X, Y), (Y, X)))
         if other.family.kind != "lip1"
         for i in range(own.n_generators)
-    ]
-    searches = list(combinations(gens, 2)) if len(gens) > 2 else []
-    searches += [tuple(gens)] if len(gens) > 1 else []
-    best, witness, search, found = start, None, None, None
+    )
+    if len(gens) < 2:
+        return start  # one generator's link sets give the law bound's box form
+    sets = _LinkSets(X, Y, budget)
+    search, spent = _LinkSearch(sets, gens), False
     try:
-        for chosen in searches:
-            sets.keep = best
-            search = _LinkSearch(sets, chosen)
-            value, found = search.least(best)
-            if value > best:
-                best, witness = value, (chosen, found, False)
+        best, found = search.least(start)
     except _OverBudget:
-        found = None
-        ruled_out = float(max(search.failed, default=best))
-        if ruled_out > best:
-            best, witness = ruled_out, (search.gens, None, True)
+        best, found, spent = float(max(search.failed, default=start)), None, True
     support = None
-    if found is not None and found[1].any() and len(gens) == X.n_generators + Y.n_generators:
-        support = tuple(zip(*(ix.tolist() for ix in np.nonzero(found[1].reshape(sets.shape)))))
-    if witness is None and support is None:
+    if found is not None and found.any() and len(gens) == X.n_generators + Y.n_generators:
+        support = tuple(zip(*(ix.tolist() for ix in np.nonzero(found.reshape(sets.shape)))))
+    if best <= start and support is None:
         return start
-    chosen, at_best, spent = witness or (tuple(gens), None, False)
-    if len(chosen) == len(gens):
-        bound = SearchLowerBound(best)
-        bound.generators = len(gens)
-    else:
-        bound = PairLowerBound(best)
-        (s1, i1), (s2, i2) = chosen
-        bound.first, bound.second = (("X", "Y")[s1], i1), (("X", "Y")[s2], i2)
-        bound.partners = at_best[0] if at_best is not None else None
-    bound.spent, bound.reach, bound.support = spent, best / 2.0, support
+    bound = SearchLowerBound(best)
+    bound.generators, bound.spent, bound.reach, bound.support = len(gens), spent, best / 2.0, support
     return bound

@@ -119,7 +119,7 @@ def _integer(v) -> int:
 # that build(*fields), which returns the distance matrix, fills.
 _KINDS = {
     "two_point": (
-        ((":<d > 0>", float, lambda d: d > 0),),
+        ((":<finite d > 0>", float, lambda d: 0 < d < np.inf),),
         lambda d: 4,
         lambda d: np.array([[0.0, d], [d, 0.0]]),
     ),
@@ -130,7 +130,7 @@ _KINDS = {
         lambda k, by_k=None: hamming_cube_matrix(k, by_k is not None),
     ),
     "path": (
-        ((":<n >= 2>", _integer, lambda n: n >= 2), (":<step > 0>", float, lambda s: s > 0)),
+        ((":<n >= 2>", _integer, lambda n: n >= 2), (":<finite step > 0>", float, lambda s: 0 < s < np.inf)),
         lambda n, step: n * n,
         _path_matrix,
     ),

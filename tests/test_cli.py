@@ -164,8 +164,9 @@ class TestBasicCommands:
             ["sweep", "--recipe", "random_cloud:5:2:linf:-1", "--kappa", "0.1"],
             # numpy refused the 2 x 2^62 coordinate draw with a traceback
             ["gen", "random_cloud:2:4611686018427387904:linf:1"],
+            ["gen", "path:4:inf"],
         ],
-        ids=["gen-negative-seed", "sweep-negative-seed", "gen-oversized-cloud"],
+        ids=["gen-negative-seed", "sweep-negative-seed", "gen-oversized-cloud", "gen-infinite-step"],
     )
     def test_bad_recipe_exit_2(self, capsys, argv):
         code, out, err = run(argv, capsys)

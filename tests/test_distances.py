@@ -28,7 +28,7 @@ from gdskit.distances import (
     lower_bound,
 )
 from gdskit.errors import ComputationError, EmptySupport, MarginalMismatch, ValidationError
-from gdskit.laws import LawLowerBound, PairLowerBound, SearchLowerBound, orbit_law_distance
+from gdskit.laws import LawLowerBound, SearchLowerBound, orbit_law_distance
 from gdskit.stats import _support_flow
 from gdskit.transforms import MeasurementSpec, measurement
 from oracles import (
@@ -495,13 +495,13 @@ class TestIncumbentCutoff:
         # the law bound closes the dconc bracket at its first candidate, and
         # a closed bracket runs no local search; the od bound alone keeps
         # both searches open, so that the cutoffs have trials to cut.
-        # pairwise_lower also runs the link-set search over every
-        # generator, whose support would close the box bracket first. The
+        # link_lower's search over every generator is stubbed too: its
+        # support would close the box bracket first. The
         # masses differ: with equal ones every mass-cycle move from a
         # permutation is another permutation, all of them candidates, and
         # the dconc local search has no new coupling to score
         monkeypatch.setattr(distances, "law_lower", lambda X, Y, box, start, budget: start)
-        monkeypatch.setattr(distances, "pairwise_lower", lambda X, Y, start, budget: start)
+        monkeypatch.setattr(distances, "link_lower", lambda X, Y, start, budget: start)
         for name, bracket in (("dist_to_orbit", dconc_bracket), ("dist_to_orbit_sup", box_bracket)):
             counts = []
             for cutoff in (True, False):
@@ -857,7 +857,7 @@ class TestLawBound:
 
     def test_brackets_stay_ordered_and_witnessed(self):
         rng = np.random.default_rng(149)
-        closed = law_won = pair_won = search_won = 0
+        closed = law_won = search_won = 0
         for family in FAMILIES:
             for _ in range(8):
                 X = dyadic_gds(rng, max_n=4, max_gens=2, family=family)
@@ -881,31 +881,26 @@ class TestLawBound:
                         # the named generator's least value over every partner is the bound
                         assert row[bound.partner] == min(row) == float(bound)
                         assert bound.reach == (float(bound) / 2 if box else float(bound))
-                    elif isinstance(bound, PairLowerBound):
-                        pair_won += 1
-                        assert box and family != LIP1 and not bound.spent
-                        assert bound > max(dconc_lower_via_od(X, Y), laws.law_lower(X, Y, box, 0.0))
-                        # replay: the named pair of generators, searched alone, gives the bound
-                        first, second = (Y, X) if distances._oriented(X, Y) else (X, Y)
-                        u, v = [(("X", "Y").index(side), i) for side, i in (bound.first, bound.second)]
-                        search = laws._LinkSearch(laws._LinkSets(first, second, [laws.LAW_BUDGET]), (u, v))
-                        assert search.least(0.0)[0] == float(bound)
-                        assert bound.reach == float(bound) / 2
                     elif isinstance(bound, SearchLowerBound):
                         search_won += 1
                         assert box and family != LIP1 and not bound.spent
                         assert bound > max(dconc_lower_via_od(X, Y), laws.law_lower(X, Y, box, 0.0))
                         assert bound.reach == float(bound) / 2
+                        S = bound.support
+                        if S is None:
+                            # every choice of link sets meets at eps = 1, so a
+                            # finished search names no support only there
+                            assert float(bound) == 1.0
+                            continue
                         # replay: the named support, under its max-flow coupling,
                         # has box value the bound, and the bracket closes on it
                         first, second = (Y, X) if distances._oriented(X, Y) else (X, Y)
-                        S = bound.support
                         value = box_objective(first, second, _support_flow(first.masses, second.masses, S), S)
                         assert value == br.upper and br.upper - br.lower <= 1e-15
                         assert br.upper_witness.endswith("of the link-set search, bracket closed") or value > br.lower
                     else:
                         assert isinstance(bound, OdLowerBound)
-        assert closed > 0 and law_won > 0 and pair_won > 0 and search_won > 0
+        assert closed > 0 and law_won > 0 and search_won > 0
 
     def test_searched_breakpoints_match_the_listed_ones(self, monkeypatch):
         # the differences of v are found by searchsorted without listing
@@ -1051,16 +1046,16 @@ class TestLawBound:
 
 def level_two(X, Y):
     """The largest, over two generators of either side, of the least eps
-    at which their link sets meet in mass 1 - eps: the searches of
-    pairwise_lower's level 2 alone."""
+    at which their link sets meet in mass 1 - eps: the link-set search
+    run on two generators at a time, as pairwise_bound_oracle is."""
     sets = laws._LinkSets(X, Y, [laws.LAW_BUDGET])
     gens = [(side, i) for side, Z in enumerate((X, Y)) for i in range(Z.n_generators)]
     return max((laws._LinkSearch(sets, pair).least(0.0)[0] for pair in combinations(gens, 2)), default=0.0)
 
 
 class TestPairwiseBound:
-    """laws.pairwise_lower: the box bound from the link sets of two
-    generators at a time, and then of all of them."""
+    """laws.link_lower, the box bound from the link sets of every
+    generator, and its search engine on two generators at a time."""
 
     def test_engine_matches_rational_oracle(self):
         # masses k/7 and k/11, which floats only approximate; a map missing
@@ -1075,7 +1070,7 @@ class TestPairwiseBound:
                 want = float(pairwise_bound_oracle(X, Y))
                 assert abs(level_two(X, Y) - want) <= 1e-12, (family, X, Y)
                 # the search over every generator adds to the pairs' bound
-                got = laws.pairwise_lower(X, Y, 0.0, [laws.LAW_BUDGET])
+                got = laws.link_lower(X, Y, 0.0, [laws.LAW_BUDGET])
                 assert want - 1e-12 <= got <= exact_box_oracle(X, Y) + 1e-12, (family, X, Y)
 
     def test_between_law_bound_and_exact_box(self):
@@ -1087,11 +1082,11 @@ class TestPairwiseBound:
                 rational = (gk.validate_gds(range(Z.n_points), Z.generators, family, rational_masses(rng, Z.n_points)) for Z in (X, Y))
                 for A, B in ((X, Y), tuple(rational)):
                     law = float(laws.law_lower(A, B, True, 0.0))
-                    pair = float(laws.pairwise_lower(A, B, 0.0, [laws.LAW_BUDGET]))
+                    link = float(laws.link_lower(A, B, 0.0, [laws.LAW_BUDGET]))
                     exact = exact_box_oracle(A, B)
-                    assert law <= pair + 1e-12 and pair <= exact + 1e-12
+                    assert law <= link + 1e-12 and link <= exact + 1e-12
                     assert lower_bound(A, B, box=True) <= exact + 1e-12
-                    raised += pair > law + 1e-12
+                    raised += link > law + 1e-12
         assert raised > 0
 
     def test_lip1_keeps_od_and_law_bounds(self):
@@ -1100,38 +1095,34 @@ class TestPairwiseBound:
             X = dyadic_gds(rng, max_n=4, max_gens=2, family=LIP1)
             Y = dyadic_gds(rng, max_n=4, max_gens=2, family=LIP1)
             bound = lower_bound(X, Y, box=True)
-            assert not isinstance(bound, (PairLowerBound, SearchLowerBound))
+            assert not isinstance(bound, SearchLowerBound)
             assert float(bound) == max(float(dconc_lower_via_od(X, Y)), float(laws.law_lower(X, Y, True, 0.0)))
-            assert laws.pairwise_lower(X, Y, 0.125, [laws.LAW_BUDGET]) == 0.125
+            assert laws.link_lower(X, Y, 0.125, [laws.LAW_BUDGET]) == 0.125
 
     def test_one_budget_for_both_scans(self, monkeypatch):
-        # the law and pairwise scans draw on one LAW_BUDGET: with none,
+        # the law and link-set scans draw on one LAW_BUDGET: with none,
         # the box bound is the od bound
         rng = np.random.default_rng(199)
         pairs = ((dyadic_gds(rng, max_n=4, max_gens=2), dyadic_gds(rng, max_n=4, max_gens=2)) for _ in range(20))
-        X, Y = next((X, Y) for X, Y in pairs if isinstance(lower_bound(X, Y, box=True), PairLowerBound))
+        X, Y = next((X, Y) for X, Y in pairs if isinstance(lower_bound(X, Y, box=True), SearchLowerBound))
         monkeypatch.setattr(distances, "LAW_BUDGET", 0)
         assert lower_bound(X, Y, box=True) == dconc_lower_via_od(X, Y)
 
     def test_spent_budget_keeps_what_was_ruled_out(self):
         # once the budget is spent, the bound is the largest eps ruled out:
-        # at most the full bound, and named as spent when the pair being
-        # searched gives it
+        # at most the full bound (TestLinkSearch checks that it fails there)
         rng = np.random.default_rng(197)
-        cut = spent = 0
+        cut = 0
         for _ in range(8):
             X = dyadic_gds(rng, max_n=4, max_gens=2, family=gk.TB_FAMILY)
             Y = dyadic_gds(rng, max_n=4, max_gens=2, family=gk.TB_FAMILY)
             budget = [laws.LAW_BUDGET]
-            full = float(laws.pairwise_lower(X, Y, 0.0, budget))
+            full = float(laws.link_lower(X, Y, 0.0, budget))
             for steps in np.linspace(0, laws.LAW_BUDGET - budget[0], 12).astype(int).tolist():
-                bound = laws.pairwise_lower(X, Y, 0.0, [steps])
+                bound = laws.link_lower(X, Y, 0.0, [steps])
                 assert 0.0 <= bound <= full
                 cut += bound < full
-                if isinstance(bound, PairLowerBound) and bound.spent:
-                    spent += 1
-                    assert "budget spent" in bound.describe()
-        assert cut > 0 and spent > 0
+        assert cut > 0
 
 
 def oracle_pair(rng, family):
@@ -1168,7 +1159,7 @@ def workload_pair(pair):
 
 
 class TestLinkSearch:
-    """pairwise_lower's search over every generator: an exact box value
+    """link_lower's search over every generator: an exact box value
     when it finishes at most 1, and a support that closes the bracket."""
 
     def test_closes_at_the_exact_box(self):
@@ -1178,7 +1169,7 @@ class TestLinkSearch:
             family = FAMILIES[k % 4]
             X, Y = oracle_pair(rng, family)
             exact = exact_box_oracle(X, Y)
-            assert laws.pairwise_lower(X, Y, 0.0, [laws.LAW_BUDGET]) <= exact + 1e-12
+            assert laws.link_lower(X, Y, 0.0, [laws.LAW_BUDGET]) <= exact + 1e-12
             br = box_bracket(X, Y, CFG)
             assert br.lower <= exact + 1e-12 and br.upper >= exact - 1e-12, (X, Y)
             if exact > 1.0:
@@ -1187,6 +1178,43 @@ class TestLinkSearch:
             assert br.upper - br.lower <= 1e-12 and abs(br.upper - exact) <= 1e-12, (X, Y)
             closed += br.upper_witness.endswith("of the link-set search, bracket closed")
         assert closed > 0 and above_one > 0
+
+    def test_finished_search_names_its_witness(self):
+        # a pair of generators that tied with the search over all of them
+        # named the bound as its own, without the support that the search
+        # ends on and that replays to it
+        rng = np.random.default_rng(239)
+        named = 0
+        for k in range(24):
+            X, Y = (dyadic_gds(rng, max_n=4, max_gens=3, family=FAMILIES[k % 4]) for _ in range(2))
+            bound = lower_bound(X, Y, box=True)
+            base = max(float(dconc_lower_via_od(X, Y)), float(laws.law_lower(X, Y, True, 0.0)))
+            if X.n_generators + Y.n_generators < 3 or not base < float(bound) < 1.0:
+                continue
+            named += 1
+            assert isinstance(bound, SearchLowerBound) and not bound.spent, bound.describe()
+            first, second = (Y, X) if distances._oriented(X, Y) else (X, Y)
+            S = bound.support
+            assert abs(box_objective(first, second, _support_flow(first.masses, second.masses, S), S) - bound) <= 1e-15
+            gens = X.n_generators + Y.n_generators
+            assert bound.describe().startswith(f"link-set search over {gens} generators, meeting in {len(S)} point pairs")
+        assert named >= 3
+
+    def test_named_support_skips_the_support_search(self, monkeypatch):
+        # a bracket workload cloud pair (seed 4) whose search support has
+        # box value 0.2 against the law bound 0.19999999999999996: open by
+        # rounding only, and the candidates, singletons, peels and local
+        # search ran on it without improving it
+        X, Y = (gk.generate_space(gk.SpaceRecipe.parse(text)) for text in (
+            "random_cloud:5:2:l2:1730494654", "random_cloud:5:2:linf:1081809980"))
+
+        def refuse(*args):
+            raise AssertionError("the support search ran")
+
+        monkeypatch.setattr(distances, "_search_supports", refuse)
+        br = box_bracket(X, Y, CFG)
+        assert (br.lower, br.upper) == (0.19999999999999996, 0.2)
+        assert br.upper_witness == "max-flow coupling, 4 pairs of the link-set search"
 
     def test_pruned_branch_counts_its_bound(self):
         # an intersection left out for its bound must count with it: else a
@@ -1206,10 +1234,10 @@ class TestLinkSearch:
             X = dyadic_gds(rng, max_n=4, max_gens=3, family=gk.TB_FAMILY)
             Y = dyadic_gds(rng, max_n=4, max_gens=3, family=gk.TB_FAMILY)
             budget = [laws.LAW_BUDGET]
-            full = laws.pairwise_lower(X, Y, 0.0, budget)
+            full = laws.link_lower(X, Y, 0.0, budget)
             gens = tuple((side, i) for side, Z in enumerate((X, Y)) for i in range(Z.n_generators))
             for steps in np.linspace(0, laws.LAW_BUDGET - budget[0], 16).astype(int).tolist():
-                bound = laws.pairwise_lower(X, Y, 0.0, [steps])
+                bound = laws.link_lower(X, Y, 0.0, [steps])
                 assert 0.0 <= bound <= full
                 if isinstance(bound, SearchLowerBound) and bound.spent:
                     spent += 1

@@ -120,6 +120,19 @@ class TestRecipes:
         with pytest.raises(ValidationError, match=f"bad recipe '{text}'"):
             SpaceRecipe(kind, fields)
 
+    @pytest.mark.parametrize("kind, fields, text", [
+        ("path", ("4", "inf"), "path:4:inf"),
+        ("two_point", ("inf",), "two_point:inf"),
+        ("path", (4, float("inf")), "path:4:inf"),
+        ("two_point", (np.float64(np.inf),), "two_point:inf"),
+    ])
+    def test_non_finite_field_rejected(self, kind, fields, text):
+        # an infinite step or distance was accepted, and generating the
+        # space then failed on 0 * inf on the diagonal, after a numpy
+        # RuntimeWarning
+        with pytest.raises(ValidationError, match=f"bad recipe '{text}': expected {kind}"):
+            SpaceRecipe(kind, fields)
+
     def test_integral_number_in_integer_field(self):
         assert SpaceRecipe("path", (4.0, 0.5)) == SpaceRecipe.parse("path:4:0.5")
         assert SpaceRecipe("random_cloud", (5, np.float64(2.0), "linf", 7)).fields == (5, 2, "linf", 7)
