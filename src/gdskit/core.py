@@ -433,8 +433,10 @@ def check_metric(D: np.ndarray) -> np.ndarray:
     if hit:
         raise NotAMetric("zero distance between distinct points", hit)
     # with the checks above passed, no pair (i, i) breaks the triangle
-    # inequality, so one point needs no triangle check
-    hit = _triangle_violation(D) if n > 1 else None
+    # inequality, so one point needs no triangle check. A sum of two
+    # finite distances may overflow to inf, which breaks nothing
+    with np.errstate(over="ignore"):
+        hit = _triangle_violation(D) if n > 1 else None
     if hit:
         raise NotAMetric("triangle inequality violated", hit)
     return D

@@ -31,16 +31,19 @@ is not tractable exactly; every reported value is therefore a Bracket:
     box value below eps routes it within eps / 2. So the largest, over
     generators f of either side, of the least eps at which some map p
     of the other family routes so from some generator g is a lower
-    bound. It is exact over every orbit but lip1's (laws.py), and its
-    witness names the generator pair, eps and the reach t;
+    bound. It is exact over every orbit (laws.py; for lip1 through
+    McShane cliques), and its witness names the generator pair, eps and
+    the reach t;
   - the link-set bound, for box: a support of gap at most t = eps / 2
     lies inside a link set of every generator, the point pairs that one
-    map and one partner link within t, so box <= eps exactly when one
+    map and one partner link within t (for lip1, a maximal clique of
+    McShane-compatible pairs), so box <= eps exactly when one
     link set of every generator can be chosen whose intersection
     carries coupling mass 1 - eps. laws.link_lower searches all the
     generators at once; the least such eps is a bound, and its witness
     names how many generators it searched, eps and the support it ends
-    on. It draws on what the law bound leaves of the same LAW_BUDGET.
+    on. It draws on what the law bound leaves of the same LAW_BUDGET;
+    once that is spent, its support is that of the least eps accepted.
 
 Each bracket takes its lower bound first, and its search stops once the
 upper bound reaches it: every later candidate scores at least the
@@ -295,9 +298,9 @@ def lower_bound(X: FiniteGDS, Y: FiniteGDS, box: bool = False) -> float:
 
 
 def _bounds(X, Y, box: bool):
-    """(lower_bound(X, Y, box), support) for X and Y in canonical order:
-    for box, the support that the link-set search over every generator
-    ends on when it finishes (laws.link_lower), else None."""
+    """(lower_bound(X, Y, box), link) for X and Y in canonical order:
+    for box, what laws.link_lower returned, whose `support`, if it has
+    one, is the first the upper bound scores; else None."""
     best = dconc_lower_via_od(X, Y)
     budget = [LAW_BUDGET]
     law = law_lower(X, Y, box, float(best), budget)
@@ -305,7 +308,7 @@ def _bounds(X, Y, box: bool):
     if not box:
         return best, None
     link = link_lower(X, Y, float(best), budget)
-    return (link if link > best else best), getattr(link, "support", None)
+    return (link if link > best else best), link
 
 
 def _canon_key(X: FiniteGDS):
@@ -579,10 +582,12 @@ def box_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None) 
     _Search under a coupling that puts the most mass any coupling can on
     S (a max-flow, stats._support_flow), so the witness is S with that
     coupling. The first support scored is the one the link-set search
-    over every generator ends on (laws.link_lower), when it finished:
-    its box value is the lower bound, up to rounding, so it closes the
-    bracket, and no other is scored. Where the search names no support,
-    the candidate couplings' supports follow, scored in full by
+    over every generator names (laws.link_lower). When the search
+    finished, its box value is the lower bound, up to rounding, so it
+    closes the bracket, and no other is scored. When its budget ran
+    out, it is the support of the least eps a test accepted. Where the
+    search names no support or ran out, the candidate couplings'
+    supports follow, scored in full by
     box_objective; for the best three of those, their singletons and
     greedy discard sweeps over per-pair residuals; then a local search
     from the best support that adds or drops one pair, within
@@ -592,7 +597,8 @@ def box_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None) 
     cfg = config or SearchConfig()
     if _oriented(X, Y):
         return box_bracket(Y, X, cfg)
-    lower, support = _bounds(X, Y, box=True)
+    lower, link = _bounds(X, Y, box=True)
+    support = getattr(link, "support", None)
 
     def objective(S, cutoff):
         pi = _support_flow(X.masses, Y.masses, S)
@@ -601,7 +607,7 @@ def box_bracket(X: FiniteGDS, Y: FiniteGDS, config: SearchConfig | None = None) 
     search = _Search(lower, objective)
     if support is not None:
         search.score(support, support, f"max-flow coupling, {len(support)} pairs of the link-set search")
-    if support is None:
+    if support is None or link.spent:
         _search_supports(X, Y, cfg, search)
     witness = lower.describe()
     if isinstance(lower, OdLowerBound):

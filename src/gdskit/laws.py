@@ -5,28 +5,31 @@ A coupling under which f and p o g are within eps in Ky Fan routes mass
 1 - eps of the law of f to the law of p o g within distance eps (the
 easy half of Strassen's theorem), and a box value below eps routes it
 within eps / 2. orbit_law_distance finds the least such eps over a whole
-orbit exactly, for the families id, T, B and TB: for a fixed reach the
-mass routed changes only on an arrangement of hyperplanes in the map's
-parameters, so scanning its vertices (_vertex_maps) is exact, and eps
-is found by bisection over the breakpoints of the reach (_law_breaks),
-which are searched without being listed. law_lower takes the bound
-over the generators of two data sets, within a budget of flow steps,
-and distances.lower_bound compares it with the od transfer bound.
+orbit exactly, for every family. For id, T, B and TB, for a fixed reach
+the mass routed changes only on an arrangement of hyperplanes in the
+map's parameters, so scanning its vertices (_vertex_maps) is exact. For
+lip1, by McShane's extension, the pairs of atoms that one 1-Lipschitz
+map links within the reach are the cliques of a graph on the pairs
+(_mcshane_cliques), so the most mass is a max-flow over its maximal
+cliques. eps is found by bisection over the breakpoints of the reach
+(_law_breaks), which are searched without being listed. law_lower takes
+the bound over the generators of two data sets, within a budget of flow
+steps, and distances.lower_bound compares it with the od transfer bound.
 
-The same vertex maps give the box form a link-set bound (link_lower).
-On points, a map and a partner generator link the point pairs (i, j)
-with |f_i - p(g_j)| <= t; a support has box gap at most t exactly when
-it lies inside such a link set for every generator of either side. So
-each generator's maximal link sets are listed as boolean rows over the
-point pairs, in blocks of BLOCK_ENTRIES, and eps is ruled out when no
-choice of one set for each generator meets in a support that a coupling
-can give mass 1 - eps (stats._support_flow). One depth-first search
-over every generator bisects eps over the breakpoints of _law_breaks
-from the law bound up, and spends what the law bound left of the same
-LAW_BUDGET. It is exact: when it finishes, its bound is the box
-distance if that is at most 1, and the support it ends on is the upper
-witness of the box bracket, which then closes. Upper bounds elsewhere
-are never claimed exact.
+The same maps and cliques give the box form a link-set bound
+(link_lower). On points, a map and a partner generator link the point
+pairs (i, j) with |f_i - p(g_j)| <= t; a support has box gap at most t
+exactly when it lies inside such a link set for every generator of
+either side. So each generator's maximal link sets are listed as
+boolean rows over the point pairs, in blocks of BLOCK_ENTRIES, and eps
+is ruled out when no choice of one set for each generator meets in a
+support that a coupling can give mass 1 - eps (stats._support_flow).
+One depth-first search over every generator bisects eps over the
+breakpoints of _law_breaks from the law bound up, and spends what the
+law bound left of the same LAW_BUDGET. It is exact: when it finishes,
+its bound is the box distance if that is at most 1, and the support it
+ends on is the upper witness of the box bracket, which then closes.
+Upper bounds elsewhere are never claimed exact.
 """
 from __future__ import annotations
 
@@ -51,6 +54,9 @@ def _law_breaks(a, b, kind):
     where a difference of two such sums is t or 2 t: at |a_k - b_j|
     (id, B), |a_k| and (|a_i| -+ a_k) / 2 (B), (D - D') / 2 over pairs
     of differences D = a_k - b_j (T, TB), and (a_i - a_k) / 2 (TB).
+    lip1 takes T's: its links change only where its McShane graph does
+    (_mcshane_cliques), at (|a_i - a_k| - |b_j - b_l|) / 2, and the
+    numerator is +-(D - D') for two differences D, D' of that form.
     Each is a halved difference of two values of the set taken below,
     doubled for id and B (exactly), which holds some more; those only
     add steps to the bisection.
@@ -190,7 +196,9 @@ def _tb_routed(a, prefix, b, wb, t, reach, eps, best) -> float:
 # of it in either form, and with 29 to 32 atoms a side none is begun.
 # The link-set search spends the rest: a step per map past one atom, per
 # point pair of a set built or of a set met with an intersection, per
-# byte of two sets compared, and per point pair and point of a max-flow
+# byte of two sets compared, and per point pair and point of a max-flow.
+# A lip1 family's McShane cliques charge both: the square of the point
+# pairs per graph built, and the point pairs per node of its search
 LAW_BUDGET = 1 << 26
 
 
@@ -199,7 +207,10 @@ class _OverBudget(Exception):
 
 
 def _spend(budget, steps) -> None:
-    """Charge `steps` to budget, [flow steps left], before they run."""
+    """Charge `steps` to budget, [flow steps left] or None for no limit,
+    before they run."""
+    if budget is None:
+        return
     budget[0] -= steps
     if budget[0] < 0:
         raise _OverBudget
@@ -213,8 +224,94 @@ def _vertex_count(na, nb, kind) -> int:
 def _scan_steps(na, nb, kind) -> int:
     """The most flow steps one test of eps takes on laws of na and nb
     atoms: _routed over the vertex maps, and for TB _tb_routed over
-    every shift and level lo."""
+    every shift and level lo. For lip1 it is the McShane graph alone;
+    its search and flows are charged as they run (_mcshane_cliques)."""
+    if kind == "lip1":
+        return (na * nb) ** 2
     return _vertex_count(na, nb, kind) * nb + (na * nb * (na + nb) * (nb + 1) if kind == "TB" else 0)
+
+
+def _mcshane_cliques(a, b, reach, budget):
+    """The maximal cliques of the McShane graph of a and b within reach,
+    as boolean arrays (count, a.size, b.size) of about BLOCK_ENTRIES
+    entries: its vertices are the pairs (k, j), and (k, j) and (l, m)
+    are joined when |a_k - a_l| <= |b_j - b_m| + 2 reach.
+
+    By McShane's extension, a 1-Lipschitz map p of the line brings every
+    pair of a set within reach, |a_k - p(b_j)| <= reach, exactly when
+    the set is a clique: the map x -> max over the set of (a_k - reach -
+    |x - b_j|) is 1-Lipschitz, at least a_k - reach at each b_j, and
+    above a_k + reach at some b_j only where two pairs stretch by more
+    than 2 reach. So these are the maximal lip1 link sets.
+
+    Bron-Kerbosch with pivoting, on a stack, over Python-int bitsets:
+    pair (k, j) is bit k * b.size + j. The graph is charged (a.size *
+    b.size)^2 steps to budget before it is built, and each node of the
+    search a.size * b.size.
+    """
+    n = a.size * b.size
+    _spend(budget, n * n)
+    da, db = np.abs(a[:, None] - a), np.abs(b[:, None] - b) + 2.0 * reach
+    adj = []
+    for rows in block_slices(n, n):
+        k, j = np.divmod(np.arange(n)[rows], b.size)
+        links = (da[k][:, :, None] <= db[j][:, None, :]).reshape(-1, n)
+        links[np.arange(len(links)), np.arange(n)[rows]] = False
+        adj += [int.from_bytes(row.tobytes(), "little") for row in np.packbits(links, axis=1, bitorder="little")]
+    size, block = -(-n // 8), []
+
+    def unpack():
+        raw = np.frombuffer(b"".join(block), dtype=np.uint8).reshape(len(block), size)
+        return np.unpackbits(raw, axis=1, count=n, bitorder="little").astype(bool).reshape(-1, a.size, b.size)
+
+    stack = [(0, (1 << n) - 1, 0)]  # (clique R, candidates P, excluded X)
+    while stack:
+        R, P, X = stack.pop()
+        _spend(budget, n)
+        if not P:
+            if not X:
+                block.append(R.to_bytes(size, "little"))
+                if len(block) * n >= BLOCK_ENTRIES:
+                    yield unpack()
+                    block = []
+            continue
+        # every maximal clique holds the pivot or a vertex outside its
+        # neighbourhood, so only those vertices are branched on
+        pivot, most, rest = 0, -1, P | X
+        while rest:
+            bit = rest & -rest
+            u = bit.bit_length() - 1
+            rest ^= bit
+            if (count := (P & adj[u]).bit_count()) > most:
+                pivot, most = u, count
+        rest = P & ~adj[pivot]
+        while rest:
+            bit = rest & -rest
+            v = bit.bit_length() - 1
+            rest ^= bit
+            stack.append((R | bit, P & adj[v], X & adj[v]))
+            P ^= bit
+            X |= bit
+    if block:
+        yield unpack()
+
+
+def _flow_mass(links, mx, my, budget) -> float:
+    """The most coupling mass of the masses mx and my on the pairs of
+    the boolean (rows, columns) matrix links (stats._support_flow),
+    charged to budget as a step per pair and point."""
+    _spend(budget, links.size * sum(links.shape))
+    rows, cols = np.nonzero(links)
+    pi = _support_flow(mx, my, zip(rows.tolist(), cols.tolist()))
+    return float(pi[rows, cols].sum())
+
+
+def _hall_bound(masks, mx, my) -> np.ndarray:
+    """For each (rows, columns) boolean matrix of masks, a bound on the
+    most coupling mass of the masses mx and my on its pairs: no row or
+    column carries more than its own mass or than the mass of those it
+    is paired with."""
+    return np.minimum(np.minimum(masks @ my, mx).sum(axis=1), np.minimum(mx @ masks, my).sum(axis=1))
 
 
 class _OrbitSearch:
@@ -232,7 +329,7 @@ class _OrbitSearch:
     """
 
     def __init__(self, A, B, kind: str, box: bool, budget=None):
-        self.a, self.b, self.wb = A.values, B.values, B.masses
+        self.a, self.wa, self.b, self.wb = A.values, A.masses, B.values, B.masses
         self.prefix = np.concatenate([[0.0], np.cumsum(A.masses)])
         self.span = max(np.abs(self.a).max(), np.abs(self.b).max())
         self.kind = kind
@@ -248,13 +345,32 @@ class _OrbitSearch:
             a, prefix, b, wb = self.a, self.prefix, self.b, self.wb
             t = eps * self.per_eps
             reach = t + 8.0 * math.ulp(8.0 * max(self.span, t))
-            if self.budget is not None:
+            if self.kind == "lip1":
+                routed = self._clique_routed(reach, eps)
+            else:
                 _spend(self.budget, _scan_steps(a.size, b.size, self.kind))
-            routed = float(_routed(a, prefix, b, wb, reach, *_vertex_maps(a, b, t, self.kind)).max())
+                routed = float(_routed(a, prefix, b, wb, reach, *_vertex_maps(a, b, t, self.kind)).max())
             if self.kind == "TB" and 1.0 - routed > eps:
                 routed = _tb_routed(a, prefix, b, wb, t, reach, eps, routed)
             self.tested[eps] = 1.0 - routed
         return self.tested[eps]
+
+    def _clique_routed(self, reach, eps) -> float:
+        """The most mass one 1-Lipschitz map routes from B to A within
+        reach: the largest max-flow (_flow_mass) over the maximal
+        cliques of the McShane graph of their atoms. The flows run in
+        order of _hall_bound, most first, and stop once no bound left
+        reaches the largest flow or a flow leaves at most eps unrouted."""
+        best = 0.0
+        for cliques in _mcshane_cliques(self.a, self.b, reach, self.budget):
+            bound = _hall_bound(cliques, self.wa, self.wb)
+            for at in np.argsort(-bound, kind="stable"):
+                if bound[at] < best - MASS_GUARD or 1.0 - best <= eps:
+                    break
+                best = max(best, _flow_mass(cliques[at], self.wa, self.wb, self.budget))
+            if 1.0 - best <= eps:
+                break
+        return best
 
     def least(self, best: float = 0.0, cap: float = 1.0) -> float:
         """The value when it lies in (best, cap); otherwise `best` when
@@ -324,8 +440,7 @@ def law_lower(X: FiniteGDS, Y: FiniteGDS, box: bool, start: float, budget=None) 
     running maximum: once one accepts there, f cannot raise it. Else
     the searches run in order of the mass they leave unrouted there,
     least first, each capped at the least value found so far, so that a
-    search that cannot lower it mostly costs one more test. lip1 orbits
-    are not searched: a pass into a lip1 family adds nothing.
+    search that cannot lower it mostly costs one more test.
 
     The tests share `budget`, [flow steps left] (by default LAW_BUDGET),
     each charged its most before it runs, and a generator is begun only
@@ -338,8 +453,6 @@ def law_lower(X: FiniteGDS, Y: FiniteGDS, box: bool, start: float, budget=None) 
     try:
         for side, (own, other) in enumerate(((X, Y), (Y, X))):
             kind = other.family.kind
-            if kind == "lip1":
-                continue
             targets = [pushforward(g, other.mu) for g in other.generators]
             for i, f in enumerate(own.generators):
                 law = pushforward(f, own.mu)
@@ -432,24 +545,19 @@ class _LinkSets:
 
     def bound(self, masks) -> np.ndarray:
         """For each row of masks, a bound on the most coupling mass on its
-        pairs: no point carries more than its own mass or than the mass
-        of the points it is paired with."""
-        mx, my = self.X.masses, self.Y.masses
-        m = masks.reshape(-1, *self.shape)
-        return np.minimum(np.minimum(m @ my, mx).sum(axis=1), np.minimum(mx @ m, my).sum(axis=1))
+        pairs (_hall_bound)."""
+        return _hall_bound(masks.reshape(-1, *self.shape), self.X.masses, self.Y.masses)
 
     def flow(self, mask) -> float:
-        """The most coupling mass on the pairs of mask (stats._support_flow)."""
-        nx, ny = self.shape
-        _spend(self.budget, nx * ny * (nx + ny))
-        rows, cols = np.nonzero(mask.reshape(self.shape))
-        pi = _support_flow(self.X.masses, self.Y.masses, zip(rows.tolist(), cols.tolist()))
-        return float(pi[rows, cols].sum())
+        """The most coupling mass on the pairs of mask (_flow_mass)."""
+        return _flow_mass(mask.reshape(self.shape), self.X.masses, self.Y.masses, self.budget)
 
     def _maximal(self, gen, eps, floor):
         """(masks, top): the maximal link sets of gen at t = eps / 2 that
         can carry coupling mass floor, up to MASS_GUARD, and the most mass
-        a set left out can."""
+        a set left out can. For a lip1 partner family they are the
+        McShane cliques (_mcshane_cliques), and a clique's mass is taken
+        as its bound (_hall_bound), which no max-flow runs to refine."""
         a, own, other = self.sides(gen)
         kind, width = other.family.kind, self.shape[0] * self.shape[1]
         t = eps / 2.0
@@ -458,6 +566,15 @@ class _LinkSets:
         a_up, prefix = a[by_a], np.concatenate([[0.0], np.cumsum(own.masses[by_a])])
         packed, top = [], 0.0
         for b in other.generators:
+            if kind == "lip1":
+                for cliques in _mcshane_cliques(a, b, reach, self.budget):
+                    links = (cliques if gen[0] == 0 else cliques.transpose(0, 2, 1)).reshape(-1, width)
+                    mass = self.bound(links)
+                    ok = mass >= floor - MASS_GUARD
+                    if not ok.all():
+                        top = max(top, float(mass[~ok].max()))
+                    packed.append(np.packbits(links[ok], axis=1))
+                continue
             clips = a.size * b.size * (a.size + b.size) ** 2 if kind == "TB" else 0
             _spend(self.budget, (_vertex_count(a.size, b.size, kind) + clips) * b.size)
             by_b = np.argsort(b, kind="stable")
@@ -524,12 +641,12 @@ class _LinkSets:
         mass, is below floor is not entered but counts with that value,
         which bounds every intersection inside it. The max-flow runs only
         where the bound reaches floor, and not on the first generator's
-        own sets, whose mass _maximal has tested; a child equal to S has
-        S's mass. Below the first generator, a child inside another child
-        is dropped (_outermost), as all that lies below it lies below the
-        other, and a child met before at the same depth is skipped: what
-        lies below it was counted then. That memo holds about
-        BLOCK_ENTRIES bytes a depth.
+        own sets, which _maximal has tested (a lip1 clique by its bound
+        only); a child equal to S has S's mass. Below the first
+        generator, a child inside another child is dropped (_outermost),
+        as all that lies below it lies below the other, and a child met
+        before at the same depth is skipped: what lies below it was
+        counted then. That memo holds about BLOCK_ENTRIES bytes a depth.
         """
         levels = sorted((self._maximal(g, eps, floor) for g in gens), key=lambda sets: len(sets[0]))
         width = self.shape[0] * self.shape[1]
@@ -644,12 +761,12 @@ class SearchLowerBound(float):
     """A certified lower bound on the box distance from the link sets of
     all `generators` at reach t = eps / 2 (link_lower): below it, no
     choice of one link set for each carries coupling mass 1 - eps on its
-    intersection. Over every generator of both sides, it is the box
-    distance when that is at most 1. When `spent`, the budget ran out,
-    and the bound is the largest eps the search ruled out. `support`, a
-    sorted tuple of point pairs (i, j), is set when the search over
-    every generator finished at the bound: a coupling puts mass 1 - eps
-    on it, and its box gap is at most t."""
+    intersection. When the search finishes, it is the box distance if
+    that is at most 1, and `support`, a sorted tuple of point pairs (i,
+    j), is the intersection it ends on: a coupling puts mass 1 - eps on
+    it, and its box gap is at most t. When `spent`, the budget ran out,
+    the bound is the largest eps the search ruled out, and `support` is
+    that of the least eps a test accepted, if any."""
 
     generators: int = 0
     spent: bool = False
@@ -678,22 +795,18 @@ def link_lower(X: FiniteGDS, Y: FiniteGDS, start: float, budget) -> float:
     set carries an intersection with F >= 1 - eps, and the least eps at
     which the generators' sets do is a lower bound.
 
-    One search (_LinkSearch) runs from `start` over every generator
-    whose partners have a family other than lip1 (lip1 link sets are
-    not those of a few maps). When it finishes with no generator left
-    out, the bound is the box distance if that is at most 1, and the
+    One search (_LinkSearch) runs from `start` over every generator; a
+    lip1 family's link sets are its McShane cliques. When it finishes,
+    the bound is the box distance if that is at most 1, and the
     intersection S it ends on is the bound's `support`: S under its
     max-flow coupling has box value at most the bound, up to rounding.
 
     The search spends `budget`, [flow steps left]. Once it is spent, the
-    bound is the largest eps that a failing test ruled out.
+    bound is the largest eps that a failing test ruled out, and the
+    support is the intersection of the least eps that a test accepted,
+    if any: its box value is at most that eps, up to rounding.
     """
-    gens = tuple(
-        (side, i)
-        for side, (own, other) in enumerate(((X, Y), (Y, X)))
-        if other.family.kind != "lip1"
-        for i in range(own.n_generators)
-    )
+    gens = tuple((side, i) for side, Z in enumerate((X, Y)) for i in range(Z.n_generators))
     if len(gens) < 2:
         return start  # one generator's link sets give the law bound's box form
     sets = _LinkSets(X, Y, budget)
@@ -701,9 +814,10 @@ def link_lower(X: FiniteGDS, Y: FiniteGDS, start: float, budget) -> float:
     try:
         best, found = search.least(start)
     except _OverBudget:
-        best, found, spent = float(max(search.failed, default=start)), None, True
+        best, spent = float(max(search.failed, default=start)), True
+        found = search.accepted[min(search.accepted)] if search.accepted else None
     support = None
-    if found is not None and found.any() and len(gens) == X.n_generators + Y.n_generators:
+    if found is not None and found.any():
         support = tuple(zip(*(ix.tolist() for ix in np.nonzero(found.reshape(sets.shape)))))
     if best <= start and support is None:
         return start

@@ -1,7 +1,8 @@
 """Standard space recipes for experiments and the CLI.
 
 A recipe is a kind and its fields, `kind:field:...`. `_KINDS` holds each
-metric-based kind's field types, array size and matrix function; the
+metric-based kind's field types, array size, a bound on its largest
+distance and matrix function; the
 matrix is embedded through distance-to-point features (`embed_mm_space`),
 as `observable_diameter_hss` does. `file:<path>` reads a data-set file.
 """
@@ -22,7 +23,8 @@ MAX_POINTS = 4096
 class SpaceRecipe:
     """A recipe kind, its fields and the family of the data set it
     generates. Each field is read with its kind's cast in `_KINDS`, from
-    text or a value, and must fit its rule; a file's one field is its path."""
+    text or a value, and must fit its rule, and the recipe's bound on
+    its largest distance must be finite; a file's one field is its path."""
 
     kind: str
     fields: tuple
@@ -33,13 +35,16 @@ class SpaceRecipe:
             return
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown recipe kind {self.kind!r}")
-        rules, casts, oks = zip(*_KINDS[self.kind][0])
+        spec, _, largest, _ = _KINDS[self.kind]
+        rules, casts, oks = zip(*spec)
         least = sum(not rule.startswith("[") for rule in rules)
         try:
             fields = tuple(cast(v) for cast, v in zip(casts, self.fields))
             if not (least <= len(self.fields) <= len(rules) and all(ok(v) for ok, v in zip(oks, fields))):
                 raise ValueError(self.fields)
-        except ValueError as exc:
+            if not largest(*fields) < np.inf:
+                raise ValueError(self.fields)
+        except (ValueError, OverflowError) as exc:
             text = ":".join([self.kind, *map(str, self.fields)])
             raise ValidationError(f"bad recipe {text!r}: expected {self.kind}{''.join(rules)}") from exc
         object.__setattr__(self, "fields", fields)
@@ -113,25 +118,29 @@ def _integer(v) -> int:
     return int(v)
 
 
-# kind -> (fields, entries, build). A field is (rule, cast, ok): its
-# grammar, bracketed when optional (trailing fields only), its type and
-# its range. entries(*fields) counts the entries of the largest array
-# that build(*fields), which returns the distance matrix, fills.
+# kind -> (fields, entries, largest, build). A field is (rule, cast,
+# ok): its grammar, bracketed when optional (trailing fields only), its
+# type and its range. entries(*fields) counts the entries of the largest
+# array that build(*fields), which returns the distance matrix, fills,
+# and largest(*fields) bounds the distances in it.
 _KINDS = {
     "two_point": (
         ((":<finite d > 0>", float, lambda d: 0 < d < np.inf),),
         lambda d: 4,
+        lambda d: d,
         lambda d: np.array([[0.0, d], [d, 0.0]]),
     ),
     # a cube past 64 dimensions is far over any cap; 4^64 stands in for it
     "hamming_cube": (
         ((":<k >= 1>", _integer, lambda k: k >= 1), ("[:by_k]", str, lambda s: s == "by_k")),
         lambda k, by_k=None: 4 ** min(k, 64),
+        lambda k, by_k=None: 1 if by_k else k,
         lambda k, by_k=None: hamming_cube_matrix(k, by_k is not None),
     ),
     "path": (
-        ((":<n >= 2>", _integer, lambda n: n >= 2), (":<finite step > 0>", float, lambda s: 0 < s < np.inf)),
+        ((":<n >= 2>", _integer, lambda n: n >= 2), (":<step > 0, (n - 1) * step finite>", float, lambda s: s > 0)),
         lambda n, step: n * n,
+        lambda n, step: (n - 1) * step,
         _path_matrix,
     ),
     # the n x dim coordinates may hold no more entries than the matrix
@@ -143,6 +152,7 @@ _KINDS = {
             (":<seed >= 0>", _integer, lambda seed: seed >= 0),
         ),
         lambda n, dim, metric, seed: n * max(n, dim),
+        lambda n, dim, metric, seed: dim,  # coordinates lie in [0, 1]
         _cloud_matrix,
     ),
 }
@@ -155,7 +165,7 @@ def generate_space(recipe: SpaceRecipe) -> FiniteGDS:
         from .serialize import parse_gds
 
         return parse_gds(recipe.fields[0])
-    _, entries, build = _KINDS[recipe.kind]
+    _, entries, _, build = _KINDS[recipe.kind]
     if entries(*recipe.fields) > MAX_POINTS**2:
         raise TooLarge(f"{recipe.label()} needs larger arrays than a {MAX_POINTS}-point matrix, the cap")
     D = build(*recipe.fields)

@@ -732,32 +732,60 @@ def _law_positions(a, b, t, kind):
     return out
 
 
+def lip1_link_sets_oracle(a, b, t):
+    """The maximal sets of pairs (k, j) that one 1-Lipschitz map p links
+    within t, |a_k - p(b_j)| <= t, in Fractions, by checking every
+    subset of at most 8 pairs.
+
+    A set fits one map exactly when its lower McShane extension x -> max
+    over the set of (a_k - t - |x - b_j|), the least 1-Lipschitz map at
+    or above a_k - t at every b_j, is at most a_k + t at every b_j of the
+    set. A subset of a fitting set fits, so a fitting set is maximal when
+    no one pair can be added."""
+    a, b = [Fraction(v) for v in a], [Fraction(v) for v in b]
+    t = Fraction(t)
+    pairs = [(k, j) for k in range(len(a)) for j in range(len(b))]
+    assert len(pairs) <= 8
+
+    def fits(S):
+        return all(max(a[l] - t - abs(b[j] - b[m]) for l, m in S) <= a[k] + t for k, j in S)
+
+    feasible = {frozenset(S) for size in range(1, len(pairs) + 1) for S in combinations(pairs, size) if fits(S)}
+    return {S for S in feasible if not any(S | {p} in feasible for p in pairs if p not in S)}
+
+
 def law_bound_oracle(a, wa, b, wb, kind, box):
     """The least eps at which some map p of the family routes mass
     1 - eps between the laws (a, wa) and p_*(b, wb) within t = eps (box:
-    eps / 2), in Fractions, for id, T, B and TB; meant for at most 4
-    atoms.
+    eps / 2), in Fractions; meant for at most 4 atoms, and for lip1 at
+    most 8 pairs of atoms.
 
-    Every map of the vertex arrangement is tried, and each flow comes
-    from Hall's theorem. Acceptance grows with eps, and the most mass
-    routed only changes at t = |u - v| or |u - v| / 2 for u, v among 0,
-    +-a_k, +-b_j and a_i - b_j + b_l; bisection over those gives the
-    first accepted e_k, and the value is min(e_k, 1 - routed at
-    e_{k-1})."""
+    For id, T, B and TB every map of the vertex arrangement is tried,
+    for lip1 every maximal set of pairs of atoms that one map links
+    (lip1_link_sets_oracle), and each flow comes from Hall's theorem.
+    Acceptance grows with eps, and the most mass routed only changes at
+    t = |u - v| or |u - v| / 2 for u, v among 0, +-a_k, +-b_j and a_i -
+    b_j + b_l, and for lip1 at t = |u - v| / 2 for u, v among |a_i -
+    a_k| and |b_j - b_l|; bisection over those gives the first accepted
+    e_k, and the value is min(e_k, 1 - routed at e_{k-1})."""
     a, wa, b, wb = ([Fraction(float(v)) for v in x] for x in (a, wa, b, wb))
     per_eps = Fraction(1, 2) if box else Fraction(1)
-    sums = {Fraction(0)} | set(a) | {-x for x in a} | set(b) | {-y for y in b}
-    sums |= {x - y + z for x in a for y in b for z in b}
-    cuts = {abs(u - v) / d for u in sums for v in sums for d in (1, 2)}
+    if kind == "lip1":
+        spans = {abs(x - y) for x in a for y in a} | {abs(x - y) for x in b for y in b}
+        cuts = {abs(u - v) / 2 for u in spans for v in spans}
+    else:
+        sums = {Fraction(0)} | set(a) | {-x for x in a} | set(b) | {-y for y in b}
+        sums |= {x - y + z for x in a for y in b for z in b}
+        cuts = {abs(u - v) / d for u in sums for v in sums for d in (1, 2)}
     breaks = sorted({e / per_eps for e in cuts if e / per_eps < 1} | {Fraction(1)})
 
     def unrouted(eps):
         t = eps * per_eps
-        flows = (
-            _hall_flow(wa, wb, [{k for k, x in enumerate(a) if abs(x - y) <= t} for y in pos])
-            for pos in _law_positions(a, b, t, kind)
-        )
-        return 1 - max(flows)
+        if kind == "lip1":
+            links = ([{k for k, j in S if j == col} for col in range(len(b))] for S in lip1_link_sets_oracle(a, b, t))
+        else:
+            links = ([{k for k, x in enumerate(a) if abs(x - y) <= t} for y in pos] for pos in _law_positions(a, b, t, kind))
+        return 1 - max(_hall_flow(wa, wb, linked) for linked in links)
 
     lo, hi = 0, len(breaks) - 1
     while lo < hi:

@@ -42,6 +42,7 @@ from oracles import (
     hausdorff_full_scan,
     jump_kappas_exact,
     law_bound_oracle,
+    lip1_link_sets_oracle,
     od_exact,
     od_lower_exact,
     od_steps_exact,
@@ -823,9 +824,32 @@ class TestLawBound:
                     else:
                         assert abs(got - want) <= 1e-12
 
+    def test_lip1_engine_matches_rational_oracle(self):
+        # a lip1 test of eps takes the largest max-flow over the McShane
+        # cliques of the two laws' atoms; the oracle tries every set of
+        # pairs of atoms that one 1-Lipschitz map links
+        rng = np.random.default_rng(241)
+        for shape in ((2, 2), (2, 4), (4, 2), (2, 3), (3, 2), (1, 4)) * 3:
+            A, B = (small_law(rng, k) for k in shape)
+            for box in (False, True):
+                want = float(law_bound_oracle(A.values, A.masses, B.values, B.masses, "lip1", box))
+                assert abs(orbit_law_distance(A, B, "lip1", box) - want) <= 1e-12, (box, A.atoms, B.atoms)
+
+    def test_lip1_law_bound_below_the_orbit_distance(self):
+        # two features on the same points: the identity coupling puts f and
+        # p o g within their Ky Fan distance, so the dconc law form is at
+        # most the Ky Fan distance from f to the lip1 orbit of g
+        rng = np.random.default_rng(251)
+        for _ in range(40):
+            n = int(rng.integers(2, 7))
+            f, g = rng.integers(-12, 13, size=(2, n)) / 8
+            mu = gk.ProbVector(rational_masses(rng, n))
+            law = orbit_law_distance(gk.pushforward(f, mu), gk.pushforward(g, mu), "lip1", False)
+            assert law <= gk.dist_to_orbit(f, g, LIP1, mu).value + 1e-12
+
     def test_box_form_below_exact_box(self, monkeypatch):
         rng = np.random.default_rng(137)
-        for family in FAMILIES[:4]:
+        for family in FAMILIES:
             for _ in range(5):
                 X, Y = small_pair(rng, family)
                 # the same pair with values k/7, which floats only approximate
@@ -842,7 +866,7 @@ class TestLawBound:
 
     def test_dconc_form_below_coupling_values(self):
         rng = np.random.default_rng(139)
-        for family in FAMILIES[:4]:
+        for family in FAMILIES:
             for _ in range(6):
                 X = dyadic_gds(rng, max_n=4, max_gens=2, family=family)
                 Y = dyadic_gds(rng, max_n=4, max_gens=2, family=family)
@@ -857,7 +881,7 @@ class TestLawBound:
 
     def test_brackets_stay_ordered_and_witnessed(self):
         rng = np.random.default_rng(149)
-        closed = law_won = search_won = 0
+        closed = law_won = search_won = lip1_won = 0
         for family in FAMILIES:
             for _ in range(8):
                 X = dyadic_gds(rng, max_n=4, max_gens=2, family=family)
@@ -870,7 +894,7 @@ class TestLawBound:
                     assert br.lower_witness.startswith(bound.describe())
                     if isinstance(bound, LawLowerBound):
                         law_won += 1
-                        assert family != LIP1
+                        lip1_won += family == LIP1
                         assert bound > dconc_lower_via_od(X, Y)
                         # replay: the named pair gives the bound on its own
                         # (X and Y of the witness are the brackets' argument order)
@@ -883,7 +907,8 @@ class TestLawBound:
                         assert bound.reach == (float(bound) / 2 if box else float(bound))
                     elif isinstance(bound, SearchLowerBound):
                         search_won += 1
-                        assert box and family != LIP1 and not bound.spent
+                        lip1_won += family == LIP1
+                        assert box and not bound.spent
                         assert bound > max(dconc_lower_via_od(X, Y), laws.law_lower(X, Y, box, 0.0))
                         assert bound.reach == float(bound) / 2
                         S = bound.support
@@ -900,7 +925,7 @@ class TestLawBound:
                         assert br.upper_witness.endswith("of the link-set search, bracket closed") or value > br.lower
                     else:
                         assert isinstance(bound, OdLowerBound)
-        assert closed > 0 and law_won > 0 and search_won > 0
+        assert closed > 0 and law_won > 0 and search_won > 0 and lip1_won > 0
 
     def test_searched_breakpoints_match_the_listed_ones(self, monkeypatch):
         # the differences of v are found by searchsorted without listing
@@ -1089,15 +1114,21 @@ class TestPairwiseBound:
                     raised += link > law + 1e-12
         assert raised > 0
 
-    def test_lip1_keeps_od_and_law_bounds(self):
+    def test_lip1_between_law_bound_and_exact_box(self):
+        # lip1 link sets are the McShane cliques: the law bound and the
+        # search run on lip1 partners, and both stay below the box distance
         rng = np.random.default_rng(193)
-        for _ in range(6):
-            X = dyadic_gds(rng, max_n=4, max_gens=2, family=LIP1)
-            Y = dyadic_gds(rng, max_n=4, max_gens=2, family=LIP1)
-            bound = lower_bound(X, Y, box=True)
-            assert not isinstance(bound, SearchLowerBound)
-            assert float(bound) == max(float(dconc_lower_via_od(X, Y)), float(laws.law_lower(X, Y, True, 0.0)))
-            assert laws.link_lower(X, Y, 0.125, [laws.LAW_BUDGET]) == 0.125
+        raised = 0
+        for _ in range(12):
+            X, Y = small_pair(rng, LIP1)
+            law = float(laws.law_lower(X, Y, True, 0.0))
+            link = float(laws.link_lower(X, Y, 0.0, [laws.LAW_BUDGET]))
+            exact = exact_box_oracle(X, Y)
+            assert law <= link + 1e-12 and link <= exact + 1e-12, (X, Y)
+            od = float(dconc_lower_via_od(X, Y))
+            raised += link > max(od, law) + 1e-12
+            assert lower_bound(X, Y, box=True) == max(od, law, link)
+        assert raised > 0
 
     def test_one_budget_for_both_scans(self, monkeypatch):
         # the law and link-set scans draw on one LAW_BUDGET: with none,
@@ -1123,6 +1154,28 @@ class TestPairwiseBound:
                 assert 0.0 <= bound <= full
                 cut += bound < full
         assert cut > 0
+
+
+class TestMcShaneCliques:
+    """laws._mcshane_cliques, the lip1 link sets of two value lists."""
+
+    def test_match_the_subset_oracle(self):
+        rng = np.random.default_rng(263)
+        for shape in ((1, 1), (1, 5), (2, 2), (2, 3), (3, 2), (2, 4), (4, 2), (1, 8), (8, 1)) * 6:
+            a, b = (rng.choice(np.arange(-12, 13), size=n, replace=False) / 8 for n in shape)
+            t = float(rng.choice([0.0, 1 / 16, 1 / 8, 3 / 16, 1 / 4, 1 / 2]))
+            got = [frozenset(zip(*(ix.tolist() for ix in np.nonzero(c)))) for c in np.concatenate(list(laws._mcshane_cliques(a, b, t, None)))]
+            assert len(got) == len(set(got))
+            assert set(got) == lip1_link_sets_oracle(a, b, t), (a, b, t)
+
+    def test_spent_budget_ends_the_listing(self):
+        a, b = np.arange(4) / 8, np.arange(4)[::-1] / 8
+        n = a.size * b.size
+        with pytest.raises(laws._OverBudget):
+            next(laws._mcshane_cliques(a, b, 0.0, [n * n - 1]))
+        budget = [n * n + 4 * n]
+        with pytest.raises(laws._OverBudget):
+            list(laws._mcshane_cliques(a, b, 0.0, budget))
 
 
 def oracle_pair(rng, family):
@@ -1166,7 +1219,7 @@ class TestLinkSearch:
         rng = np.random.default_rng(211)
         closed = above_one = 0
         for k in range(100):
-            family = FAMILIES[k % 4]
+            family = FAMILIES[k % 5]
             X, Y = oracle_pair(rng, family)
             exact = exact_box_oracle(X, Y)
             assert laws.link_lower(X, Y, 0.0, [laws.LAW_BUDGET]) <= exact + 1e-12
@@ -1241,11 +1294,43 @@ class TestLinkSearch:
                 assert 0.0 <= bound <= full
                 if isinstance(bound, SearchLowerBound) and bound.spent:
                     spent += 1
-                    assert bound.support is None and "budget spent" in bound.describe()
+                    assert "budget spent" in bound.describe()
                     # the search over every generator fails at the bound
                     search = laws._LinkSearch(laws._LinkSets(X, Y, [laws.LAW_BUDGET]), gens)
                     assert search.unrouted(float(bound)) > float(bound)
         assert spent > 0
+
+    def test_spent_budget_keeps_the_least_accepted_support(self, monkeypatch):
+        # a search that runs out after a test accepted keeps that test's
+        # support: the bracket scores it, so the upper is at most the least
+        # eps accepted, and the support replays to at most that eps
+        real, accepted = laws._LinkSearch.unrouted, []
+
+        def unrouted(self, eps):
+            value = real(self, eps)
+            if value <= eps:
+                accepted.append(eps)
+            return value
+
+        monkeypatch.setattr(laws._LinkSearch, "unrouted", unrouted)
+        rng = np.random.default_rng(257)
+        kept = 0
+        for k in range(10):
+            X, Y = (dyadic_gds(rng, max_n=4, max_gens=3, family=FAMILIES[1 + k % 4]) for _ in range(2))
+            first, second = (Y, X) if distances._oriented(X, Y) else (X, Y)
+            for steps in (1 << 12, 1 << 14, 1 << 16, 1 << 18):
+                monkeypatch.setattr(distances, "LAW_BUDGET", steps)
+                accepted.clear()
+                _, link = distances._bounds(first, second, True)
+                if not (isinstance(link, SearchLowerBound) and link.spent and link.support):
+                    continue
+                kept += 1
+                least, S = min(accepted), link.support
+                value = box_objective(first, second, _support_flow(first.masses, second.masses, S), S)
+                assert value <= least + 1e-12
+                br = box_bracket(X, Y, CFG)
+                assert br.lower <= br.upper <= value
+        assert kept > 0
 
     def test_spent_budget_runs_the_support_search(self, monkeypatch):
         # with no budget for the link sets the bracket is that of the

@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +133,23 @@ class TestRecipes:
         # RuntimeWarning
         with pytest.raises(ValidationError, match=f"bad recipe '{text}': expected {kind}"):
             SpaceRecipe(kind, fields)
+
+    @pytest.mark.parametrize("text", ["path:4:1e308", "path:3:1e308", "path:%d:1" % 10**400], ids=["4-points", "3-points", "10^400-points"])
+    def test_overflowing_path_rejected(self, text):
+        # each field is finite, but (n - 1) * step is not: the matrix
+        # overflowed with a numpy RuntimeWarning, and generating failed on
+        # a non-finite distance
+        with pytest.raises(ValidationError, match=r"bad recipe '%s': expected path" % text):
+            SpaceRecipe.parse(text)
+
+    @pytest.mark.parametrize("text", ["two_point:1e308", "path:2:1e308", "path:3:8.9e307"])
+    def test_largest_finite_distances_run_without_warning(self, text):
+        # the triangle check's sums of two distances overflowed to inf, with
+        # a numpy RuntimeWarning, though inf breaks no triangle
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            X = generate_space(SpaceRecipe.parse(text))
+        assert np.isfinite(X.diameter) and X.diameter > 1e307
 
     def test_integral_number_in_integer_field(self):
         assert SpaceRecipe("path", (4.0, 0.5)) == SpaceRecipe.parse("path:4:0.5")
